@@ -6,20 +6,22 @@ first stage whose score falls below its threshold, which is where the
 detector gets its speed.  ``detect_multiscale`` runs the same decision
 vectorized over a whole window grid per scale; the two paths are kept
 arithmetically identical (same operation order on float64) so one can be
-checked against the other.
+checked against the other.  Both scale part rects only through
+``haar._scaled_parts``, the one home of that rule and its escape check.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 import numpy as np
 
-from .haar import FeatureEvalError, FeatureKind, FeaturePart, HaarFeature, scale_rect
-from .imaging import GrayImage, IntegralPair, Rect, integral, rect_sum
+from .haar import FeatureKind, FeaturePart, HaarFeature, _scaled_parts, feature_value
+from .imaging import GrayImage, IntegralPair, Rect, _round_half_up, integral, rect_sum
 
 
 class CascadeError(ValueError):
@@ -27,7 +29,9 @@ class CascadeError(ValueError):
 
 
 class CascadeFormatError(CascadeError):
-    """Syntax or semantic problem in a cascade document; message carries the path."""
+    """Syntax or semantic problem in a cascade document; message carries the path.
+
+    The strict document checks raise it for run configs too."""
 
 
 class UnsupportedCascadeError(CascadeError):
@@ -128,9 +132,9 @@ def eval_window(c: Cascade, ip: IntegralPair, window: Rect,
     """Run the staged classifier on one window with early rejection.
 
     ``scale`` defaults to window.w / base_w; every part rect is scaled by it
-    and must land inside the window.  Feature values are divided by
-    sigma * area of the window before thresholding so trained thresholds
-    transfer across lighting.
+    and must land inside the window (checked per weak classifier reached).
+    Feature values are divided by sigma * area of the window before
+    thresholding so trained thresholds transfer across lighting.
     """
     if not window.fits_in(ip.width, ip.height):
         raise ValueError(f"window {window} outside {ip.width}x{ip.height} image")
@@ -142,25 +146,13 @@ def eval_window(c: Cascade, ip: IntegralPair, window: Rect,
     for si, stage in enumerate(c.stages):
         score = 0.0
         for wk in stage.weak:
-            feat = c.features[wk.feature_index]
-            raw = 0.0
-            for pi, part in enumerate(feat.parts):
-                s = scale_rect(part.rect, scale)
-                if s.right > window.w or s.bottom > window.h:
-                    raise FeatureEvalError(
-                        f"feature {wk.feature_index}: scaled part {pi} ({s}) escapes "
-                        f"{window.w}x{window.h} window")
-                raw += part.weight * rect_sum(
-                    ip, Rect(window.x + s.x, window.y + s.y, s.w, s.h))
+            raw = feature_value(ip, c.features[wk.feature_index], window, scale,
+                                wk.feature_index)
             norm = raw / denom
             score += wk.left_value if norm < wk.threshold else wk.right_value
         if score < stage.stage_threshold:
             return WindowEval(False, si, score)
     return WindowEval(True, len(c.stages), score)
-
-
-def _round_half_up(v: float) -> int:
-    return int(v + 0.5)
 
 
 def _scan_sizes(c: Cascade, img_w: int, img_h: int,
@@ -205,17 +197,9 @@ def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detecti
     n_stages = len(c.stages)
 
     for win_w, win_h, scale in _scan_sizes(c, img.width, img.height, p):
-        scaled: list[list[tuple[Rect, float]]] = []
-        for fi, feat in enumerate(c.features):
-            parts = []
-            for pi, part in enumerate(feat.parts):
-                s = scale_rect(part.rect, scale)
-                if s.right > win_w or s.bottom > win_h:
-                    raise FeatureEvalError(
-                        f"feature {fi}: scaled part {pi} ({s}) escapes "
-                        f"{win_w}x{win_h} window")
-                parts.append((s, part.weight))
-            scaled.append(parts)
+        # every feature is checked here, before the scan, not only those reached
+        scaled = [_scaled_parts(f, scale, win_w, win_h, fi)
+                  for fi, f in enumerate(c.features)]
 
         stride = max(1, _round_half_up(win_w / p.step_divisor))
         xs = np.arange(0, img.width - win_w + 1, stride, dtype=np.intp)
@@ -315,36 +299,64 @@ def group_detections(dets: list[Detection], min_neighbors: int = 3,
     return out
 
 
+# --- strict document checks ---------------------------------------------------
+# Shared by the cascade parsers and the run-config loader; ``path`` is the key
+# path of ``v``, e.g. "$.stages[0].weak[1].feature", and starts every message.
+
+def _obj(v, path: str, required=(), optional=()) -> dict:
+    if not isinstance(v, dict):
+        raise CascadeFormatError(f"{path}: expected object, got {v!r}")
+    unknown = set(v) - set(required) - set(optional)
+    if unknown:
+        raise CascadeFormatError(f"{path}: unknown key(s) {sorted(unknown)}")
+    missing = set(required) - set(v)
+    if missing:
+        raise CascadeFormatError(f"{path}: missing key(s) {sorted(missing)}")
+    return v
+
+
+def _array(v, path: str, min_len: int = 0, max_len: int | None = None) -> list:
+    if (isinstance(v, list) and min_len <= len(v)
+            and (max_len is None or len(v) <= max_len)):
+        return v
+    size = (f"{min_len} or more" if max_len is None else str(min_len)
+            if min_len == max_len else f"{min_len}..{max_len}")
+    raise CascadeFormatError(f"{path}: expected array of {size} items")
+
+
+def _int(v, path: str, minimum: int) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise CascadeFormatError(f"{path}: expected integer, got {v!r}")
+    if v < minimum:
+        raise CascadeFormatError(f"{path}: {v} below minimum {minimum}")
+    return v
+
+
+def _real(v, path: str) -> float:
+    # json.loads accepts NaN and +-Infinity literals; they end here
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not abs(v) <= sys.float_info.max):
+        raise CascadeFormatError(f"{path}: expected finite number, got {v!r}")
+    return float(v)
+
+
+def _bool(v, path: str) -> bool:
+    if not isinstance(v, bool):
+        raise CascadeFormatError(f"{path}: expected true or false, got {v!r}")
+    return v
+
+
+def _str(v, path: str) -> str:
+    if not isinstance(v, str):
+        raise CascadeFormatError(f"{path}: expected string, got {v!r}")
+    return v
+
+
 # --- canonical JSON form ----------------------------------------------------
 
 _KIND_NAMES = {FeatureKind.TWO_RECT: "two", FeatureKind.THREE_RECT: "three",
                FeatureKind.FOUR_RECT: "four"}
 _NAMES_KIND = {v: k for k, v in _KIND_NAMES.items()}
-
-
-def _want(obj: dict, path: str, allowed: set[str]):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise CascadeFormatError(f"{path}: unknown key(s) {sorted(unknown)}")
-    missing = allowed - set(obj)
-    if missing:
-        raise CascadeFormatError(f"{path}: missing key(s) {sorted(missing)}")
-
-
-def _geom(obj: dict, key: str, path: str, minimum: int) -> int:
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise CascadeFormatError(f"{path}.{key}: expected integer, got {v!r}")
-    if v < minimum:
-        raise CascadeFormatError(f"{path}.{key}: {v} below minimum {minimum}")
-    return v
-
-
-def _real(obj: dict, key: str, path: str) -> float:
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise CascadeFormatError(f"{path}.{key}: expected number, got {v!r}")
-    return float(v)
 
 
 def parse_cascade(text: str) -> Cascade:
@@ -354,69 +366,48 @@ def parse_cascade(text: str) -> Cascade:
     except json.JSONDecodeError as e:
         raise CascadeFormatError(
             f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    if not isinstance(doc, dict):
-        raise CascadeFormatError("document root must be an object")
-    _want(doc, "$", {"name", "base_w", "base_h", "features", "stages"})
-    if not isinstance(doc["name"], str):
-        raise CascadeFormatError("$.name: expected string")
-    base_w = _geom(doc, "base_w", "$", 4)
-    base_h = _geom(doc, "base_h", "$", 4)
+    _obj(doc, "$", required=("name", "base_w", "base_h", "features", "stages"))
+    name = _str(doc["name"], "$.name")
+    base_w = _int(doc["base_w"], "$.base_w", 4)
+    base_h = _int(doc["base_h"], "$.base_h", 4)
 
-    if not isinstance(doc["features"], list):
-        raise CascadeFormatError("$.features: expected array")
     features = []
-    for fi, fobj in enumerate(doc["features"]):
-        path = f"features[{fi}]"
-        if not isinstance(fobj, dict):
-            raise CascadeFormatError(f"{path}: expected object")
-        _want(fobj, path, {"kind", "parts"})
-        kind = _NAMES_KIND.get(fobj["kind"])
+    for fi, fobj in enumerate(_array(doc["features"], "$.features")):
+        path = f"$.features[{fi}]"
+        _obj(fobj, path, required=("kind", "parts"))
+        kind = _NAMES_KIND.get(_str(fobj["kind"], f"{path}.kind"))
         if kind is None:
             raise CascadeFormatError(f"{path}.kind: unknown kind {fobj['kind']!r}")
-        if not isinstance(fobj["parts"], list) or not 2 <= len(fobj["parts"]) <= 4:
-            raise CascadeFormatError(f"{path}.parts: expected 2..4 part objects")
         parts = []
-        for pi, pobj in enumerate(fobj["parts"]):
+        for pi, pobj in enumerate(_array(fobj["parts"], f"{path}.parts", 2, 4)):
             ppath = f"{path}.parts[{pi}]"
-            if not isinstance(pobj, dict):
-                raise CascadeFormatError(f"{ppath}: expected object")
-            _want(pobj, ppath, {"x", "y", "w", "h", "weight"})
-            rect = Rect(_geom(pobj, "x", ppath, 0), _geom(pobj, "y", ppath, 0),
-                        _geom(pobj, "w", ppath, 1), _geom(pobj, "h", ppath, 1))
+            _obj(pobj, ppath, required=("x", "y", "w", "h", "weight"))
+            rect = Rect(*(_int(pobj[k], f"{ppath}.{k}", low)
+                          for k, low in (("x", 0), ("y", 0), ("w", 1), ("h", 1))))
             if rect.right > base_w or rect.bottom > base_h:
                 raise CascadeFormatError(
                     f"{ppath}: rect {rect} outside {base_w}x{base_h} base window")
-            parts.append(FeaturePart(rect, _real(pobj, "weight", ppath)))
+            parts.append(FeaturePart(rect, _real(pobj["weight"], f"{ppath}.weight")))
         features.append(HaarFeature(kind, tuple(parts)))
 
-    if not isinstance(doc["stages"], list) or not doc["stages"]:
-        raise CascadeFormatError("$.stages: expected non-empty array")
     stages = []
-    for si, sobj in enumerate(doc["stages"]):
-        path = f"stages[{si}]"
-        if not isinstance(sobj, dict):
-            raise CascadeFormatError(f"{path}: expected object")
-        _want(sobj, path, {"threshold", "weak"})
-        if not isinstance(sobj["weak"], list) or not sobj["weak"]:
-            raise CascadeFormatError(f"{path}.weak: expected non-empty array")
+    for si, sobj in enumerate(_array(doc["stages"], "$.stages", 1)):
+        path = f"$.stages[{si}]"
+        _obj(sobj, path, required=("threshold", "weak"))
         weak = []
-        for wi, wobj in enumerate(sobj["weak"]):
+        for wi, wobj in enumerate(_array(sobj["weak"], f"{path}.weak", 1)):
             wpath = f"{path}.weak[{wi}]"
-            if not isinstance(wobj, dict):
-                raise CascadeFormatError(f"{wpath}: expected object")
-            _want(wobj, wpath, {"feature", "threshold", "left", "right"})
-            fidx = _geom(wobj, "feature", wpath, 0)
+            _obj(wobj, wpath, required=("feature", "threshold", "left", "right"))
+            fidx = _int(wobj["feature"], f"{wpath}.feature", 0)
             if fidx >= len(features):
                 raise CascadeFormatError(
                     f"{wpath}.feature: index {fidx} out of range "
                     f"(table has {len(features)})")
-            weak.append(WeakClassifier(fidx, _real(wobj, "threshold", wpath),
-                                       _real(wobj, "left", wpath),
-                                       _real(wobj, "right", wpath)))
-        stages.append(Stage(tuple(weak), _real(sobj, "threshold", path)))
+            weak.append(WeakClassifier(fidx, *(_real(wobj[k], f"{wpath}.{k}")
+                                               for k in ("threshold", "left", "right"))))
+        stages.append(Stage(tuple(weak), _real(sobj["threshold"], f"{path}.threshold")))
 
-    return Cascade(base_w, base_h, tuple(features), tuple(stages),
-                   name=doc["name"])
+    return Cascade(base_w, base_h, tuple(features), tuple(stages), name=name)
 
 
 def serialize_cascade(c: Cascade) -> str:
@@ -451,6 +442,16 @@ def _xml_text(parent: ET.Element, tag: str, path: str) -> str:
     return node.text.strip()
 
 
+def _xml_number(token: str, path: str) -> int | float:
+    """One number from element text, for the strict checks to type."""
+    for parse in (int, float):
+        try:
+            return parse(token)
+        except ValueError:
+            pass
+    raise CascadeFormatError(f"{path}: expected number, got {token!r}")
+
+
 def import_legacy_xml(text: str) -> Cascade:
     """Import a new-style XML haarcascade (stump stages, HAAR features only).
 
@@ -473,8 +474,9 @@ def import_legacy_xml(text: str) -> Cascade:
     ftype = _xml_text(cas, "featureType", base)
     if ftype != "HAAR":
         raise UnsupportedCascadeError(f"{base}.featureType: {ftype} not supported")
-    base_w = int(_xml_text(cas, "width", base))
-    base_h = int(_xml_text(cas, "height", base))
+    wpath, hpath = f"{base}.width", f"{base}.height"
+    base_w = _int(_xml_number(_xml_text(cas, "width", base), wpath), wpath, 4)
+    base_h = _int(_xml_number(_xml_text(cas, "height", base), hpath), hpath, 4)
 
     features_el = cas.find("features")
     if features_el is None:
@@ -490,17 +492,16 @@ def import_legacy_xml(text: str) -> Cascade:
             raise CascadeFormatError(f"{fpath}: missing <rects>")
         parts = []
         for pi, rel in enumerate(rects_el):
-            toks = (rel.text or "").split()
+            rpath = f"{fpath}.rects[{pi}]"
+            toks = [_xml_number(t, rpath) for t in (rel.text or "").split()]
             if len(toks) != 5:
                 raise CascadeFormatError(
-                    f"{fpath}.rects[{pi}]: expected 'x y w h weight', got {rel.text!r}")
-            x, y, w, h = (int(t) for t in toks[:4])
-            rect = Rect(x, y, w, h)
+                    f"{rpath}: expected 'x y w h weight', got {rel.text!r}")
+            rect = Rect(*(_int(v, rpath, low) for v, low in zip(toks, (0, 0, 1, 1))))
             if rect.right > base_w or rect.bottom > base_h:
                 raise CascadeFormatError(
-                    f"{fpath}.rects[{pi}]: rect {rect} outside "
-                    f"{base_w}x{base_h} base window")
-            parts.append(FeaturePart(rect, float(toks[4])))
+                    f"{rpath}: rect {rect} outside {base_w}x{base_h} base window")
+            parts.append(FeaturePart(rect, _real(toks[4], rpath)))
         if not 2 <= len(parts) <= 4:
             raise CascadeFormatError(f"{fpath}: expected 2..4 rects, got {len(parts)}")
         kind = {2: FeatureKind.TWO_RECT, 3: FeatureKind.THREE_RECT,
@@ -513,29 +514,32 @@ def import_legacy_xml(text: str) -> Cascade:
     stages = []
     for si, sel in enumerate(stages_el):
         spath = f"{base}.stages[{si}]"
-        declared = int(_xml_text(sel, "maxWeakCount", spath))
-        threshold = float(_xml_text(sel, "stageThreshold", spath))
+        mpath, tpath = f"{spath}.maxWeakCount", f"{spath}.stageThreshold"
+        declared = _int(_xml_number(_xml_text(sel, "maxWeakCount", spath), mpath),
+                        mpath, 1)
+        threshold = _real(_xml_number(_xml_text(sel, "stageThreshold", spath), tpath),
+                          tpath)
         weak_el = sel.find("weakClassifiers")
         if weak_el is None:
             raise CascadeFormatError(f"{spath}: missing <weakClassifiers>")
         weak = []
         for wi, wel in enumerate(weak_el):
             wpath = f"{spath}.weakClassifiers[{wi}]"
-            nodes = _xml_text(wel, "internalNodes", wpath).split()
-            leaves = _xml_text(wel, "leafValues", wpath).split()
+            npath, lpath = f"{wpath}.internalNodes", f"{wpath}.leafValues"
+            nodes = [_xml_number(t, npath)
+                     for t in _xml_text(wel, "internalNodes", wpath).split()]
+            leaves = [_real(_xml_number(t, lpath), lpath)
+                      for t in _xml_text(wel, "leafValues", wpath).split()]
             if len(nodes) != 4:
                 raise CascadeFormatError(
-                    f"{wpath}.internalNodes: expected 4 values (stump), "
-                    f"got {len(nodes)}")
+                    f"{npath}: expected 4 values (stump), got {len(nodes)}")
             if len(leaves) != 2:
                 raise CascadeFormatError(
-                    f"{wpath}.leafValues: expected 2 values, got {len(leaves)}")
-            fidx = int(nodes[2])
-            if not 0 <= fidx < len(features):
-                raise CascadeFormatError(
-                    f"{wpath}.internalNodes: feature index {fidx} out of range")
-            weak.append(WeakClassifier(fidx, float(nodes[3]),
-                                       float(leaves[0]), float(leaves[1])))
+                    f"{lpath}: expected 2 values, got {len(leaves)}")
+            fidx = _int(nodes[2], npath, 0)
+            if fidx >= len(features):
+                raise CascadeFormatError(f"{npath}: feature index {fidx} out of range")
+            weak.append(WeakClassifier(fidx, _real(nodes[3], npath), *leaves))
         if not weak:
             raise CascadeFormatError(f"{spath}: empty stage")
         if declared != len(weak):

@@ -8,10 +8,10 @@ body box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cascade import Cascade, Detection, ScanParams, detect_multiscale, group_detections
-from .imaging import GrayImage, Rect
+from .imaging import GrayImage, Rect, _round_half_up
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,6 @@ class GateParams:
         if not 0.0 < self.face_min_fraction <= 1.0:
             raise ValueError(
                 f"face_min_fraction must lie in (0, 1], got {self.face_min_fraction}")
-
-
-def _round_half_up(v: float) -> int:
-    return int(v + 0.5)
 
 
 def detect_gated(body_c: Cascade, face_c: Cascade, img: GrayImage,
@@ -63,11 +59,7 @@ def detect_gated(body_c: Cascade, face_c: Cascade, img: GrayImage,
                     else crop.width)
         if min_w > max_w or crop.height < face_c.base_h:
             continue
-        scan = ScanParams(scale_factor=p.face_scan.scale_factor,
-                          min_size=min_w, max_size=max_w,
-                          step_divisor=p.face_scan.step_divisor,
-                          min_neighbors=p.face_scan.min_neighbors,
-                          eps=p.face_scan.eps)
+        scan = replace(p.face_scan, min_size=min_w, max_size=max_w)
         faces = group_detections(detect_multiscale(face_c, crop, scan),
                                  scan.min_neighbors, scan.eps)
         if not faces:

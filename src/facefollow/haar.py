@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .imaging import IntegralPair, Rect, rect_sum
+from .imaging import IntegralPair, Rect, _round_half_up, rect_sum
 
 
 class FeatureKind(enum.Enum):
@@ -40,11 +40,6 @@ class FeatureEvalError(ValueError):
     """A scaled part rect fell outside the evaluation window."""
 
 
-def _round_half_up(v: float) -> int:
-    # all scaled quantities are non-negative, so this is also half-away-from-zero
-    return int(v + 0.5)
-
-
 def scale_rect(r: Rect, scale: float) -> Rect:
     """Scale a part rect: round-half-up on each product, extents floor 1 px."""
     return Rect(
@@ -53,6 +48,21 @@ def scale_rect(r: Rect, scale: float) -> Rect:
         max(1, _round_half_up(r.w * scale)),
         max(1, _round_half_up(r.h * scale)),
     )
+
+
+def _scaled_parts(f: HaarFeature, scale: float, win_w: int, win_h: int,
+                  index: int | None = None) -> list[tuple[Rect, float]]:
+    """The feature's (scaled rect, weight) parts for a win_w x win_h window;
+    a part pushed outside it raises FeatureEvalError naming ``index``."""
+    parts = []
+    for pi, part in enumerate(f.parts):
+        s = scale_rect(part.rect, scale)
+        if s.right > win_w or s.bottom > win_h:
+            label = f"feature {index}" if index is not None else "feature"
+            raise FeatureEvalError(
+                f"{label}: scaled part {pi} ({s}) escapes {win_w}x{win_h} window")
+        parts.append((s, part.weight))
+    return parts
 
 
 def feature_value(ip: IntegralPair, f: HaarFeature, window: Rect,
@@ -65,14 +75,8 @@ def feature_value(ip: IntegralPair, f: HaarFeature, window: Rect,
     if not window.fits_in(ip.width, ip.height):
         raise ValueError(f"window {window} outside {ip.width}x{ip.height} image")
     total = 0.0
-    for part in f.parts:
-        s = scale_rect(part.rect, scale)
-        if s.right > window.w or s.bottom > window.h:
-            label = f"feature {index}" if index is not None else "feature"
-            raise FeatureEvalError(
-                f"{label}: scaled part {s} escapes {window.w}x{window.h} window")
-        placed = Rect(window.x + s.x, window.y + s.y, s.w, s.h)
-        total += part.weight * rect_sum(ip, placed)
+    for s, weight in _scaled_parts(f, scale, window.w, window.h, index):
+        total += weight * rect_sum(ip, Rect(window.x + s.x, window.y + s.y, s.w, s.h))
     return total
 
 

@@ -17,6 +17,12 @@ MAX_DIM = 8192  # guards the 64-bit accumulators (255 * 8192^2 fits easily)
 _LUMA_R, _LUMA_G, _LUMA_B = 299, 587, 114
 
 
+def _round_half_up(v: float) -> int:
+    """The rounding rule for scan and scene geometry; below -0.5 it
+    truncates toward zero rather than flooring."""
+    return int(v + 0.5)
+
+
 class PnmParseError(ValueError):
     """Raised for malformed PGM/PPM input; carries the offending byte offset."""
 

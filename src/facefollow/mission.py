@@ -88,7 +88,8 @@ def step_mission(s: MissionState, status: VehicleStatus,
     target_alt = s.takeoff_alt + cfg.failsafe_alt_gain
 
     if phase in (MissionPhase.TRACKING, MissionPhase.HOVER):
-        if status.battery_voltage < cfg.batt_min or status.user_stop:
+        # "not >=" so a NaN reading fails safe instead of passing as charged
+        if not status.battery_voltage >= cfg.batt_min or status.user_stop:
             phase = MissionPhase.FAILSAFE_ASCEND
         else:
             phase = (MissionPhase.TRACKING if status.target_visible

@@ -12,17 +12,18 @@ from __future__ import annotations
 import json
 import math
 import os
+import typing
 from dataclasses import dataclass, field, replace
 
-from .cascade import Cascade, Detection
+from .cascade import Cascade, Detection, _array, _bool, _int, _obj, _real, _str
 from .gated import GatedDetection, GateParams, detect_gated, select_target
 from .imaging import GrayImage, Rect, draw_box, encode_ppm, to_rgb
 from .mavlink import CommandSink, NullSink, build_velocity_message, open_sink
 from .mission import (MissionConfig, MissionPhase, MissionState, Ned,
                       VehicleStatus, step_mission)
 from .synthetic import render_scene, synthetic_gate_params
-from .tracker import (TrackerConfig, VelocityCommand, Zone, classify_zone,
-                      compute_command)
+from .tracker import (TrackerConfig, VelocityCommand, Zone, centroid_of,
+                      classify_zone, compute_command)
 
 
 @dataclass(frozen=True)
@@ -278,8 +279,7 @@ def run_closed_loop(cfg: RunConfig, sink: CommandSink | None = None,
             centroid = None
             zone = None
             if tracked is not None:
-                centroid = (tracked.box.x + tracked.box.w / 2,
-                            tracked.box.y + tracked.box.h / 2)
+                centroid = centroid_of(tracked.box)
                 zone = classify_zone(centroid[0], centroid[1],
                                      cam.img_w, cam.img_h, cfg.tracker)
             trace.rows.append(TraceRow(
@@ -325,88 +325,75 @@ def converged(trace: Trace, cfg: RunConfig, final_ticks: int = 10) -> bool:
 
 # --- JSON config ------------------------------------------------------------
 
-def _take(obj: dict, path: str, allowed: dict):
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ValueError(f"config {path}: unknown key(s) {sorted(unknown)}")
+_RUN_KEYS = ("mode", "ticks", "camera", "drone", "target", "tracker", "mission",
+             "battery", "user_stop_tick", "home", "takeoff_alt", "cascades", "sink")
+# by annotated type; the only int fields are image sizes
+_FIELD_CHECKS = {float: _real, bool: _bool, int: lambda v, path: _int(v, path, 1)}
 
 
 def _ned(v, path: str) -> Ned:
-    if not (isinstance(v, list) and len(v) == 3
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)):
-        raise ValueError(f"config {path}: expected [n, e, d] numbers")
-    return Ned(float(v[0]), float(v[1]), float(v[2]))
+    return Ned(*(_real(x, f"{path}[{i}]")
+                 for i, x in enumerate(_array(v, path, 3, 3))))
+
+
+def _fields(cls, v, path: str):
+    """``cls`` from the fields ``v`` names, each checked by its annotated type."""
+    types = typing.get_type_hints(cls)
+    obj = _obj(v, path, optional=types)
+    return cls(**{k: _FIELD_CHECKS[types[k]](x, f"{path}.{k}") for k, x in obj.items()})
 
 
 def load_run_config(text: str, cascade_loader=None) -> RunConfig:
-    """Build a RunConfig from its JSON document (strict keys).
+    """Build a RunConfig from its JSON document (strict: see the README).
 
     ``cascade_loader`` maps a path string to a Cascade; the CLI wires it to
     the canonical-format parser.
     """
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("config root must be an object")
-    top = {"mode": None, "ticks": None, "camera": None, "drone": None,
-           "target": None, "tracker": None, "mission": None, "battery": None,
-           "user_stop_tick": None, "home": None, "takeoff_alt": None,
-           "cascades": None, "sink": None}
-    _take(doc, "$", top)
-
+    doc = _obj(json.loads(text), "$", optional=_RUN_KEYS)
     kw: dict = {}
     if "mode" in doc:
-        kw["mode"] = doc["mode"]
+        kw["mode"] = _str(doc["mode"], "$.mode")
     if "ticks" in doc:
-        kw["ticks"] = int(doc["ticks"])
+        kw["ticks"] = _int(doc["ticks"], "$.ticks", 1)
     if "camera" in doc:
-        c = doc["camera"]
-        _take(c, "camera", {"img_w": None, "img_h": None, "focal": None})
-        kw["camera"] = CameraModel(int(c.get("img_w", 320)), int(c.get("img_h", 240)),
-                                   float(c.get("focal", 300.0)))
+        kw["camera"] = _fields(CameraModel, doc["camera"], "$.camera")
     if "drone" in doc:
-        d = doc["drone"]
-        _take(d, "drone", {"pos": None, "yaw": None})
+        d = _obj(doc["drone"], "$.drone", optional=("pos", "yaw"))
         if "pos" in d:
-            kw["drone_pos"] = _ned(d["pos"], "drone.pos")
-        kw["drone_yaw"] = float(d.get("yaw", 0.0))
+            kw["drone_pos"] = _ned(d["pos"], "$.drone.pos")
+        kw["drone_yaw"] = _real(d.get("yaw", 0.0), "$.drone.yaw")
     if "target" in doc:
-        t = doc["target"]
-        _take(t, "target", {"pos": None, "face_w": None, "body_w": None,
-                            "body_h": None, "waypoints": None, "speed": None})
+        t = _obj(doc["target"], "$.target", optional=(
+            "pos", "face_w", "body_w", "body_h", "waypoints", "speed"))
         if "pos" in t:
-            kw["target_pos"] = _ned(t["pos"], "target.pos")
+            kw["target_pos"] = _ned(t["pos"], "$.target.pos")
         for k in ("face_w", "body_w", "body_h"):
             if k in t:
-                kw[k] = float(t[k])
-        wps = tuple(_ned(w, f"target.waypoints[{i}]")
-                    for i, w in enumerate(t.get("waypoints", [])))
-        kw["path"] = TargetPath(wps, float(t.get("speed", 0.3)))
+                kw[k] = _real(t[k], f"$.target.{k}")
+        wps = _array(t.get("waypoints", []), "$.target.waypoints")
+        kw["path"] = TargetPath(
+            tuple(_ned(w, f"$.target.waypoints[{i}]") for i, w in enumerate(wps)),
+            _real(t.get("speed", 0.3), "$.target.speed"))
     if "tracker" in doc:
-        fields = set(TrackerConfig.__dataclass_fields__)
-        _take(doc["tracker"], "tracker", {k: None for k in fields})
-        kw["tracker"] = TrackerConfig(**doc["tracker"])
+        kw["tracker"] = _fields(TrackerConfig, doc["tracker"], "$.tracker")
     if "mission" in doc:
-        fields = set(MissionConfig.__dataclass_fields__)
-        _take(doc["mission"], "mission", {k: None for k in fields})
-        kw["mission"] = MissionConfig(**doc["mission"])
+        kw["mission"] = _fields(MissionConfig, doc["mission"], "$.mission")
     if "battery" in doc:
-        b = doc["battery"]
-        _take(b, "battery", {"start": None, "drain_rate": None})
-        kw["battery_start"] = float(b.get("start", 25.2))
-        kw["battery_drain"] = float(b.get("drain_rate", 0.0))
+        b = _obj(doc["battery"], "$.battery", optional=("start", "drain_rate"))
+        kw["battery_start"] = _real(b.get("start", 25.2), "$.battery.start")
+        kw["battery_drain"] = _real(b.get("drain_rate", 0.0), "$.battery.drain_rate")
     if doc.get("user_stop_tick") is not None:
-        kw["user_stop_tick"] = int(doc["user_stop_tick"])
+        kw["user_stop_tick"] = _int(doc["user_stop_tick"], "$.user_stop_tick", 0)
     if "home" in doc:
-        kw["home"] = _ned(doc["home"], "home")
+        kw["home"] = _ned(doc["home"], "$.home")
     if "takeoff_alt" in doc:
-        kw["takeoff_alt"] = float(doc["takeoff_alt"])
+        kw["takeoff_alt"] = _real(doc["takeoff_alt"], "$.takeoff_alt")
     if "cascades" in doc:
-        c = doc["cascades"]
-        _take(c, "cascades", {"body": None, "face": None})
+        c = _obj(doc["cascades"], "$.cascades", required=("body", "face"))
         if cascade_loader is None:
             raise ValueError("config names cascades but no loader was provided")
-        kw["body_cascade"] = cascade_loader(c["body"])
-        kw["face_cascade"] = cascade_loader(c["face"])
+        kw["body_cascade"] = cascade_loader(_str(c["body"], "$.cascades.body"))
+        kw["face_cascade"] = cascade_loader(_str(c["face"], "$.cascades.face"))
     if doc.get("sink") is not None:
-        kw["sink_dest"] = str(doc["sink"])
+        kw["sink_dest"] = _str(doc["sink"], "$.sink")
     return RunConfig(**kw)

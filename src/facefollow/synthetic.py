@@ -14,7 +14,7 @@ import numpy as np
 from .cascade import Cascade, ScanParams, Stage, WeakClassifier
 from .gated import GateParams
 from .haar import FeatureKind, FeaturePart, HaarFeature
-from .imaging import GrayImage, Rect
+from .imaging import GrayImage, Rect, _round_half_up
 
 BG_LUMA = 200
 BODY_LUMA = 80
@@ -28,10 +28,6 @@ BAND_INSET_FRAC = 1.0 / 6.0
 # body detector window pads the body box by a sixth per side so the
 # bright background ring is part of the pattern
 BODY_MARGIN_FRAC = 1.0 / 6.0
-
-
-def _rhu(v: float) -> int:
-    return int(v + 0.5)
 
 
 def render_scene(img_w: int, img_h: int, face: Rect | None,
@@ -50,8 +46,8 @@ def render_scene(img_w: int, img_h: int, face: Rect | None,
     paint(body, BODY_LUMA)
     paint(face, FACE_LUMA)
     if face is not None:
-        inset = max(1, _rhu(face.w * BAND_INSET_FRAC))
-        band_h = max(1, _rhu(face.h * BAND_HEIGHT_FRAC))
+        inset = max(1, _round_half_up(face.w * BAND_INSET_FRAC))
+        band_h = max(1, _round_half_up(face.h * BAND_HEIGHT_FRAC))
         if face.w - 2 * inset >= 1:
             paint(Rect(face.x + inset, face.y, face.w - 2 * inset, band_h),
                   BAND_LUMA)
@@ -141,11 +137,11 @@ def body_window_for(body: Rect) -> Rect:
     Width gets the margin; height follows the base aspect so the window
     matches what the scan ladder and eval-time scaling assume.
     """
-    mx = max(1, _rhu(body.w * BODY_MARGIN_FRAC))
+    mx = max(1, _round_half_up(body.w * BODY_MARGIN_FRAC))
     win_w = body.w + 2 * mx
-    win_h = _rhu(win_w * 18 / 12)
+    win_h = _round_half_up(win_w * 18 / 12)
     cy = body.y + body.h / 2
-    return Rect(body.x - mx, _rhu(cy - win_h / 2), win_w, win_h)
+    return Rect(body.x - mx, _round_half_up(cy - win_h / 2), win_w, win_h)
 
 
 def synthetic_gate_params(img_w: int = 320) -> GateParams:

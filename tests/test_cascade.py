@@ -175,6 +175,14 @@ class TestLegacyImport:
         with pytest.raises(CascadeFormatError, match="syntax"):
             import_legacy_xml("<opencv_storage><cascade>")
 
+    @pytest.mark.parametrize("width,why", [("abc", "expected number, got 'abc'"),
+                                           ("3", "3 below minimum 4")])
+    def test_bad_width_rejected_at_its_path(self, width, why):
+        text = fixture_text("upperbody_20x20.xml").replace(
+            "<width>20</width>", f"<width>{width}</width>")
+        with pytest.raises(CascadeFormatError, match=re.escape(f"cascade.width: {why}")):
+            import_legacy_xml(text)
+
 
 class TestEvalWindow:
     def test_vacuous_stage_accepts_everything(self, rng):

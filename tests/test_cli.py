@@ -130,6 +130,20 @@ class TestTrackSim:
         assert code == 1
         assert "config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("over,path", [
+        ({"tracker": {"dead_zone": "x"}}, "$.tracker.dead_zone"),
+        ({"camera": 5}, "$.camera"),
+        ({"battery": None}, "$.battery"),
+        ({"ticks": 2.7}, "$.ticks"),
+    ])
+    def test_bad_value_exits_1_naming_path(self, tmp_path, capsys, over, path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(sim_doc(**over)))
+        code = main(["track-sim", "--config", str(cfg),
+                     "--trace", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: config: {path}: ")
+
     def test_rendered_run_with_frames(self, tmp_path, cascades):
         body_path, face_path = cascades
         cfg = tmp_path / "run.json"
@@ -185,6 +199,15 @@ class TestImportCascade:
         code = main(["import-cascade", "--xml", str(bad),
                      "--out", str(tmp_path / "o.json")])
         assert code == 1
+
+    def test_non_numeric_width_exits_1_naming_path(self, tmp_path, capsys):
+        bad = tmp_path / "bad.xml"
+        with open(fixture_path("upperbody_20x20.xml")) as fh:
+            bad.write_text(fh.read().replace("<width>20</width>", "<width>abc</width>"))
+        code = main(["import-cascade", "--xml", str(bad),
+                     "--out", str(tmp_path / "o.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: cascade.width: ")
 
 
 class TestValidateDataset:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from facefollow.cascade import (Cascade, ScanParams, Stage, WeakClassifier,
+                                detect_multiscale, eval_window)
 from facefollow.haar import (FeatureEvalError, FeatureKind, FeaturePart,
                              HaarFeature, count_base_features,
                              enumerate_base_features, feature_value, scale_rect)
@@ -116,14 +118,31 @@ class TestFeatureValue:
         win = Rect(3, 3, 12, 12)
         assert feature_value(ip, f, win) == -feature_value(ip, g, win)
 
-    def test_escape_names_feature_index(self, rng):
+    @pytest.mark.parametrize("entry", ["feature_value", "eval_window",
+                                       "detect_multiscale"])
+    def test_escape_names_feature_index(self, rng, entry):
         img = random_image(rng, 30, 30)
         f = HaarFeature(FeatureKind.TWO_RECT, (
             FeaturePart(Rect(0, 0, 6, 12), 1.0),
             FeaturePart(Rect(6, 0, 6, 12), -1.0)))
+        inside = HaarFeature(FeatureKind.TWO_RECT, (
+            FeaturePart(Rect(0, 0, 4, 4), 1.0),
+            FeaturePart(Rect(4, 0, 4, 4), -1.0)))
+        # features 0..2 scale cleanly; the only weak classifier reads feature 3
+        c = Cascade(12, 12, (inside,) * 3 + (f,),
+                    (Stage((WeakClassifier(3, 0.0, 0.0, 1.0),), -1.0),))
+        window = Rect(0, 0, 25, 25)
         # scale 25/12: round(6*2.0833)=13, round(12.5)=13 -> 26 > 25
+        calls = {
+            "feature_value": lambda: feature_value(integral(img), f, window,
+                                                   25 / 12, index=3),
+            "eval_window": lambda: eval_window(c, integral(img), window),
+            # the ladder's only size is 25x25, at scale 25/12
+            "detect_multiscale": lambda: detect_multiscale(
+                c, img, ScanParams(scale_factor=25 / 12, min_size=25, max_size=25)),
+        }
         with pytest.raises(FeatureEvalError, match="feature 3"):
-            feature_value(integral(img), f, Rect(0, 0, 25, 25), 25 / 12, index=3)
+            calls[entry]()
 
 
 class TestEnumeration:

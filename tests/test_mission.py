@@ -43,6 +43,11 @@ class TestTransitions:
         assert s.phase is MissionPhase.FAILSAFE_ASCEND
         assert directive is not None and directive.vz < 0  # climb order
 
+    def test_nan_battery_triggers_failsafe(self):
+        s, directive = step_mission(state(), status(volts=math.nan), CFG)
+        assert s.phase is MissionPhase.FAILSAFE_ASCEND
+        assert directive is not None and directive.vz < 0
+
     def test_user_stop_triggers_failsafe(self):
         s, _ = step_mission(state(), status(stop=True), CFG)
         assert s.phase is MissionPhase.FAILSAFE_ASCEND

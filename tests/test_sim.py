@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -283,6 +284,19 @@ class TestRunConfigJson:
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ValueError, match="tracker"):
             load_run_config(json.dumps({"tracker": {"roll_x": 1}}))
+
+    @pytest.mark.parametrize("text,path", [
+        ('{"tracker": {"dead_zone": "x"}}', "$.tracker.dead_zone"),
+        ('{"camera": 5}', "$.camera"),
+        ('{"battery": null}', "$.battery"),
+        ('{"ticks": 2.7}', "$.ticks"),
+        ('{"ticks": "5"}', "$.ticks"),
+        ('{"sink": 5}', "$.sink"),
+        ('{"battery": {"start": NaN}}', "$.battery.start"),
+    ])
+    def test_bad_value_names_key_path(self, text, path):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: expected")):
+            load_run_config(text)
 
 
 def test_converged_helper():
