@@ -204,8 +204,6 @@ def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detecti
         stride = max(1, _round_half_up(win_w / p.step_divisor))
         xs = np.arange(0, img.width - win_w + 1, stride, dtype=np.intp)
         ys = np.arange(0, img.height - win_h + 1, stride, dtype=np.intp)
-        if len(xs) == 0 or len(ys) == 0:
-            continue
         gy, gx = np.meshgrid(ys, xs, indexing="ij")
         wx = gx.ravel()
         wy = gy.ravel()
@@ -366,6 +364,8 @@ def parse_cascade(text: str) -> Cascade:
     except json.JSONDecodeError as e:
         raise CascadeFormatError(
             f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except ValueError as e:  # an integer literal over the interpreter's digit limit
+        raise CascadeFormatError(f"$: {e}") from e
     _obj(doc, "$", required=("name", "base_w", "base_h", "features", "stages"))
     name = _str(doc["name"], "$.name")
     base_w = _int(doc["base_w"], "$.base_w", 4)

@@ -139,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="facefollow",
         description="Cascade person detection, tracking simulation and "
                     "MAVLink command tooling")
-    ap.add_argument("--verbose", action="store_true", help="chatty diagnostics")
     sub = ap.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("detect", help="run (gated) detection on one image")
@@ -188,13 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.verbose:
-        import time
-        t0 = time.perf_counter()
-        code = args.fn(args)
-        print(f"{args.command}: exit {code} in {time.perf_counter() - t0:.3f}s",
-              file=sys.stderr)
-        return code
     return args.fn(args)
 
 

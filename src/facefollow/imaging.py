@@ -7,6 +7,7 @@ companion computer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +19,9 @@ _LUMA_R, _LUMA_G, _LUMA_B = 299, 587, 114
 
 
 def _round_half_up(v: float) -> int:
-    """The rounding rule for scan and scene geometry; below -0.5 it
-    truncates toward zero rather than flooring."""
-    return int(v + 0.5)
+    """The rounding rule for scan and scene geometry: halves round toward
+    +infinity, on negative values too (-2.5 -> -2, -0.6 -> -1)."""
+    return math.floor(v + 0.5)
 
 
 class PnmParseError(ValueError):

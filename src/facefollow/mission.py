@@ -58,9 +58,6 @@ class MissionState:
     home: Ned            # takeoff point (ground)
     takeoff_alt: float   # altitude of the takeoff point, meters
 
-    def failsafe(self) -> bool:
-        return self.phase in FAILSAFE_PHASES
-
 
 @dataclass
 class MissionConfig:
@@ -71,18 +68,29 @@ class MissionConfig:
     climb_speed: float = 0.5
     return_speed: float = 0.5
     descend_speed: float = 0.5
-    loop_dt: float = 0.25
+
+    def __post_init__(self):
+        # "not >" / "not >=" so NaN is rejected too
+        for k in ("land_alt_eps", "pos_eps", "climb_speed", "return_speed",
+                  "descend_speed"):
+            if not getattr(self, k) > 0:
+                raise ValueError(f"{k} must be positive, got {getattr(self, k)}")
+        for k in ("batt_min", "failsafe_alt_gain"):
+            if not getattr(self, k) >= 0:
+                raise ValueError(f"{k} must be non-negative, got {getattr(self, k)}")
 
 
-def step_mission(s: MissionState, status: VehicleStatus,
-                 cfg: MissionConfig) -> tuple[MissionState, VelocityCommand | None]:
-    """Advance the mission automaton one tick.
+def step_mission(s: MissionState, status: VehicleStatus, cfg: MissionConfig,
+                 dt: float) -> tuple[MissionState, VelocityCommand | None]:
+    """Advance the mission automaton one tick of ``dt`` seconds.
 
     Returns the new state and a directive for the flight layer: None while
     the vision tracker is in charge (tracking/hover), otherwise the failsafe
     velocity override.  Directive magnitudes are capped so each leg stops
-    inside its epsilon instead of oscillating across it.
+    inside its epsilon within one tick instead of oscillating across it.
     """
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     phase = s.phase
     alt = status.position.altitude
     target_alt = s.takeoff_alt + cfg.failsafe_alt_gain
@@ -103,7 +111,7 @@ def step_mission(s: MissionState, status: VehicleStatus,
             phase = MissionPhase.FAILSAFE_RETURN
         else:
             gap = target_alt - alt
-            rate = min(cfg.climb_speed, abs(gap) / cfg.loop_dt)
+            rate = min(cfg.climb_speed, abs(gap) / dt)
             return replace(s, phase=phase), VelocityCommand(
                 0.0, 0.0, -rate if gap > 0 else rate)
 
@@ -114,7 +122,7 @@ def step_mission(s: MissionState, status: VehicleStatus,
         if dist <= cfg.pos_eps:
             phase = MissionPhase.FAILSAFE_LAND
         else:
-            rate = min(cfg.return_speed, dist / cfg.loop_dt)
+            rate = min(cfg.return_speed, dist / dt)
             return (replace(s, phase=phase),
                     VelocityCommand(rate * dn / dist, rate * de / dist, 0.0))
 
@@ -123,7 +131,7 @@ def step_mission(s: MissionState, status: VehicleStatus,
         if ground <= cfg.land_alt_eps:
             phase = MissionPhase.ENDED
         else:
-            rate = min(cfg.descend_speed, ground / cfg.loop_dt)
+            rate = min(cfg.descend_speed, ground / dt)
             return replace(s, phase=phase), VelocityCommand(0.0, 0.0, rate)
 
     return replace(s, phase=MissionPhase.ENDED), VelocityCommand(0.0, 0.0, 0.0)

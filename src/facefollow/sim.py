@@ -15,9 +15,10 @@ import os
 import typing
 from dataclasses import dataclass, field, replace
 
-from .cascade import Cascade, Detection, _array, _bool, _int, _obj, _real, _str
+from .cascade import (Cascade, CascadeFormatError, Detection, _array, _bool, _int,
+                      _obj, _real, _str)
 from .gated import GatedDetection, GateParams, detect_gated, select_target
-from .imaging import GrayImage, Rect, draw_box, encode_ppm, to_rgb
+from .imaging import GrayImage, Rect, _round_half_up, draw_box, encode_ppm, to_rgb
 from .mavlink import CommandSink, NullSink, build_velocity_message, open_sink
 from .mission import (MissionConfig, MissionPhase, MissionState, Ned,
                       VehicleStatus, step_mission)
@@ -63,10 +64,6 @@ class SimState:
 MIN_PROJECTION_RANGE = 0.2  # meters ahead of the camera
 
 
-def _rhu(v: float) -> int:
-    return int(math.floor(v + 0.5))
-
-
 def _clip_rect(x: int, y: int, w: int, h: int, img_w: int, img_h: int) -> Rect | None:
     x0, y0 = max(x, 0), max(y, 0)
     x1, y1 = min(x + w, img_w), min(y + h, img_h)
@@ -96,9 +93,9 @@ def project_target(s: SimState, cam: CameraModel) -> dict[str, Rect] | None:
     v = cam.img_h / 2 + cam.focal * dz / dx
 
     def centered(width_m: float, height_m: float) -> tuple[int, int, int, int]:
-        w = max(1, _rhu(cam.focal * width_m / dx))
-        h = max(1, _rhu(cam.focal * height_m / dx))
-        return (_rhu(u - w / 2), _rhu(v - h / 2), w, h)
+        w = max(1, _round_half_up(cam.focal * width_m / dx))
+        h = max(1, _round_half_up(cam.focal * height_m / dx))
+        return (_round_half_up(u - w / 2), _round_half_up(v - h / 2), w, h)
 
     fx, fy, fw, fh = centered(s.face_w, s.face_w)
     face = _clip_rect(fx, fy, fw, fh, cam.img_w, cam.img_h)
@@ -239,7 +236,6 @@ def run_closed_loop(cfg: RunConfig, sink: CommandSink | None = None,
     state = SimState(0.0, cfg.drone_pos, cfg.drone_yaw, cfg.target_pos,
                      cfg.path, 0, cfg.face_w, cfg.body_w, cfg.body_h)
     mission = MissionState(MissionPhase.TRACKING, cfg.home, cfg.takeoff_alt)
-    mission_cfg = replace(cfg.mission, loop_dt=dt)
     trace = Trace()
 
     try:
@@ -265,7 +261,7 @@ def run_closed_loop(cfg: RunConfig, sink: CommandSink | None = None,
                            and tick >= cfg.user_stop_tick),
                 position=state.drone_pos,
                 target_visible=chosen is not None)
-            mission, directive = step_mission(mission, status, mission_cfg)
+            mission, directive = step_mission(mission, status, cfg.mission, dt)
             applied = directive if directive is not None else cmd
 
             if mission.phase in (MissionPhase.TRACKING, MissionPhase.HOVER):
@@ -337,10 +333,15 @@ def _ned(v, path: str) -> Ned:
 
 
 def _fields(cls, v, path: str):
-    """``cls`` from the fields ``v`` names, each checked by its annotated type."""
+    """``cls`` from the fields ``v`` names, each checked by its annotated type;
+    a range error from the constructor is reported at ``path``."""
     types = typing.get_type_hints(cls)
     obj = _obj(v, path, optional=types)
-    return cls(**{k: _FIELD_CHECKS[types[k]](x, f"{path}.{k}") for k, x in obj.items()})
+    kw = {k: _FIELD_CHECKS[types[k]](x, f"{path}.{k}") for k, x in obj.items()}
+    try:
+        return cls(**kw)
+    except ValueError as e:
+        raise CascadeFormatError(f"{path}: {e}") from e
 
 
 def load_run_config(text: str, cascade_loader=None) -> RunConfig:

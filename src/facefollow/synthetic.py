@@ -25,10 +25,6 @@ BAND_LUMA = 230
 BAND_HEIGHT_FRAC = 0.25
 BAND_INSET_FRAC = 1.0 / 6.0
 
-# body detector window pads the body box by a sixth per side so the
-# bright background ring is part of the pattern
-BODY_MARGIN_FRAC = 1.0 / 6.0
-
 
 def render_scene(img_w: int, img_h: int, face: Rect | None,
                  body: Rect | None) -> GrayImage:
@@ -36,12 +32,9 @@ def render_scene(img_w: int, img_h: int, face: Rect | None,
     frame = np.full((img_h, img_w), BG_LUMA, dtype=np.uint8)
 
     def paint(r: Rect | None, value: int):
-        if r is None:
-            return
-        x0, y0 = max(r.x, 0), max(r.y, 0)
-        x1, y1 = min(r.right, img_w), min(r.bottom, img_h)
-        if x0 < x1 and y0 < y1:
-            frame[y0:y1, x0:x1] = value
+        # a Rect's origin is never negative; slicing clips the far edges
+        if r is not None:
+            frame[r.y:r.bottom, r.x:r.right] = value
 
     paint(body, BODY_LUMA)
     paint(face, FACE_LUMA)
@@ -87,12 +80,13 @@ def build_face_cascade() -> Cascade:
 def build_body_cascade() -> Cascade:
     """Single-stage detector for the dark body inside its bright ring.
 
-    The base window is the body box padded by BODY_MARGIN_FRAC per side.
-    Four weak classifiers measure the ring-versus-core contrast from the
-    top, bottom, left and right independently; all four must fire, which a
-    flat window, an interior window or a straddling window cannot manage.
-    They are split across two stages so the vertical checks reject the bulk
-    of the grid before the horizontal ones run.
+    The base window is the body box padded by a sixth per side, so the
+    bright background ring is part of the pattern.  Four weak classifiers
+    measure the ring-versus-core contrast from the top, bottom, left and
+    right independently; all four must fire, which a flat window, an
+    interior window or a straddling window cannot manage.  They are split
+    across two stages so the vertical checks reject the bulk of the grid
+    before the horizontal ones run.
 
     Parts are anchored to the window origin (or keep a 2 px base margin),
     so round-half-up scaling can never push them outside the window.
@@ -129,19 +123,6 @@ def build_body_cascade() -> Cascade:
                WeakClassifier(3, 0.11, 0.0, 1.0)), 2.0),
     )
     return Cascade(w, h, features, stages, name="synthetic-body")
-
-
-def body_window_for(body: Rect) -> Rect:
-    """The padded window the body cascade is expected to fire on.
-
-    Width gets the margin; height follows the base aspect so the window
-    matches what the scan ladder and eval-time scaling assume.
-    """
-    mx = max(1, _round_half_up(body.w * BODY_MARGIN_FRAC))
-    win_w = body.w + 2 * mx
-    win_h = _round_half_up(win_w * 18 / 12)
-    cy = body.y + body.h / 2
-    return Rect(body.x - mx, _round_half_up(cy - win_h / 2), win_w, win_h)
 
 
 def synthetic_gate_params(img_w: int = 320) -> GateParams:

@@ -76,6 +76,18 @@ class TestDetect:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_oversized_integer_exits_1(self, tmp_path, cascades, scene_image,
+                                       capsys):
+        body_path, face_path = cascades
+        img_path, _ = scene_image
+        big = tmp_path / "big.json"
+        with open(body_path) as fh:
+            big.write_text(fh.read().replace('"base_w": 12', '"base_w": ' + "1" * 5000))
+        code = main(["detect", "--body-cascade", str(big),
+                     "--face-cascade", face_path, "--image", img_path])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: $: ")
+
     def test_body_only_mode(self, tmp_path, cascades, scene_image):
         body_path, _ = cascades
         img_path, _ = scene_image
@@ -135,6 +147,9 @@ class TestTrackSim:
         ({"camera": 5}, "$.camera"),
         ({"battery": None}, "$.battery"),
         ({"ticks": 2.7}, "$.ticks"),
+        ({"mission": {"loop_dt": 0.1}}, "$.mission"),
+        ({"mission": {"climb_speed": -0.5}}, "$.mission"),
+        ({"tracker": {"dead_zone": 0.9}}, "$.tracker"),
     ])
     def test_bad_value_exits_1_naming_path(self, tmp_path, capsys, over, path):
         cfg = tmp_path / "run.json"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from facefollow.imaging import (GrayImage, PnmParseError, Rect, decode_pnm,
-                                draw_box, encode_pgm, encode_ppm, integral,
+from facefollow.imaging import (GrayImage, PnmParseError, Rect, _round_half_up,
+                                decode_pnm, draw_box, encode_pgm, encode_ppm, integral,
                                 rect_sum, to_rgb)
 
 from conftest import random_image
@@ -152,6 +152,12 @@ class TestRectSum:
         ip = integral(random_image(rng, 4, 4))
         with pytest.raises(ValueError, match="outside"):
             rect_sum(ip, Rect(2, 2, 3, 3))
+
+
+@pytest.mark.parametrize("v,want", [(-2.5, -2), (-1.5, -1), (-0.6, -1), (-0.5, 0),
+                                    (0.49, 0), (2.5, 3)])
+def test_round_half_up_rounds_halves_toward_plus_infinity(v, want):
+    assert _round_half_up(v) == want
 
 
 class TestTypes:

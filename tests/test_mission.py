@@ -6,6 +6,7 @@ from facefollow.mission import (FAILSAFE_PHASES, MissionConfig, MissionPhase,
                                 MissionState, Ned, VehicleStatus, step_mission)
 
 CFG = MissionConfig()
+DT = 0.25
 HOME = Ned(0.0, 0.0, 0.0)
 
 
@@ -39,54 +40,74 @@ def oracle_next_phase(phase, st: VehicleStatus, cfg: MissionConfig,
 
 class TestTransitions:
     def test_battery_low_triggers_failsafe(self):
-        s, directive = step_mission(state(), status(volts=20.9), CFG)
+        s, directive = step_mission(state(), status(volts=20.9), CFG, DT)
         assert s.phase is MissionPhase.FAILSAFE_ASCEND
         assert directive is not None and directive.vz < 0  # climb order
 
     def test_nan_battery_triggers_failsafe(self):
-        s, directive = step_mission(state(), status(volts=math.nan), CFG)
+        s, directive = step_mission(state(), status(volts=math.nan), CFG, DT)
         assert s.phase is MissionPhase.FAILSAFE_ASCEND
         assert directive is not None and directive.vz < 0
 
     def test_user_stop_triggers_failsafe(self):
-        s, _ = step_mission(state(), status(stop=True), CFG)
+        s, _ = step_mission(state(), status(stop=True), CFG, DT)
         assert s.phase is MissionPhase.FAILSAFE_ASCEND
 
     def test_hover_on_lost_target_and_back(self):
-        s, d = step_mission(state(), status(visible=False), CFG)
+        s, d = step_mission(state(), status(visible=False), CFG, DT)
         assert s.phase is MissionPhase.HOVER and d is None
-        s, d = step_mission(s, status(visible=True), CFG)
+        s, d = step_mission(s, status(visible=True), CFG, DT)
         assert s.phase is MissionPhase.TRACKING and d is None
 
     def test_ascend_reaches_five_meters_above_takeoff(self):
         # exactly at takeoff_alt + 5: hand over to the return leg
         s, directive = step_mission(state(MissionPhase.FAILSAFE_ASCEND),
-                                    status(pos=Ned(5.0, 1.0, -5.0)), CFG)
+                                    status(pos=Ned(5.0, 1.0, -5.0)), CFG, DT)
         assert s.phase is MissionPhase.FAILSAFE_RETURN
         assert directive.vz == 0.0 and (directive.vx, directive.vy) != (0.0, 0.0)
 
     def test_return_hands_over_to_land_within_eps(self):
         s, directive = step_mission(state(MissionPhase.FAILSAFE_RETURN),
-                                    status(pos=Ned(0.1, 0.0, -5.0)), CFG)
+                                    status(pos=Ned(0.1, 0.0, -5.0)), CFG, DT)
         assert s.phase is MissionPhase.FAILSAFE_LAND
         assert directive.vz > 0  # descend order
 
     def test_land_ends_at_ground(self):
         s, directive = step_mission(state(MissionPhase.FAILSAFE_LAND),
-                                    status(pos=Ned(0.0, 0.0, -0.02)), CFG)
+                                    status(pos=Ned(0.0, 0.0, -0.02)), CFG, DT)
         assert s.phase is MissionPhase.ENDED
         assert directive == type(directive)(0.0, 0.0, 0.0)
 
     def test_ended_is_absorbing(self):
         for st in (status(), status(volts=0.0), status(stop=True)):
-            s, _ = step_mission(state(MissionPhase.ENDED), st, CFG)
+            s, _ = step_mission(state(MissionPhase.ENDED), st, CFG, DT)
             assert s.phase is MissionPhase.ENDED
 
     def test_failsafe_is_irreversible(self):
         # battery recovering does not leave the ladder
         s, _ = step_mission(state(MissionPhase.FAILSAFE_ASCEND),
-                            status(volts=26.0, pos=Ned(5, 1, -2)), CFG)
+                            status(volts=26.0, pos=Ned(5, 1, -2)), CFG, DT)
         assert s.phase in FAILSAFE_PHASES
+
+
+    @pytest.mark.parametrize("dt", [0.25, 1.0, 2.0])
+    @pytest.mark.parametrize("phase,pos,gap,speed", [
+        (MissionPhase.FAILSAFE_ASCEND, Ned(5.0, 1.0, -4.7), 0.3, "climb_speed"),
+        (MissionPhase.FAILSAFE_RETURN, Ned(0.3, 0.4, -5.0), 0.5, "return_speed"),
+        (MissionPhase.FAILSAFE_LAND, Ned(0.0, 0.0, -0.6), 0.6, "descend_speed"),
+    ])
+    def test_rate_capped_to_close_the_gap_in_one_tick(self, phase, pos, gap,
+                                                       speed, dt):
+        s, d = step_mission(state(phase), status(pos=pos), CFG, dt)
+        assert s.phase is phase
+        assert math.hypot(d.vx, d.vy, d.vz) == pytest.approx(
+            min(getattr(CFG, speed), gap / dt))
+
+
+    @pytest.mark.parametrize("dt", [0.0, -0.25, math.nan])
+    def test_non_positive_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt"):
+            step_mission(state(MissionPhase.FAILSAFE_ASCEND), status(), CFG, dt)
 
 
 class TestFullRun:
@@ -96,20 +117,19 @@ class TestFullRun:
         s = state()
         pos = Ned(6.0, 2.0, -2.0)
         volts = 22.0
-        dt = cfg.loop_dt
         phases = [s.phase.value]
         for tick in range(400):
             volts = max(0.0, volts - 0.02)
             st = VehicleStatus(volts, False, pos, target_visible=True)
             want = oracle_next_phase(s.phase.value, st, cfg, HOME, 0.0)
-            s, directive = step_mission(s, st, cfg)
+            s, directive = step_mission(s, st, cfg, DT)
             assert s.phase.value == want
             phases.append(s.phase.value)
             if s.phase is MissionPhase.ENDED:
                 break
             if directive is not None:
-                pos = Ned(pos.n + directive.vx * dt, pos.e + directive.vy * dt,
-                          pos.d + directive.vz * dt)
+                pos = Ned(pos.n + directive.vx * DT, pos.e + directive.vy * DT,
+                          pos.d + directive.vz * DT)
         order = [p for i, p in enumerate(phases) if i == 0 or p != phases[i - 1]]
         assert order == ["tracking", "failsafe_ascend", "failsafe_return",
                          "failsafe_land", "ended"]
@@ -123,12 +143,12 @@ class TestFullRun:
         peak = 1.5
         for _ in range(200):
             st = VehicleStatus(10.0, False, pos, target_visible=False)
-            s, directive = step_mission(s, st, cfg)
+            s, directive = step_mission(s, st, cfg, DT)
             if s.phase is MissionPhase.ENDED or directive is None:
                 break
-            pos = Ned(pos.n + directive.vx * cfg.loop_dt,
-                      pos.e + directive.vy * cfg.loop_dt,
-                      pos.d + directive.vz * cfg.loop_dt)
+            pos = Ned(pos.n + directive.vx * DT,
+                      pos.e + directive.vy * DT,
+                      pos.d + directive.vz * DT)
             peak = max(peak, -pos.d)
         assert abs(peak - (0.0 + cfg.failsafe_alt_gain)) <= cfg.pos_eps
 
@@ -141,14 +161,29 @@ class TestFullRun:
             pos = Ned(3.0, -2.0, -4.0)
             for _ in range(500):
                 st = VehicleStatus(5.0, False, pos, target_visible=True)
-                s, directive = step_mission(s, st, cfg)
+                s, directive = step_mission(s, st, cfg, DT)
                 if s.phase is MissionPhase.ENDED:
                     break
                 if directive is not None:
-                    pos = Ned(pos.n + directive.vx * cfg.loop_dt,
-                              pos.e + directive.vy * cfg.loop_dt,
-                              pos.d + directive.vz * cfg.loop_dt)
+                    pos = Ned(pos.n + directive.vx * DT,
+                              pos.e + directive.vy * DT,
+                              pos.d + directive.vz * DT)
             assert s.phase is MissionPhase.ENDED
+
+
+@pytest.mark.parametrize("field,value", [
+    ("climb_speed", -0.5), ("climb_speed", 0.0), ("return_speed", math.nan),
+    ("descend_speed", -1.0), ("pos_eps", 0.0), ("land_alt_eps", -0.05),
+    ("failsafe_alt_gain", -1.0), ("batt_min", math.nan),
+])
+def test_nonsensical_config_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        MissionConfig(**{field: value})
+
+
+def test_zero_gain_and_floor_accepted():
+    cfg = MissionConfig(failsafe_alt_gain=0.0, batt_min=0.0)
+    assert (cfg.failsafe_alt_gain, cfg.batt_min) == (0.0, 0.0)
 
 
 def test_negative_battery_rejected():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from facefollow.cascade import serialize_cascade
+from facefollow.imaging import Rect
 from facefollow.mavlink import FRAME_LEN, FileSink
 from facefollow.mission import MissionPhase, Ned
 from facefollow.sim import (CameraModel, RunConfig, SimState, TargetPath,
@@ -82,6 +83,12 @@ class TestProjection:
         assert boxes is not None
         assert boxes["face"].right <= CAM.img_w
         assert boxes["body"].right <= CAM.img_w
+
+    def test_left_overhang_floors_before_clipping(self):
+        # the body's left edge projects to x = -3.8, which rounds half up
+        # to -4, so the 75 px body keeps 71 px after clipping at 0
+        boxes = project_target(sim_state(Ned(2.0, -0.842, -1.5)), CAM)
+        assert boxes == {"face": Rect(22, 108, 24, 24), "body": Rect(0, 64, 71, 113)}
 
 
 class TestStepSim:
