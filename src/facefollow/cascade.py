@@ -4,10 +4,15 @@ A cascade is an ordered list of boosted stump stages over a shared Haar
 feature table.  Window evaluation walks the stages and bails out at the
 first stage whose score falls below its threshold, which is where the
 detector gets its speed.  ``detect_multiscale`` runs the same decision
-vectorized over a whole window grid per scale; the two paths are kept
+vectorized over a whole window grid per scale: dense, then sparse.  While
+every window of the grid is still alive, a stage reads its rectangle sums
+as strided slices of the integral table; after the first rejection it
+gathers them for the survivors only.  The two paths are kept
 arithmetically identical (same operation order on float64) so one can be
 checked against the other.  Both scale part rects only through
 ``haar._scaled_parts``, the one home of that rule and its escape check.
+``group_detections`` clusters the accepted windows with a boolean
+similarity matrix and reachability over it.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import math
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -185,12 +191,29 @@ def _rect_taps(table: np.ndarray, xs: np.ndarray, ys: np.ndarray,
             - table[ys + r.bottom, xs + r.x] + table[ys + r.y, xs + r.x])
 
 
+def _grid_taps(table: np.ndarray, ny: int, nx: int, stride: int,
+               r: Rect) -> np.ndarray:
+    """``_rect_taps`` over every origin of the ``ny`` x ``nx`` grid at
+    ``stride``, read as strided slices of the table; raveled row-major."""
+    def tap(y0: int, x0: int) -> np.ndarray:
+        return table[y0:y0 + (ny - 1) * stride + 1:stride,
+                     x0:x0 + (nx - 1) * stride + 1:stride]
+    return (tap(r.bottom, r.right) - tap(r.y, r.right)
+            - tap(r.bottom, r.x) + tap(r.y, r.x)).ravel()
+
+
 def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detection]:
     """Scan the window ladder over the image; all accepted windows, ungrouped.
 
     Output order is deterministic: scale ascending, then y, then x.  The
     vectorized stage walk reproduces eval_window exactly (same float64
     operations in the same order), so per-window results agree bit for bit.
+
+    Each size's windows form a grid of origins at the stride.  While no
+    window has been rejected, a stage reads its rectangle sums for the whole
+    grid as strided slices of the integral table; from the first rejection
+    on, it gathers them for the surviving windows only.  Both reads give the
+    same integers, so the switch cannot change a result.
     """
     ip = integral(img)
     out: list[Detection] = []
@@ -202,29 +225,33 @@ def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detecti
                   for fi, f in enumerate(c.features)]
 
         stride = max(1, _round_half_up(win_w / p.step_divisor))
-        xs = np.arange(0, img.width - win_w + 1, stride, dtype=np.intp)
-        ys = np.arange(0, img.height - win_h + 1, stride, dtype=np.intp)
-        gy, gx = np.meshgrid(ys, xs, indexing="ij")
-        wx = gx.ravel()
-        wy = gy.ravel()
+        nx = (img.width - win_w) // stride + 1
+        ny = (img.height - win_h) // stride + 1
+        n = nx * ny
 
         win_rect = Rect(0, 0, win_w, win_h)
         area = float(win_w * win_h)
-        s1 = _rect_taps(ip.ii, wx, wy, win_rect)
-        s2 = _rect_taps(ip.sq, wx, wy, win_rect)
+        s1 = _grid_taps(ip.ii, ny, nx, stride, win_rect)
+        s2 = _grid_taps(ip.sq, ny, nx, stride, win_rect)
         mean = s1 / area
         var = s2 / area - mean * mean
         denom = np.where(var > 0, np.sqrt(np.maximum(var, 0.0)), 1.0) * area
 
-        alive = np.arange(len(wx), dtype=np.intp)
+        alive = np.arange(n, dtype=np.intp)  # flat row-major grid indices
         score = np.zeros(0)
         for stage in c.stages:
-            ax, ay, adenom = wx[alive], wy[alive], denom[alive]
+            if len(alive) == n:
+                taps = partial(_grid_taps, ip.ii, ny, nx, stride)
+                adenom = denom
+            else:
+                taps = partial(_rect_taps, ip.ii, (alive % nx) * stride,
+                               (alive // nx) * stride)
+                adenom = denom[alive]
             score = np.zeros(len(alive))
             for wk in stage.weak:
                 raw = np.zeros(len(alive))
                 for r, weight in scaled[wk.feature_index]:
-                    raw += weight * _rect_taps(ip.ii, ax, ay, r)
+                    raw += weight * taps(r)
                 norm = raw / adenom
                 score += np.where(norm < wk.threshold, wk.left_value, wk.right_value)
             keep = score >= stage.stage_threshold
@@ -233,65 +260,70 @@ def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detecti
             if len(alive) == 0:
                 break
 
-        for idx, sc in zip(alive, score):
-            out.append(Detection(Rect(int(wx[idx]), int(wy[idx]), win_w, win_h),
-                                 n_stages, float(sc)))
+        for idx, sc in zip(alive.tolist(), score.tolist()):
+            out.append(Detection(Rect(idx % nx * stride, idx // nx * stride,
+                                      win_w, win_h), n_stages, sc))
     return out
 
 
-def _similar(a: Rect, b: Rect, eps: float) -> bool:
-    delta = eps * (a.w + a.h + b.w + b.h) / 4.0
-    return (abs(a.x - b.x) <= delta and abs(a.y - b.y) <= delta
-            and abs(a.w - b.w) <= delta and abs(a.h - b.h) <= delta)
+# rows of the similarity matrix filled per step; bounds the int64/float64
+# temporaries to _GROUP_ROWS x n whatever the detection count
+_GROUP_ROWS = 64
 
 
 def group_detections(dets: list[Detection], min_neighbors: int = 3,
                      eps: float = 0.2) -> list[Detection]:
-    """Union-find clustering of similar boxes; small clusters are dropped.
+    """Cluster similar boxes into connected components; small clusters are dropped.
 
-    The representative box is the rounded mean of (x, y, right, bottom) so
-    it stays inside the cluster's convex bounds; ``neighbors`` reports the
-    cluster population.
+    Boxes a and b are similar when x, y, w and h each differ by at most
+    eps * (a.w + a.h + b.w + b.h) / 4 (OpenCV's ``groupRectangles`` rule);
+    a cluster is a connected component of that relation, so a chain of
+    similar boxes is one cluster.  Clusters come out ordered by their
+    smallest member index.  The representative box is the rounded mean of
+    (x, y, right, bottom) so it stays inside the cluster's convex bounds;
+    ``neighbors`` reports the cluster population.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if min_neighbors < 0:
         raise ValueError("min_neighbors must be non-negative")
     n = len(dets)
-    parent = list(range(n))
+    x, y, w, h = np.array([(d.box.x, d.box.y, d.box.w, d.box.h) for d in dets],
+                          dtype=np.int64).reshape(n, 4).T
+    similar = np.empty((n, n), dtype=bool)
+    for i0 in range(0, n, _GROUP_ROWS):
+        rows = slice(i0, i0 + _GROUP_ROWS)
+        delta = eps * (w[rows, None] + h[rows, None] + w + h) / 4.0
+        similar[rows] = ((np.abs(x[rows, None] - x) <= delta)
+                         & (np.abs(y[rows, None] - y) <= delta)
+                         & (np.abs(w[rows, None] - w) <= delta)
+                         & (np.abs(h[rows, None] - h) <= delta))
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _similar(dets[i].box, dets[j].box, eps):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    clusters: dict[int, list[int]] = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-
+    corners = np.stack([x, y, x + w, y + h], axis=1)
+    seen = np.zeros(n, dtype=bool)
     out = []
-    for root in sorted(clusters, key=lambda r: min(clusters[r])):
-        members = clusters[root]
-        if len(members) < min_neighbors + 1:
+    for i in range(n):
+        if seen[i]:
             continue
-        boxes = [dets[i].box for i in members]
-        k = len(boxes)
-        x = _round_half_up(sum(b.x for b in boxes) / k)
-        y = _round_half_up(sum(b.y for b in boxes) / k)
-        r = _round_half_up(sum(b.right for b in boxes) / k)
-        b_ = _round_half_up(sum(b.bottom for b in boxes) / k)
+        comp = similar[i].copy()
+        frontier = comp
+        while True:
+            grown = similar[frontier].any(axis=0) & ~comp
+            if not grown.any():
+                break
+            comp |= grown
+            frontier = grown
+        seen |= comp
+        members = np.flatnonzero(comp)
+        k = len(members)
+        if k < min_neighbors + 1:
+            continue
+        bx, by, br, bb = (_round_half_up(int(v) / k)
+                          for v in corners[members].sum(axis=0))
         out.append(Detection(
-            Rect(x, y, r - x, b_ - y),
-            stages_passed=max(dets[i].stages_passed for i in members),
-            score=max(dets[i].score for i in members),
+            Rect(bx, by, br - bx, bb - by),
+            stages_passed=max(dets[j].stages_passed for j in members),
+            score=max(dets[j].score for j in members),
             neighbors=k,
         ))
     return out
@@ -350,6 +382,17 @@ def _str(v, path: str) -> str:
     return v
 
 
+def _load_json(text: str):
+    """``json.loads`` whose errors are CascadeFormatErrors at path ``$``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise CascadeFormatError(
+            f"$: syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except ValueError as e:  # an integer literal over the interpreter's digit limit
+        raise CascadeFormatError(f"$: {e}") from e
+
+
 # --- canonical JSON form ----------------------------------------------------
 
 _KIND_NAMES = {FeatureKind.TWO_RECT: "two", FeatureKind.THREE_RECT: "three",
@@ -359,14 +402,8 @@ _NAMES_KIND = {v: k for k, v in _KIND_NAMES.items()}
 
 def parse_cascade(text: str) -> Cascade:
     """Parse the canonical JSON cascade document (strict: unknown keys rejected)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise CascadeFormatError(
-            f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    except ValueError as e:  # an integer literal over the interpreter's digit limit
-        raise CascadeFormatError(f"$: {e}") from e
-    _obj(doc, "$", required=("name", "base_w", "base_h", "features", "stages"))
+    doc = _obj(_load_json(text), "$",
+               required=("name", "base_w", "base_h", "features", "stages"))
     name = _str(doc["name"], "$.name")
     base_w = _int(doc["base_w"], "$.base_w", 4)
     base_h = _int(doc["base_h"], "$.base_h", 4)

@@ -9,14 +9,13 @@ not aerodynamics.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import typing
 from dataclasses import dataclass, field, replace
 
 from .cascade import (Cascade, CascadeFormatError, Detection, _array, _bool, _int,
-                      _obj, _real, _str)
+                      _load_json, _obj, _real, _str)
 from .gated import GatedDetection, GateParams, detect_gated, select_target
 from .imaging import GrayImage, Rect, _round_half_up, draw_box, encode_ppm, to_rgb
 from .mavlink import CommandSink, NullSink, build_velocity_message, open_sink
@@ -350,7 +349,7 @@ def load_run_config(text: str, cascade_loader=None) -> RunConfig:
     ``cascade_loader`` maps a path string to a Cascade; the CLI wires it to
     the canonical-format parser.
     """
-    doc = _obj(json.loads(text), "$", optional=_RUN_KEYS)
+    doc = _obj(_load_json(text), "$", optional=_RUN_KEYS)
     kw: dict = {}
     if "mode" in doc:
         kw["mode"] = _str(doc["mode"], "$.mode")

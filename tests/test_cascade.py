@@ -82,7 +82,8 @@ class TestParseCascade:
             parse_cascade(json.dumps(doc))
 
     def test_syntax_error_carries_line_and_column(self):
-        with pytest.raises(CascadeFormatError, match="line 1, column"):
+        with pytest.raises(CascadeFormatError,
+                           match=r"^\$: syntax error at line 1, column"):
             parse_cascade("{nope}")
 
     def test_empty_stages_rejected(self):
@@ -253,6 +254,35 @@ def scan_grid_oracle(base_w, base_h, img_w, img_h, p: ScanParams):
     return count
 
 
+def per_window_eval(c: Cascade, img: GrayImage, p: ScanParams):
+    """eval_window over every window of the documented ladder, in scan order:
+    the accepted (x, y, w, h) -> score, and each size's
+    (w, h, stride, nx, ny) grid."""
+    ip = integral(img)
+    max_w = img.width if p.max_size is None else min(p.max_size, img.width)
+    min_w = c.base_w if p.min_size is None else p.min_size
+    accepted, grids, seen = {}, set(), set()
+    f = 1.0
+    while True:
+        win_w = int(c.base_w * f + 0.5)
+        if win_w > max_w:
+            break
+        win_h = int(c.base_h * (win_w / c.base_w) + 0.5)
+        if win_w >= min_w and win_h <= img.height and (win_w, win_h) not in seen:
+            seen.add((win_w, win_h))
+            stride = max(1, int(win_w / p.step_divisor + 0.5))
+            ys = range(0, img.height - win_h + 1, stride)
+            xs = range(0, img.width - win_w + 1, stride)
+            grids.add((win_w, win_h, stride, len(xs), len(ys)))
+            for y in ys:
+                for x in xs:
+                    res = eval_window(c, ip, Rect(x, y, win_w, win_h))
+                    if res.accepted:
+                        accepted[(x, y, win_w, win_h)] = res.score
+        f *= p.scale_factor
+    return accepted, grids
+
+
 class TestDetectMultiscale:
     def test_blank_image_reject_all_empty(self):
         img = GrayImage(np.zeros((64, 64), dtype=np.uint8))
@@ -277,30 +307,41 @@ class TestDetectMultiscale:
         for _ in range(10):
             c = random_cascade(rng, base_w=8, base_h=8, n_stages=2)
             img = random_image(rng, 32, 32)
-            ip = integral(img)
             p = ScanParams(scale_factor=1.5, min_size=8, max_size=32,
                            step_divisor=4)
             got = {(d.box.x, d.box.y, d.box.w, d.box.h): d.score
                    for d in detect_multiscale(c, img, p)}
-            want = {}
-            f = 1.0
-            seen = set()
-            while True:
-                win_w = int(8 * f + 0.5)
-                if win_w > 32:
-                    break
-                scale = win_w / 8
-                win_h = int(8 * scale + 0.5)
-                if (win_w, win_h) not in seen and win_h <= 32:
-                    seen.add((win_w, win_h))
-                    stride = max(1, int(win_w / 4 + 0.5))
-                    for y in range(0, 32 - win_h + 1, stride):
-                        for x in range(0, 32 - win_w + 1, stride):
-                            res = eval_window(c, ip, Rect(x, y, win_w, win_h))
-                            if res.accepted:
-                                want[(x, y, win_w, win_h)] = res.score
-                f *= 1.5
+            want, _ = per_window_eval(c, img, p)
             assert got == want
+
+    @pytest.mark.parametrize("img_w,img_h,base_w,base_h",
+                             [(37, 23, 5, 8), (23, 37, 8, 5)])
+    @pytest.mark.parametrize("first", ["random", "accept-all", "reject-all"])
+    def test_matches_per_window_eval_on_uneven_grids(self, rng, img_w, img_h,
+                                                     base_w, base_h, first):
+        """Non-square image and base window, strides that do not divide the
+        span, one-row or one-column grids; a first stage that accepts every
+        window keeps the whole-grid read going into the second stage."""
+        vacuous = {"accept-all": -1e9, "reject-all": 1e9}.get(first)
+        shapes = set()
+        for _ in range(8):
+            c = random_cascade(rng, base_w=base_w, base_h=base_h, n_stages=3)
+            if vacuous is not None:
+                c = Cascade(c.base_w, c.base_h, c.features,
+                            (Stage((WeakClassifier(0, 0.0, 0.0, 0.0),), vacuous),)
+                            + c.stages)
+            img = random_image(rng, img_w, img_h)
+            p = ScanParams(scale_factor=1.3, step_divisor=rng.choice([2, 3]))
+            got = [(d.box, d.stages_passed, d.score)
+                   for d in detect_multiscale(c, img, p)]
+            want, grids = per_window_eval(c, img, p)
+            assert got == [(Rect(*k), len(c.stages), sc) for k, sc in want.items()]
+            shapes |= grids
+            if first == "reject-all":
+                assert got == []
+        assert any(stride > 1 and ((img_w - w) % stride or (img_h - h) % stride)
+                   for w, h, stride, _, _ in shapes)
+        assert any(1 in (nx, ny) and nx != ny for _, _, _, nx, ny in shapes)
 
     def test_translation_moves_boxes(self, rng):
         from facefollow.synthetic import build_body_cascade, render_scene
@@ -380,17 +421,40 @@ class TestGrouping:
         assert out[0].neighbors == 2
 
     def test_partitions_match_brute_force_components(self, rng):
-        for _ in range(20):
+        """Full output against a reference built from the brute-force
+        components: boxes, neighbors, score, stages_passed and order."""
+        for trial in range(12):
+            n = rng.randrange(0, 25) if trial % 2 else rng.randrange(0, 600)
             boxes = []
-            for _ in range(rng.randrange(0, 25)):
+            for _ in range(n):
                 cx, cy = rng.randrange(200), rng.randrange(200)
                 w = rng.randrange(8, 40)
                 boxes.append(Rect(cx, cy, w, w + rng.randrange(0, 6)))
-            dets = [Detection(b, 1, 1.0) for b in boxes]
-            out = group_detections(dets, min_neighbors=0, eps=0.25)
-            want = brute_force_groups(boxes, 0.25)
-            assert len(out) == len(want)
-            assert sorted(d.neighbors for d in out) == sorted(len(c) for c in want)
+            dets = [Detection(b, rng.randrange(1, 5), rng.uniform(-1.0, 1.0))
+                    for b in boxes]
+            min_neighbors = rng.randrange(0, 4)
+            want = []
+            for comp in brute_force_groups(boxes, 0.25):
+                k = len(comp)
+                if k < min_neighbors + 1:
+                    continue
+                x, y, r, b = (math.floor(sum(v) / k + 0.5) for v in zip(
+                    *((boxes[i].x, boxes[i].y, boxes[i].right, boxes[i].bottom)
+                      for i in comp)))
+                want.append(Detection(
+                    Rect(x, y, r - x, b - y),
+                    max(dets[i].stages_passed for i in comp),
+                    max(dets[i].score for i in comp), k))
+            assert group_detections(dets, min_neighbors, eps=0.25) == want
+
+    def test_chain_of_similar_boxes_is_one_cluster(self):
+        # delta = 0.2 * 40 / 4 = 2: a~b and b~c, but a and c are 4 apart
+        a, b, c = Rect(0, 0, 10, 10), Rect(2, 0, 10, 10), Rect(4, 0, 10, 10)
+        far = Rect(100, 100, 10, 10)
+        dets = [Detection(r, 1, 1.0) for r in (a, far, c, b)]
+        out = group_detections(dets, min_neighbors=0, eps=0.2)
+        assert [(d.box, d.neighbors) for d in out] == [
+            (Rect(2, 0, 10, 10), 3), (far, 1)]
 
     def test_grouped_box_inside_convex_bounds(self, rng):
         for _ in range(20):

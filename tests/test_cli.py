@@ -140,7 +140,8 @@ class TestTrackSim:
         code = main(["track-sim", "--config", str(cfg),
                      "--trace", str(tmp_path / "t.csv")])
         assert code == 1
-        assert "config" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "error: config: $: syntax error at line 1, column 2: ")
 
     @pytest.mark.parametrize("over,path", [
         ({"tracker": {"dead_zone": "x"}}, "$.tracker.dead_zone"),
@@ -150,10 +151,13 @@ class TestTrackSim:
         ({"mission": {"loop_dt": 0.1}}, "$.mission"),
         ({"mission": {"climb_speed": -0.5}}, "$.mission"),
         ({"tracker": {"dead_zone": 0.9}}, "$.tracker"),
+        pytest.param('{"ticks": 3,', "$", id="syntax-error"),
+        pytest.param('{"ticks": ' + "1" * 5000 + "}", "$", id="5000-digit-integer"),
     ])
     def test_bad_value_exits_1_naming_path(self, tmp_path, capsys, over, path):
+        """``over`` is merged into a valid document, or is the raw text."""
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps(sim_doc(**over)))
+        cfg.write_text(over if isinstance(over, str) else json.dumps(sim_doc(**over)))
         code = main(["track-sim", "--config", str(cfg),
                      "--trace", str(tmp_path / "t.csv")])
         assert code == 1

@@ -99,6 +99,16 @@ class TestDetectGated:
         bodies = [d.body.box for d in out]
         assert len(bodies) == len(set((b.x, b.y, b.w, b.h) for b in bodies))
 
+    def test_one_person_at_640_gives_two_nested_body_clusters(self):
+        """Pins today's grouping: clusters nested inside another are not
+        suppressed, so one person yields two gated detections."""
+        img = render_scene(640, 480, Rect(300, 150, 32, 32),
+                           Rect(268, 94, 96, 144))
+        out = detect_gated(build_body_cascade(), build_face_cascade(), img)
+        assert [(d.body.box, d.body.neighbors) for d in out] == [
+            (Rect(253, 70, 128, 192), 6), (Rect(240, 51, 154, 231), 12)]
+        assert out[1].body.box.contains(out[0].body.box)
+
 
 class TestSelectTarget:
     def d(self, x, y, w, h):
