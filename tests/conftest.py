@@ -1,9 +1,11 @@
 import os
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from facefollow import cascade
 from facefollow.cascade import Cascade, Stage, WeakClassifier
 from facefollow.haar import FeatureKind, FeaturePart, HaarFeature
 from facefollow.imaging import GrayImage, Rect
@@ -76,3 +78,23 @@ def random_cascade(rng: random.Random, base_w: int = 12, base_h: int = 12,
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+class CountingPool(ThreadPoolExecutor):
+    """Thread pool that counts the band walks submitted to it."""
+
+    submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1  # only the scanning thread submits
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture
+def band_pool(monkeypatch):
+    """The scan's band pool, with more threads than the machine has cores,
+    whatever number of CPUs the test process may use."""
+    pool = CountingPool(max_workers=(os.cpu_count() or 1) + 2)
+    monkeypatch.setattr(cascade, "_band_pool", lambda: pool)
+    yield pool
+    pool.shutdown()

@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import re
+import signal
 
 import numpy as np
 import pytest
 
+from facefollow import cascade
 from facefollow.cascade import (Cascade, CascadeFormatError, Detection, ScanParams,
                                 Stage, UnsupportedCascadeError, WeakClassifier,
                                 detect_multiscale, eval_window, group_detections,
@@ -173,7 +176,8 @@ class TestLegacyImport:
             import_legacy_xml(text)
 
     def test_syntax_error(self):
-        with pytest.raises(CascadeFormatError, match="syntax"):
+        with pytest.raises(CascadeFormatError, match=re.escape(
+                "$: syntax error at line 1, column 26: no element found")):
             import_legacy_xml("<opencv_storage><cascade>")
 
     @pytest.mark.parametrize("width,why", [("abc", "expected number, got 'abc'"),
@@ -283,6 +287,16 @@ def per_window_eval(c: Cascade, img: GrayImage, p: ScanParams):
     return accepted, grids
 
 
+def first_stage(c: Cascade, first: str) -> Cascade:
+    """``c`` as it is ("random"), or behind a first stage that accepts or
+    rejects every window."""
+    if first == "random":
+        return c
+    vacuous = {"accept-all": -1e9, "reject-all": 1e9}[first]
+    return Cascade(c.base_w, c.base_h, c.features,
+                   (Stage((WeakClassifier(0, 0.0, 0.0, 0.0),), vacuous),) + c.stages)
+
+
 class TestDetectMultiscale:
     def test_blank_image_reject_all_empty(self):
         img = GrayImage(np.zeros((64, 64), dtype=np.uint8))
@@ -322,14 +336,10 @@ class TestDetectMultiscale:
         """Non-square image and base window, strides that do not divide the
         span, one-row or one-column grids; a first stage that accepts every
         window keeps the whole-grid read going into the second stage."""
-        vacuous = {"accept-all": -1e9, "reject-all": 1e9}.get(first)
         shapes = set()
         for _ in range(8):
-            c = random_cascade(rng, base_w=base_w, base_h=base_h, n_stages=3)
-            if vacuous is not None:
-                c = Cascade(c.base_w, c.base_h, c.features,
-                            (Stage((WeakClassifier(0, 0.0, 0.0, 0.0),), vacuous),)
-                            + c.stages)
+            c = first_stage(random_cascade(rng, base_w=base_w, base_h=base_h,
+                                           n_stages=3), first)
             img = random_image(rng, img_w, img_h)
             p = ScanParams(scale_factor=1.3, step_divisor=rng.choice([2, 3]))
             got = [(d.box, d.stages_passed, d.score)
@@ -342,6 +352,59 @@ class TestDetectMultiscale:
         assert any(stride > 1 and ((img_w - w) % stride or (img_h - h) % stride)
                    for w, h, stride, _, _ in shapes)
         assert any(1 in (nx, ny) and nx != ny for _, _, _, nx, ny in shapes)
+
+    @pytest.mark.parametrize("first", ["random", "accept-all"])
+    def test_split_bands_match_per_window_eval(self, rng, monkeypatch, band_pool,
+                                               first):
+        """Every size cut into row bands of at most two windows, walked by
+        the pool: still eval_window's result for every window, in order."""
+        monkeypatch.setattr(cascade, "_BAND_WINDOWS", 2)
+        p = ScanParams(scale_factor=1.3, step_divisor=3)
+        for _ in range(4):
+            c = first_stage(random_cascade(rng, base_w=8, base_h=5, n_stages=3), first)
+            img = random_image(rng, 38, 47)
+            got = [(d.box, d.stages_passed, d.score)
+                   for d in detect_multiscale(c, img, p)]
+            want, grids = per_window_eval(c, img, p)
+            assert got == [(Rect(*k), len(c.stages), sc) for k, sc in want.items()]
+        rows = {g: max(1, 2 // g[3]) for g in grids}  # g: (w, h, stride, nx, ny)
+        assert all(g[4] > r for g, r in rows.items())  # every size splits
+        assert any(g[3] > 2 for g in rows)  # one-row bands of more than 2 windows
+        assert any(r > 1 and g[4] % r for g, r in rows.items())  # a short last band
+        assert band_pool.submitted == 4 * sum(-(-g[4] // r) for g, r in rows.items())
+
+    def test_band_pool_has_one_thread_per_usable_cpu(self, monkeypatch):
+        monkeypatch.setattr(cascade, "_pool", None)
+        monkeypatch.setattr(cascade, "_usable_cpus", lambda: 3)
+        pool = cascade._band_pool()
+        try:
+            assert pool._max_workers == 3
+            assert cascade._band_pool() is pool
+        finally:
+            pool.shutdown()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_forked_child_scans_without_the_parents_threads(self, rng, monkeypatch):
+        monkeypatch.setattr(cascade, "_BAND_WINDOWS", 2)
+        monkeypatch.setattr(cascade, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cascade, "_pool", None)
+        c, img = random_cascade(rng), random_image(rng, 40, 40)
+        want = detect_multiscale(c, img, ScanParams())
+        pool = cascade._pool
+        try:
+            assert pool is not None
+            pid = os.fork()
+            if pid == 0:  # the child must exit here, whatever the scan does
+                code = 1
+                try:
+                    signal.alarm(20)  # a child waiting on the parent's threads dies here
+                    code = 0 if detect_multiscale(c, img, ScanParams()) == want else 2
+                finally:
+                    os._exit(code)
+            _, status = os.waitpid(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+        finally:
+            pool.shutdown()
 
     def test_translation_moves_boxes(self, rng):
         from facefollow.synthetic import build_body_cascade, render_scene

@@ -219,6 +219,15 @@ class TestImportCascade:
                      "--out", str(tmp_path / "o.json")])
         assert code == 1
 
+    def test_xml_syntax_error_exits_1_with_line_and_column(self, tmp_path, capsys):
+        bad = tmp_path / "bad.xml"
+        bad.write_text("<opencv_storage><cascade>")
+        code = main(["import-cascade", "--xml", str(bad),
+                     "--out", str(tmp_path / "o.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: $: syntax error at line 1, column 26")
+
     def test_non_numeric_width_exits_1_naming_path(self, tmp_path, capsys):
         bad = tmp_path / "bad.xml"
         with open(fixture_path("upperbody_20x20.xml")) as fh:

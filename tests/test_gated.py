@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from facefollow import cascade
 from facefollow.cascade import Detection, ScanParams, detect_multiscale, group_detections
 from facefollow.gated import GatedDetection, GateParams, detect_gated, select_target
 from facefollow.imaging import Rect
@@ -108,6 +109,37 @@ class TestDetectGated:
         assert [(d.body.box, d.body.neighbors) for d in out] == [
             (Rect(253, 70, 128, 192), 6), (Rect(240, 51, 154, 231), 12)]
         assert out[1].body.box.contains(out[0].body.box)
+
+    def test_rendered_320_scans_run_on_the_calling_thread(self, monkeypatch):
+        """Every grid of the rendered loop's scans fits in one band."""
+        def no_pool():
+            raise AssertionError("a 320x240 scan asked for the band pool")
+        monkeypatch.setattr(cascade, "_band_pool", no_pool)
+        img, _, _ = one_person_scene()
+        out = detect_gated(build_body_cascade(), build_face_cascade(), img,
+                           synthetic_gate_params(320))
+        assert out, "the face scans ran too"
+
+    @pytest.mark.parametrize("face,body", [
+        (Rect(300, 150, 32, 32), Rect(268, 94, 96, 144)),  # the nested clusters above
+        (Rect(400, 300, 8, 8), Rect(392, 290, 24, 36)),  # found by stride-1 sizes
+    ], ids=["nested", "far"])
+    def test_split_scan_at_640_matches_unsplit(self, monkeypatch, band_pool, face, body):
+        """The stride-1 sizes of a 640x480 scan split into bands for the
+        pool; with bands as large as the frame nothing splits."""
+        img = render_scene(640, 480, face, body)
+        body_c, face_c = build_body_cascade(), build_face_cascade()
+
+        def scan():
+            return (detect_multiscale(body_c, img, ScanParams()),
+                    detect_gated(body_c, face_c, img))
+
+        pooled = scan()
+        submitted = band_pool.submitted
+        assert submitted > 0 and pooled[1]
+        monkeypatch.setattr(cascade, "_BAND_WINDOWS", 640 * 480)
+        assert scan() == pooled
+        assert band_pool.submitted == submitted
 
 
 class TestSelectTarget:
