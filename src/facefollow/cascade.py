@@ -91,7 +91,7 @@ class Cascade:
             for wi, wk in enumerate(st.weak):
                 if not 0 <= wk.feature_index < len(self.features):
                     raise ValueError(
-                        f"stages[{si}].weak[{wi}]: feature index {wk.feature_index} "
+                        f"stages[{si}].weak[{wi}].feature: index {wk.feature_index} "
                         f"out of range (table has {len(self.features)})")
         for fi, f in enumerate(self.features):
             for pi, p in enumerate(f.parts):
@@ -145,19 +145,17 @@ def _variance_denominator(ip: IntegralPair, window: Rect) -> float:
     return sigma * area
 
 
-def eval_window(c: Cascade, ip: IntegralPair, window: Rect,
-                scale: float | None = None) -> WindowEval:
+def eval_window(c: Cascade, ip: IntegralPair, window: Rect) -> WindowEval:
     """Run the staged classifier on one window with early rejection.
 
-    ``scale`` defaults to window.w / base_w; every part rect is scaled by it
+    Every part rect is scaled by window.w / base_w, as in ``_scan_sizes``,
     and must land inside the window (checked per weak classifier reached).
     Feature values are divided by sigma * area of the window before
     thresholding so trained thresholds transfer across lighting.
     """
     if not window.fits_in(ip.width, ip.height):
         raise ValueError(f"window {window} outside {ip.width}x{ip.height} image")
-    if scale is None:
-        scale = window.w / c.base_w
+    scale = window.w / c.base_w
     denom = _variance_denominator(ip, window)
 
     score = 0.0
@@ -476,6 +474,15 @@ def _str(v, path: str) -> str:
     return v
 
 
+def _build(path: str, cls, *args, **kw):
+    """``cls(*args, **kw)``; the ValueError of a rule the model checks itself
+    is re-raised at the document path ``path`` of the object built."""
+    try:
+        return cls(*args, **kw)
+    except ValueError as e:
+        raise CascadeFormatError(f"{path}: {e}") from e
+
+
 def _load_json(text: str):
     """``json.loads`` whose errors are CascadeFormatErrors at path ``$``."""
     try:
@@ -515,9 +522,6 @@ def parse_cascade(text: str) -> Cascade:
             _obj(pobj, ppath, required=("x", "y", "w", "h", "weight"))
             rect = Rect(*(_int(pobj[k], f"{ppath}.{k}", low)
                           for k, low in (("x", 0), ("y", 0), ("w", 1), ("h", 1))))
-            if rect.right > base_w or rect.bottom > base_h:
-                raise CascadeFormatError(
-                    f"{ppath}: rect {rect} outside {base_w}x{base_h} base window")
             parts.append(FeaturePart(rect, _real(pobj["weight"], f"{ppath}.weight")))
         features.append(HaarFeature(kind, tuple(parts)))
 
@@ -530,15 +534,11 @@ def parse_cascade(text: str) -> Cascade:
             wpath = f"{path}.weak[{wi}]"
             _obj(wobj, wpath, required=("feature", "threshold", "left", "right"))
             fidx = _int(wobj["feature"], f"{wpath}.feature", 0)
-            if fidx >= len(features):
-                raise CascadeFormatError(
-                    f"{wpath}.feature: index {fidx} out of range "
-                    f"(table has {len(features)})")
             weak.append(WeakClassifier(fidx, *(_real(wobj[k], f"{wpath}.{k}")
                                                for k in ("threshold", "left", "right"))))
         stages.append(Stage(tuple(weak), _real(sobj["threshold"], f"{path}.threshold")))
 
-    return Cascade(base_w, base_h, tuple(features), tuple(stages), name=name)
+    return _build("$", Cascade, base_w, base_h, tuple(features), tuple(stages), name=name)
 
 
 def serialize_cascade(c: Cascade) -> str:
@@ -602,7 +602,7 @@ def import_legacy_xml(text: str) -> Cascade:
     if not children:
         raise CascadeFormatError("opencv_storage: no cascade element")
     cas = children[0]
-    base = f"{cas.tag}"
+    base = cas.tag
 
     ftype = _xml_text(cas, "featureType", base)
     if ftype != "HAAR":
@@ -631,9 +631,6 @@ def import_legacy_xml(text: str) -> Cascade:
                 raise CascadeFormatError(
                     f"{rpath}: expected 'x y w h weight', got {rel.text!r}")
             rect = Rect(*(_int(v, rpath, low) for v, low in zip(toks, (0, 0, 1, 1))))
-            if rect.right > base_w or rect.bottom > base_h:
-                raise CascadeFormatError(
-                    f"{rpath}: rect {rect} outside {base_w}x{base_h} base window")
             parts.append(FeaturePart(rect, _real(toks[4], rpath)))
         if not 2 <= len(parts) <= 4:
             raise CascadeFormatError(f"{fpath}: expected 2..4 rects, got {len(parts)}")
@@ -669,12 +666,8 @@ def import_legacy_xml(text: str) -> Cascade:
             if len(leaves) != 2:
                 raise CascadeFormatError(
                     f"{lpath}: expected 2 values, got {len(leaves)}")
-            fidx = _int(nodes[2], npath, 0)
-            if fidx >= len(features):
-                raise CascadeFormatError(f"{npath}: feature index {fidx} out of range")
-            weak.append(WeakClassifier(fidx, _real(nodes[3], npath), *leaves))
-        if not weak:
-            raise CascadeFormatError(f"{spath}: empty stage")
+            weak.append(WeakClassifier(_int(nodes[2], npath, 0), _real(nodes[3], npath),
+                                       *leaves))
         if declared != len(weak):
             raise CascadeFormatError(
                 f"{spath}: maxWeakCount {declared} != {len(weak)} classifiers")
@@ -682,4 +675,5 @@ def import_legacy_xml(text: str) -> Cascade:
     if not stages:
         raise CascadeFormatError(f"{base}.stages: no stages")
 
-    return Cascade(base_w, base_h, tuple(features), tuple(stages), name=cas.tag)
+    return _build(base, Cascade, base_w, base_h, tuple(features), tuple(stages),
+                  name=cas.tag)

@@ -51,16 +51,10 @@ def detect_gated(body_c: Cascade, face_c: Cascade, img: GrayImage,
 
     out: list[GatedDetection] = []
     for body in bodies:
-        crop = img.crop(body.box)
         min_w = max(face_c.base_w,
                     _round_half_up(p.face_min_fraction * body.box.w))
-        max_w = min(crop.width,
-                    p.face_scan.max_size if p.face_scan.max_size is not None
-                    else crop.width)
-        if min_w > max_w or crop.height < face_c.base_h:
-            continue
-        scan = replace(p.face_scan, min_size=min_w, max_size=max_w)
-        faces = group_detections(detect_multiscale(face_c, crop, scan),
+        scan = replace(p.face_scan, min_size=min_w)
+        faces = group_detections(detect_multiscale(face_c, img.crop(body.box), scan),
                                  scan.min_neighbors, scan.eps)
         if not faces:
             continue

@@ -14,8 +14,8 @@ import os
 import typing
 from dataclasses import dataclass, field, replace
 
-from .cascade import (Cascade, CascadeFormatError, Detection, _array, _bool, _int,
-                      _load_json, _obj, _real, _str)
+from .cascade import (Cascade, Detection, _array, _bool, _build, _int, _load_json,
+                      _obj, _real, _str)
 from .gated import GatedDetection, GateParams, detect_gated, select_target
 from .imaging import GrayImage, Rect, _round_half_up, draw_box, encode_ppm, to_rgb
 from .mavlink import CommandSink, NullSink, build_velocity_message, open_sink
@@ -336,11 +336,8 @@ def _fields(cls, v, path: str):
     a range error from the constructor is reported at ``path``."""
     types = typing.get_type_hints(cls)
     obj = _obj(v, path, optional=types)
-    kw = {k: _FIELD_CHECKS[types[k]](x, f"{path}.{k}") for k, x in obj.items()}
-    try:
-        return cls(**kw)
-    except ValueError as e:
-        raise CascadeFormatError(f"{path}: {e}") from e
+    return _build(path, cls, **{k: _FIELD_CHECKS[types[k]](x, f"{path}.{k}")
+                                for k, x in obj.items()})
 
 
 def load_run_config(text: str, cascade_loader=None) -> RunConfig:
@@ -361,7 +358,8 @@ def load_run_config(text: str, cascade_loader=None) -> RunConfig:
         d = _obj(doc["drone"], "$.drone", optional=("pos", "yaw"))
         if "pos" in d:
             kw["drone_pos"] = _ned(d["pos"], "$.drone.pos")
-        kw["drone_yaw"] = _real(d.get("yaw", 0.0), "$.drone.yaw")
+        if "yaw" in d:
+            kw["drone_yaw"] = _real(d["yaw"], "$.drone.yaw")
     if "target" in doc:
         t = _obj(doc["target"], "$.target", optional=(
             "pos", "face_w", "body_w", "body_h", "waypoints", "speed"))
@@ -370,18 +368,23 @@ def load_run_config(text: str, cascade_loader=None) -> RunConfig:
         for k in ("face_w", "body_w", "body_h"):
             if k in t:
                 kw[k] = _real(t[k], f"$.target.{k}")
-        wps = _array(t.get("waypoints", []), "$.target.waypoints")
-        kw["path"] = TargetPath(
-            tuple(_ned(w, f"$.target.waypoints[{i}]") for i, w in enumerate(wps)),
-            _real(t.get("speed", 0.3), "$.target.speed"))
+        walk = {}
+        if "waypoints" in t:
+            wps = _array(t["waypoints"], "$.target.waypoints")
+            walk["waypoints"] = tuple(_ned(w, f"$.target.waypoints[{i}]")
+                                      for i, w in enumerate(wps))
+        if "speed" in t:
+            walk["speed"] = _real(t["speed"], "$.target.speed")
+        kw["path"] = TargetPath(**walk)
     if "tracker" in doc:
         kw["tracker"] = _fields(TrackerConfig, doc["tracker"], "$.tracker")
     if "mission" in doc:
         kw["mission"] = _fields(MissionConfig, doc["mission"], "$.mission")
     if "battery" in doc:
         b = _obj(doc["battery"], "$.battery", optional=("start", "drain_rate"))
-        kw["battery_start"] = _real(b.get("start", 25.2), "$.battery.start")
-        kw["battery_drain"] = _real(b.get("drain_rate", 0.0), "$.battery.drain_rate")
+        for k, name in (("start", "battery_start"), ("drain_rate", "battery_drain")):
+            if k in b:
+                kw[name] = _real(b[k], f"$.battery.{k}")
     if doc.get("user_stop_tick") is not None:
         kw["user_stop_tick"] = _int(doc["user_stop_tick"], "$.user_stop_tick", 0)
     if "home" in doc:

@@ -126,9 +126,11 @@ def build_body_cascade() -> Cascade:
 
 
 def synthetic_gate_params(img_w: int = 320) -> GateParams:
-    """Scan settings matched to the synthetic scene geometry."""
+    """Scan settings matched to the synthetic scene geometry; the body window
+    cap of 120 px at a 320 px width grows with ``img_w``."""
     return GateParams(
-        body_scan=ScanParams(scale_factor=1.08, min_size=24, max_size=120,
+        body_scan=ScanParams(scale_factor=1.08, min_size=24,
+                             max_size=_round_half_up(120 * img_w / 320),
                              step_divisor=12, min_neighbors=1, eps=0.25),
         face_scan=ScanParams(scale_factor=1.08, min_size=None, max_size=None,
                              step_divisor=24, min_neighbors=0, eps=0.3),

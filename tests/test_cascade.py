@@ -12,7 +12,7 @@ from facefollow.cascade import (Cascade, CascadeFormatError, Detection, ScanPara
                                 Stage, UnsupportedCascadeError, WeakClassifier,
                                 detect_multiscale, eval_window, group_detections,
                                 import_legacy_xml, parse_cascade, serialize_cascade)
-from facefollow.haar import FeatureKind, scale_rect
+from facefollow.haar import FeatureKind, FeaturePart, HaarFeature, scale_rect
 from facefollow.imaging import GrayImage, Rect, integral, rect_sum
 
 from conftest import (accept_all_cascade, fixture_text, random_cascade,
@@ -75,7 +75,8 @@ class TestParseCascade:
     def test_feature_index_out_of_range(self):
         doc = json.loads(MINIMAL_DOC)
         doc["stages"][0]["weak"][0]["feature"] = 1
-        with pytest.raises(CascadeFormatError, match=r"stages\[0\].weak\[0\]"):
+        with pytest.raises(CascadeFormatError, match=re.escape(
+                "$: stages[0].weak[0].feature: index 1 out of range (table has 1)")):
             parse_cascade(json.dumps(doc))
 
     def test_unknown_key_rejected(self):
@@ -104,8 +105,41 @@ class TestParseCascade:
     def test_part_outside_base_window(self):
         doc = json.loads(MINIMAL_DOC)
         doc["features"][0]["parts"][1]["w"] = 3
-        with pytest.raises(CascadeFormatError, match="outside"):
+        with pytest.raises(CascadeFormatError, match=re.escape(
+                "$: features[0].parts[1]: rect Rect(x=2, y=0, w=3, h=4) "
+                "outside 4x4 base window")):
             parse_cascade(json.dumps(doc))
+
+    def test_field_minimum_names_the_field(self):
+        doc = json.loads(MINIMAL_DOC)
+        doc["base_w"] = 3
+        with pytest.raises(CascadeFormatError, match=re.escape("$.base_w: 3 below minimum 4")):
+            parse_cascade(json.dumps(doc))
+
+
+class TestCascadeModel:
+    """Cascades built in code: the model checks its cross-value rules itself
+    and raises a plain ValueError at the model-relative path."""
+
+    def feature(self, w: int) -> HaarFeature:
+        return HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(Rect(0, 0, 2, 4), 1.0),
+                                                  FeaturePart(Rect(2, 0, w, 4), -1.0)))
+
+    def test_part_outside_base_window(self):
+        stage = Stage((WeakClassifier(0, 0.1, -0.5, 0.5),), 0.0)
+        with pytest.raises(ValueError, match=re.escape(
+                "features[0].parts[1]: rect Rect(x=2, y=0, w=3, h=4) "
+                "outside 4x4 base window")) as info:
+            Cascade(4, 4, (self.feature(3),), (stage,))
+        assert not isinstance(info.value, CascadeFormatError)
+
+    def test_feature_index_out_of_range(self):
+        stage = Stage((WeakClassifier(0, 0.1, -0.5, 0.5),
+                       WeakClassifier(2, 0.1, -0.5, 0.5)), 0.0)
+        with pytest.raises(ValueError, match=re.escape(
+                "stages[0].weak[1].feature: index 2 out of range (table has 1)")) as info:
+            Cascade(4, 4, (self.feature(2),), (stage,))
+        assert not isinstance(info.value, CascadeFormatError)
 
 
 class TestLegacyImport:
@@ -179,6 +213,32 @@ class TestLegacyImport:
         with pytest.raises(CascadeFormatError, match=re.escape(
                 "$: syntax error at line 1, column 26: no element found")):
             import_legacy_xml("<opencv_storage><cascade>")
+
+    @pytest.mark.parametrize("old,new,why", [
+        ("<_>0 2 20 6 -1.</_>", "<_>2 2 20 6 -1.</_>",
+         "cascade: features[0].parts[0]: rect Rect(x=2, y=2, w=20, h=6) "
+         "outside 20x20 base window"),
+        ("0 -1 0 1.3387810066342354e-02", "0 -1 99 1.3387810066342354e-02",
+         "cascade: stages[0].weak[0].feature: index 99 out of range (table has 6)"),
+    ], ids=["part-outside-base-window", "feature-index-out-of-range"])
+    def test_model_rule_reported_at_the_cascade_element(self, old, new, why):
+        text = fixture_text("upperbody_20x20.xml").replace(old, new)
+        with pytest.raises(CascadeFormatError, match=re.escape(why)):
+            import_legacy_xml(text)
+
+    @pytest.mark.parametrize("declared,why", [
+        (2, "cascade.stages[0]: maxWeakCount 2 != 0 classifiers"),
+        (0, "cascade.stages[0].maxWeakCount: 0 below minimum 1")],
+        ids=["declared-2", "declared-0"])
+    def test_empty_weak_classifiers_rejected_on_max_weak_count(self, declared, why):
+        text = re.sub(r"<weakClassifiers>.*?</weakClassifiers>",
+                      "<weakClassifiers></weakClassifiers>",
+                      fixture_text("upperbody_20x20.xml"), count=1, flags=re.S)
+        # the first <maxWeakCount> sits in <stageParams>; the second is stage 0's
+        text = text.replace("<maxWeakCount>2</maxWeakCount>",
+                            f"<maxWeakCount>{declared}</maxWeakCount>", 1)
+        with pytest.raises(CascadeFormatError, match=re.escape(why)):
+            import_legacy_xml(text)
 
     @pytest.mark.parametrize("width,why", [("abc", "expected number, got 'abc'"),
                                            ("3", "3 below minimum 4")])

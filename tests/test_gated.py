@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -109,6 +110,26 @@ class TestDetectGated:
         assert [(d.body.box, d.body.neighbors) for d in out] == [
             (Rect(253, 70, 128, 192), 6), (Rect(240, 51, 154, 231), 12)]
         assert out[1].body.box.contains(out[0].body.box)
+
+    def test_synthetic_params_at_640_find_the_640_person(self):
+        """The body window cap grows with the frame width, so the person of
+        the nested-cluster scene is found: a face box holds the face centre."""
+        face = Rect(300, 150, 32, 32)
+        img = render_scene(640, 480, face, Rect(268, 94, 96, 144))
+        cx, cy = face.x + face.w // 2, face.y + face.h // 2
+        out = detect_gated(build_body_cascade(), build_face_cascade(), img,
+                           synthetic_gate_params(640))
+        assert any(d.face.box.x <= cx < d.face.box.right
+                   and d.face.box.y <= cy < d.face.box.bottom for d in out)
+
+    def test_face_cap_below_face_base_width_finds_nothing(self):
+        """A face ladder that the cap empties skips the body quietly."""
+        img, _, _ = one_person_scene()
+        body_c, face_c = build_body_cascade(), build_face_cascade()
+        gate = synthetic_gate_params()
+        assert detect_gated(body_c, face_c, img, gate)  # the body is found
+        gate.face_scan = replace(gate.face_scan, max_size=face_c.base_w - 1)
+        assert detect_gated(body_c, face_c, img, gate) == []
 
     def test_rendered_320_scans_run_on_the_calling_thread(self, monkeypatch):
         """Every grid of the rendered loop's scans fits in one band."""

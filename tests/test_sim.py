@@ -284,6 +284,10 @@ class TestRunConfigJson:
         trace = run_closed_loop(cfg)
         assert len(trace.rows) == 7
 
+    def test_empty_sections_load_the_defaults(self):
+        assert load_run_config(json.dumps({"drone": {}, "target": {}, "battery": {}})) \
+            == RunConfig()
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
             load_run_config(json.dumps({"tick": 5}))
