@@ -474,12 +474,13 @@ def _str(v, path: str) -> str:
     return v
 
 
-def _build(path: str, cls, *args, **kw):
-    """``cls(*args, **kw)``; the ValueError of a rule the model checks itself
-    is re-raised at the document path ``path`` of the object built."""
+def _build(path: str, cls, /, *args, **kw):
+    """``cls(*args, **kw)``; the ValueError of a rule the model checks itself,
+    or the OSError of a file it reads, is re-raised at the document path
+    ``path`` of the object built."""
     try:
         return cls(*args, **kw)
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         raise CascadeFormatError(f"{path}: {e}") from e
 
 

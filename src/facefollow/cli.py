@@ -12,17 +12,13 @@ import argparse
 import math
 import sys
 
-from .cascade import (Cascade, CascadeError, detect_multiscale, group_detections,
+from .cascade import (Cascade, detect_multiscale, group_detections,
                       import_legacy_xml, parse_cascade, serialize_cascade)
-from .dataset import (ManifestError, parse_negative_manifest,
-                      parse_positive_manifest, validate_dataset)
-from .gated import GateParams, detect_gated
-from .imaging import PnmParseError, decode_pnm, draw_box, encode_ppm, to_rgb
+from .dataset import parse_negative_manifest, parse_positive_manifest, validate_dataset
+from .gated import BODY_COLOR, FACE_COLOR, GateParams, detect_gated
+from .imaging import decode_pnm, draw_box, encode_ppm, to_rgb
 from .mavlink import build_velocity_message, encode_frame
 from .sim import converged, load_run_config, run_closed_loop
-
-BODY_COLOR = (40, 220, 40)
-FACE_COLOR = (220, 40, 40)
 
 
 def _fail(msg: str) -> int:
@@ -41,13 +37,9 @@ def _load_image(path: str):
 
 
 def cmd_detect(args) -> int:
-    try:
-        body_c = _load_cascade(args.body_cascade)
-        face_c = _load_cascade(args.face_cascade) if args.face_cascade else None
-        img = _load_image(args.image)
-    except (OSError, CascadeError, PnmParseError) as e:
-        return _fail(str(e))
-
+    body_c = _load_cascade(args.body_cascade)
+    face_c = _load_cascade(args.face_cascade) if args.face_cascade else None
+    img = _load_image(args.image)
     gate = GateParams()
     rows: list[tuple] = []
     if face_c is not None:
@@ -83,10 +75,7 @@ def cmd_track_sim(args) -> int:
             cfg = load_run_config(fh.read(), cascade_loader=_load_cascade)
     except (OSError, ValueError) as e:
         return _fail(f"config: {e}")
-    try:
-        trace = run_closed_loop(cfg, frames_dir=args.frames_dir)
-    except (OSError, ValueError) as e:
-        return _fail(str(e))
+    trace = run_closed_loop(cfg, frames_dir=args.frames_dir)
     with open(args.trace, "w", encoding="utf-8") as fh:
         fh.write(trace.to_csv())
     ok = converged(trace, cfg)
@@ -108,11 +97,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_import_cascade(args) -> int:
-    try:
-        with open(args.xml, "r", encoding="utf-8") as fh:
-            cascade = import_legacy_xml(fh.read())
-    except (OSError, CascadeError) as e:
-        return _fail(str(e))
+    with open(args.xml, "r", encoding="utf-8") as fh:
+        cascade = import_legacy_xml(fh.read())
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serialize_cascade(cascade))
     print(f"imported {len(cascade.stages)} stage(s), "
@@ -121,14 +107,11 @@ def cmd_import_cascade(args) -> int:
 
 
 def cmd_validate_dataset(args) -> int:
-    try:
-        with open(args.pos, "r", encoding="utf-8") as fh:
-            pos = parse_positive_manifest(fh.read())
-        with open(args.neg, "r", encoding="utf-8") as fh:
-            neg = parse_negative_manifest(fh.read())
-        report = validate_dataset(pos, neg, args.width, args.height, args.root)
-    except (OSError, ManifestError, NotADirectoryError) as e:
-        return _fail(str(e))
+    with open(args.pos, "r", encoding="utf-8") as fh:
+        pos = parse_positive_manifest(fh.read())
+    with open(args.neg, "r", encoding="utf-8") as fh:
+        neg = parse_negative_manifest(fh.read())
+    report = validate_dataset(pos, neg, args.width, args.height, args.root)
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1
@@ -187,7 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as e:  # bad input file or unwritable output
+        return _fail(str(e))
 
 
 if __name__ == "__main__":

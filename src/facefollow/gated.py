@@ -13,6 +13,10 @@ from dataclasses import dataclass, field, replace
 from .cascade import Cascade, Detection, ScanParams, detect_multiscale, group_detections
 from .imaging import GrayImage, Rect, _round_half_up
 
+# RGB colours of body and face boxes on annotated frames
+BODY_COLOR = (40, 220, 40)
+FACE_COLOR = (220, 40, 40)
+
 
 @dataclass(frozen=True)
 class GatedDetection:
@@ -26,6 +30,12 @@ class GatedDetection:
 
 @dataclass
 class GateParams:
+    """Scan settings of the two steps.
+
+    ``face_scan.min_size`` is ignored: each body's face scan starts at
+    ``max(face base width, face_min_fraction * body width)``.
+    """
+
     body_scan: ScanParams = field(default_factory=ScanParams)
     face_scan: ScanParams = field(default_factory=ScanParams)
     face_min_fraction: float = 0.2  # min face width as a fraction of body width

@@ -8,6 +8,7 @@ companion computer.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,38 +154,19 @@ def rect_sum(ip: IntegralPair, r: Rect, squared: bool = False) -> int:
 
 # --- netpbm ----------------------------------------------------------------
 
-def _is_space(b: int) -> bool:
-    return b in (0x20, 0x09, 0x0A, 0x0D, 0x0B, 0x0C)
+# separators (whitespace, '#' comments to end of line), then the digits
+_NUMBER = re.compile(rb"(?:\s|#[^\n\r]*)*(\d*)")
 
 
-class _Tokens:
-    """Whitespace/comment-aware scanner over a pnm header (and ascii body)."""
-
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def skip_separators(self):
-        buf, n = self.buf, len(self.buf)
-        while self.pos < n:
-            c = buf[self.pos]
-            if _is_space(c):
-                self.pos += 1
-            elif c == 0x23:  # '#' comment runs to end of line
-                while self.pos < n and buf[self.pos] not in (0x0A, 0x0D):
-                    self.pos += 1
-            else:
-                return
-
-    def next_int(self, what: str) -> int:
-        self.skip_separators()
-        start = self.pos
-        buf, n = self.buf, len(self.buf)
-        while self.pos < n and 0x30 <= buf[self.pos] <= 0x39:
-            self.pos += 1
-        if self.pos == start:
-            raise PnmParseError(f"malformed header: expected {what}", start)
-        return int(buf[start:self.pos])
+def _next_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
+    """The number after the separators at ``pos``, and the offset past it."""
+    start, end = _NUMBER.match(data, pos).span(1)
+    if start == end:
+        raise PnmParseError(f"malformed header: expected {what}", start)
+    try:
+        return int(data[start:end]), end
+    except ValueError as e:  # over the interpreter's digit limit
+        raise PnmParseError(f"{what}: {e}", start) from e
 
 
 def decode_pnm(data: bytes) -> GrayImage:
@@ -201,12 +183,10 @@ def decode_pnm(data: bytes) -> GrayImage:
     ascii_form = magic in (b"P2", b"P3")
     color = magic in (b"P3", b"P6")
 
-    toks = _Tokens(data)
-    toks.pos = 2
-    width = toks.next_int("width")
-    height = toks.next_int("height")
-    maxval_at = toks.pos
-    maxval = toks.next_int("maxval")
+    width, pos = _next_int(data, 2, "width")
+    height, pos = _next_int(data, pos, "height")
+    maxval_at = pos
+    maxval, pos = _next_int(data, pos, "maxval")
     if width < 1 or height < 1 or width > MAX_DIM or height > MAX_DIM:
         raise PnmParseError(f"malformed header: bad dimensions {width}x{height}", 2)
     if maxval < 1 or maxval > 255:
@@ -216,16 +196,16 @@ def decode_pnm(data: bytes) -> GrayImage:
     if ascii_form:
         flat = np.empty(samples, dtype=np.int64)
         for i in range(samples):
-            at = toks.pos
-            v = toks.next_int("sample value")
+            at = pos
+            v, pos = _next_int(data, pos, "sample value")
             if v > maxval:
                 raise PnmParseError(f"sample {v} exceeds maxval {maxval}", at)
             flat[i] = v
     else:
         # exactly one whitespace byte separates maxval from binary payload
-        if toks.pos >= len(data) or not _is_space(data[toks.pos]):
-            raise PnmParseError("malformed header: missing payload separator", toks.pos)
-        start = toks.pos + 1
+        if not data[pos:pos + 1].isspace():
+            raise PnmParseError("malformed header: missing payload separator", pos)
+        start = pos + 1
         if len(data) - start < samples:
             raise PnmParseError(
                 f"truncated payload: need {samples} bytes, have {len(data) - start}",
@@ -265,7 +245,7 @@ def draw_box(rgb: np.ndarray, r: Rect, color: tuple[int, int, int],
              thickness: int = 3) -> None:
     """Paint a rectangle border into an RGB array, clipped to the canvas."""
     h, w = rgb.shape[:2]
-    x0, y0 = max(r.x, 0), max(r.y, 0)
+    x0, y0 = r.x, r.y
     x1, y1 = min(r.right, w), min(r.bottom, h)
     if x0 >= x1 or y0 >= y1:
         return

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 
 from .cascade import (Cascade, Detection, _array, _bool, _build, _int, _load_json,
                       _obj, _real, _str)
-from .gated import GatedDetection, GateParams, detect_gated, select_target
+from .gated import (BODY_COLOR, FACE_COLOR, GatedDetection, GateParams, detect_gated,
+                    select_target)
 from .imaging import GrayImage, Rect, _round_half_up, draw_box, encode_ppm, to_rgb
 from .mavlink import CommandSink, NullSink, build_velocity_message, open_sink
 from .mission import (MissionConfig, MissionPhase, MissionState, Ned,
@@ -298,8 +299,8 @@ def _dump_frame(frames_dir: str, tick: int, img: GrayImage,
     os.makedirs(frames_dir, exist_ok=True)
     rgb = to_rgb(img)
     for d in dets:
-        draw_box(rgb, d.body.box, (40, 220, 40))
-        draw_box(rgb, d.face.box, (220, 40, 40))
+        draw_box(rgb, d.body.box, BODY_COLOR)
+        draw_box(rgb, d.face.box, FACE_COLOR)
     with open(os.path.join(frames_dir, f"frame_{tick:05d}.ppm"), "wb") as fh:
         fh.write(encode_ppm(rgb))
 
@@ -395,8 +396,9 @@ def load_run_config(text: str, cascade_loader=None) -> RunConfig:
         c = _obj(doc["cascades"], "$.cascades", required=("body", "face"))
         if cascade_loader is None:
             raise ValueError("config names cascades but no loader was provided")
-        kw["body_cascade"] = cascade_loader(_str(c["body"], "$.cascades.body"))
-        kw["face_cascade"] = cascade_loader(_str(c["face"], "$.cascades.face"))
+        for k in ("body", "face"):
+            path = f"$.cascades.{k}"
+            kw[f"{k}_cascade"] = _build(path, cascade_loader, _str(c[k], path))
     if doc.get("sink") is not None:
         kw["sink_dest"] = _str(doc["sink"], "$.sink")
-    return RunConfig(**kw)
+    return _build("$", RunConfig, **kw)

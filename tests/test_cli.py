@@ -1,11 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from facefollow.cascade import parse_cascade, serialize_cascade
+from facefollow.cascade import (Cascade, Stage, WeakClassifier, parse_cascade,
+                                serialize_cascade)
 from facefollow.cli import main
 from facefollow.gated import detect_gated
+from facefollow.haar import FeatureKind, FeaturePart, HaarFeature
 from facefollow.imaging import GrayImage, Rect, decode_pnm, encode_pgm
 from facefollow.mavlink import decode_frame
 from facefollow.synthetic import (build_body_cascade, build_face_cascade,
@@ -41,8 +44,8 @@ class TestDetect:
                      "--face-cascade", face_path, "--image", img_path,
                      "--csv", str(csv), "--out", str(out)])
         assert code == 0
-        want = detect_gated(parse_cascade(open(body_path).read()),
-                            parse_cascade(open(face_path).read()), img)
+        want = detect_gated(parse_cascade(Path(body_path).read_text()),
+                            parse_cascade(Path(face_path).read_text()), img)
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "kind,x,y,w,h,score,neighbors"
         got_rows = [ln.split(",") for ln in lines[1:]]
@@ -87,6 +90,22 @@ class TestDetect:
                      "--face-cascade", face_path, "--image", img_path])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: $: ")
+
+    def test_part_escaping_a_scaled_window_exits_1(self, tmp_path, scene_image,
+                                                  capsys):
+        """The reader accepts the cascade; the scan finds at the 6x6 window
+        that part 1, scaled by 1.5 with halves rounded up, leaves it."""
+        img_path, _ = scene_image
+        feat = HaarFeature(FeatureKind.TWO_RECT, (
+            FeaturePart(Rect(0, 0, 3, 4), 1.0), FeaturePart(Rect(3, 0, 1, 4), -1.0)))
+        c = Cascade(4, 4, (feat,), (Stage((WeakClassifier(0, 0.0, 0.0, 1.0),), 0.5),))
+        body = tmp_path / "escape.json"
+        body.write_text(serialize_cascade(c))
+        code = main(["detect", "--body-cascade", str(body), "--image", img_path])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: feature 0: scaled part 1 (Rect(x=5, y=0, w=2, h=6)) "
+            "escapes 6x6 window\n")
 
     def test_body_only_mode(self, tmp_path, cascades, scene_image):
         body_path, _ = cascades
@@ -151,6 +170,10 @@ class TestTrackSim:
         ({"mission": {"loop_dt": 0.1}}, "$.mission"),
         ({"mission": {"climb_speed": -0.5}}, "$.mission"),
         ({"tracker": {"dead_zone": 0.9}}, "$.tracker"),
+        ({"mode": "x"}, "$"),
+        ({"mode": "rendered"}, "$"),
+        ({"cascades": {"body": "no-such-body.json", "face": "no-such-face.json"}},
+         "$.cascades.body"),
         pytest.param('{"ticks": 3,', "$", id="syntax-error"),
         pytest.param('{"ticks": ' + "1" * 5000 + "}", "$", id="5000-digit-integer"),
     ])
@@ -261,3 +284,20 @@ class TestValidateDataset:
                      "-w", "20", "-h", "20"])
         assert code == 1
         assert "tiny.pgm" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["detect", "track-sim", "import-cascade"])
+def test_unwritable_output_exits_1(tmp_path, cascades, scene_image, capsys, command):
+    """The output path lies in a directory that does not exist."""
+    out = str(tmp_path / "missing" / "out")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(sim_doc(ticks=3)))
+    args = {
+        "detect": ["--body-cascade", cascades[0], "--image", scene_image[0],
+                   "--csv", out],
+        "track-sim": ["--config", str(cfg), "--trace", out],
+        "import-cascade": ["--xml", fixture_path("upperbody_20x20.xml"), "--out", out],
+    }[command]
+    assert main([command, *args]) == 1
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: '{out}'\n")

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -70,8 +72,29 @@ class TestDecodePnm:
             decode_pnm(b"P5 4")
 
     def test_ascii_sample_above_maxval(self):
-        with pytest.raises(PnmParseError, match="exceeds maxval"):
+        """The offset is that of the separator before the sample."""
+        with pytest.raises(PnmParseError) as ei:
             decode_pnm(b"P2 1 1 100 101")
+        assert str(ei.value) == "sample 101 exceeds maxval 100 (byte offset 10)"
+
+    def test_non_digit_sample_names_its_offset(self):
+        with pytest.raises(PnmParseError) as ei:
+            decode_pnm(b"P2 2 1 255 7x")
+        assert str(ei.value) == ("malformed header: expected sample value "
+                                 "(byte offset 12)")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="interpreter has no integer digit limit")
+    @pytest.mark.parametrize("data,what,offset", [
+        pytest.param(b"P5 " + b"9" * 5000 + b" 1 255 x", "width", 3,
+                     id="5000-digit-width"),
+        pytest.param(b"P2 1 1 255 " + b"9" * 5001, "sample value", 11,
+                     id="5001-digit-sample"),
+    ])
+    def test_number_over_digit_limit_names_its_offset(self, data, what, offset):
+        with pytest.raises(PnmParseError, match=f"^{what}: ") as ei:
+            decode_pnm(data)
+        assert ei.value.offset == offset
 
     def test_pgm_roundtrip(self, rng):
         img = random_image(rng, 7, 4)
