@@ -4,18 +4,24 @@ A cascade is an ordered list of boosted stump stages over a shared Haar
 feature table.  Window evaluation walks the stages and bails out at the
 first stage whose score falls below its threshold, which is where the
 detector gets its speed.  ``detect_multiscale`` runs the same decision
-vectorized over each scale's window grid, cut into row bands of at most
-``_BAND_WINDOWS`` windows so a band's temporaries stay in cache.  Within a
-band the walk is dense, then sparse: while every window of the band is
-still alive, a stage reads its rectangle sums as strided slices of the
-integral table; after the first rejection it gathers them for the
-survivors only.  The bands of a scale whose grid splits run on a thread
-pool with one thread per usable CPU; the other scales run on the calling
-thread meanwhile, and results are collected in scan order.  The scalar and
-vectorized paths are kept arithmetically identical (same operation order
-on float64) so one can be checked against the other.  Both scale part
-rects only through ``haar._scaled_parts``, the one home of that rule and
-its escape check.
+vectorized over each scale's window grid.  Each (cascade, window size)
+compiles once into a size plan, cached while the cascade lives: every
+feature's scaled parts become corner taps ``(dy, dx, k)``, summed per
+distinct corner so shared corners merge or cancel.  The grid is cut into
+row bands of at most ``_BAND_WINDOWS`` windows so a band's scratch buffers
+stay in cache.  Within a band the walk is dense, then sparse: while every
+window of the band is still alive, a feature sums its taps as strided
+slices of the integral table in int64; after the first rejection a stage
+gathers its merged corners for the survivors only.  The bands of a scale
+whose grid splits run on a thread pool with one thread per usable CPU; the
+other scales run on the calling thread meanwhile, and results are collected
+in scan order.  The scalar and vectorized paths give bit-identical results,
+so one can be checked against the other: part weights are integers (a
+``Cascade`` rule), so a feature's sum is the same exact integer in the
+scan's int64 and in ``eval_window``'s float64, and every float64 operation
+after it runs in the same order on both paths.  Both scale part rects only
+through ``haar._scaled_parts``, the one home of that rule and its escape
+check.
 ``group_detections`` clusters the accepted windows with a boolean
 similarity matrix and reachability over it.
 """
@@ -27,10 +33,11 @@ import math
 import os
 import sys
 import threading
+import weakref
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from functools import partial
-from typing import TYPE_CHECKING
+from itertools import repeat
+from typing import TYPE_CHECKING, NamedTuple
 from xml.parsers.expat import ErrorString
 
 import numpy as np
@@ -74,6 +81,11 @@ class Stage:
             raise ValueError("stage must contain at least one weak classifier")
 
 
+# part weights are integers up to this magnitude: a feature of at most 4
+# parts then sums below 4 * 2**16 * 255 * 8192**2 < 2**53 in magnitude
+MAX_WEIGHT = 2 ** 16
+
+
 @dataclass(frozen=True)
 class Cascade:
     base_w: int
@@ -99,6 +111,12 @@ class Cascade:
                     raise ValueError(
                         f"features[{fi}].parts[{pi}]: rect {p.rect} outside "
                         f"{self.base_w}x{self.base_h} base window")
+                # the scan sums features in int64 and eval_window in float64;
+                # with such weights both hold every partial sum exactly
+                if not (abs(p.weight) <= MAX_WEIGHT and float(p.weight).is_integer()):
+                    raise ValueError(
+                        f"features[{fi}].parts[{pi}]: weight {p.weight!r} is not "
+                        f"an integer of magnitude at most {MAX_WEIGHT}")
 
 
 @dataclass(frozen=True)
@@ -194,27 +212,81 @@ def _scan_sizes(c: Cascade, img_w: int, img_h: int,
     return sizes
 
 
-def _rect_taps(table: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-               r: Rect) -> np.ndarray:
-    """Vectorized 4-tap rectangle sums for rect ``r`` offset to each (x, y)."""
-    return (table[ys + r.bottom, xs + r.right] - table[ys + r.y, xs + r.right]
-            - table[ys + r.bottom, xs + r.x] + table[ys + r.y, xs + r.x])
+_Taps = tuple[tuple[int, int, int], ...]  # (dy, dx, k): k * table[y + dy, x + dx]
 
 
-def _grid_taps(table: np.ndarray, ny: int, nx: int, stride: int,
-               r: Rect) -> np.ndarray:
-    """``_rect_taps`` over every origin of the ``ny`` x ``nx`` grid at
-    ``stride``, read as strided slices of the table; raveled row-major."""
-    def tap(y0: int, x0: int) -> np.ndarray:
-        return table[y0:y0 + (ny - 1) * stride + 1:stride,
-                     x0:x0 + (nx - 1) * stride + 1:stride]
-    return (tap(r.bottom, r.right) - tap(r.y, r.right)
-            - tap(r.bottom, r.x) + tap(r.y, r.x)).ravel()
+def _corner_taps(parts) -> _Taps:
+    """The four corners of each (rect, weight) part with +-weight, summed per
+    distinct corner; zero coefficients are dropped, so corners that parts
+    share merge or cancel.  Parts whose corners all cancel read one tap with
+    coefficient 0, so every feature has a tap."""
+    coef: dict[tuple[int, int], int] = {}
+    for r, weight in parts:
+        k = int(weight)  # integral: Cascade.__post_init__
+        for corner, sign in (((r.y, r.x), 1), ((r.y, r.right), -1),
+                             ((r.bottom, r.x), -1), ((r.bottom, r.right), 1)):
+            coef[corner] = coef.get(corner, 0) + sign * k
+    return tuple((dy, dx, k) for (dy, dx), k in sorted(coef.items()) if k) or ((0, 0, 0),)
 
 
-# windows per row band of one size's grid: the band's float64 temporaries
-# are 256 KiB apiece, so a stage walk stays in cache instead of faulting in
-# fresh pages for every whole-grid temporary
+class _StagePlan(NamedTuple):
+    weak: tuple[tuple[_Taps, float, float, float], ...]  # taps, threshold, left, right
+    threshold: float
+    dy: np.ndarray      # every weak classifier's taps, concatenated in weak order
+    dx: np.ndarray
+    k: np.ndarray       # int64 coefficients, as a column
+    starts: np.ndarray  # first tap of each weak classifier
+
+
+class _SizePlan(NamedTuple):
+    win: Rect
+    window_taps: _Taps  # the window's own corners, for s1 and s2
+    stages: tuple[_StagePlan, ...]
+
+
+def _compile_size(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
+    """Scale every feature to a ``win_w`` x ``win_h`` window (a part pushed
+    outside it raises FeatureEvalError) and turn the parts into corner taps."""
+    scale = win_w / c.base_w
+    feats = [_corner_taps(_scaled_parts(f, scale, win_w, win_h, fi))
+             for fi, f in enumerate(c.features)]
+    stages = []
+    for st in c.stages:
+        weak = tuple((feats[wk.feature_index], wk.threshold, wk.left_value, wk.right_value)
+                     for wk in st.weak)
+        dy, dx, k = np.array([t for taps, *_ in weak for t in taps], dtype=np.int64).T
+        starts = np.cumsum([0] + [len(taps) for taps, *_ in weak[:-1]])
+        stages.append(_StagePlan(weak, st.stage_threshold, dy, dx, k[:, None], starts))
+    win = Rect(0, 0, win_w, win_h)
+    return _SizePlan(win, _corner_taps([(win, 1)]), tuple(stages))
+
+
+# per cascade, by identity: a weak reference (whose callback drops the entry
+# when the cascade is collected) and the cascade's plans by window size;
+# looking a cascade up never hashes its contents
+_plans: dict[int, tuple[weakref.ref, dict[tuple[int, int], _SizePlan]]] = {}
+
+
+def _size_plan(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
+    """The cached plan of ``c`` at one window size, compiled on first use.
+    A size that fails to compile is not cached, so it raises on every call."""
+    key = id(c)
+    entry = _plans.get(key)
+    if entry is None or entry[0]() is not c:
+        def forget(ref, key=key):
+            if _plans.get(key, (None,))[0] is ref:
+                del _plans[key]
+        entry = _plans[key] = (weakref.ref(c, forget), {})
+    sized = entry[1]
+    plan = sized.get((win_w, win_h))
+    if plan is None:
+        plan = sized[win_w, win_h] = _compile_size(c, win_w, win_h)
+    return plan
+
+
+# windows per row band of one size's grid: the band's scratch buffers are
+# 256 KiB apiece, so a stage walk stays in cache instead of faulting in fresh
+# pages for whole-grid arrays
 _BAND_WINDOWS = 32768
 
 _pool: ThreadPoolExecutor | None = None
@@ -259,48 +331,95 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _call(fn):
-    return fn()
+def _grid_sum(acc: np.ndarray, tmp: np.ndarray, table: np.ndarray, taps: _Taps,
+              stride: int) -> None:
+    """``acc`` = the taps' weighted sum at every origin of the ``acc.shape``
+    grid at ``stride``, each tap read as a strided slice of the table."""
+    ny, nx = acc.shape
+    sy, sx = (ny - 1) * stride + 1, (nx - 1) * stride + 1
+    for i, (dy, dx, k) in enumerate(taps):
+        v = table[dy:dy + sy:stride, dx:dx + sx:stride]
+        if i == 0:
+            np.multiply(v, k, out=acc)
+        elif k == 1:
+            np.add(acc, v, out=acc)
+        elif k == -1:
+            np.subtract(acc, v, out=acc)
+        else:
+            np.multiply(v, k, out=tmp)
+            np.add(acc, tmp, out=acc)
 
 
-def _walk_band(c: Cascade, scaled: list, ii: np.ndarray, sq: np.ndarray,
-               ny: int, nx: int, stride: int, win: Rect) -> tuple[np.ndarray, np.ndarray]:
+def _add_votes(score: np.ndarray, norm: np.ndarray, lt: np.ndarray,
+               threshold: float, left: float, right: float) -> None:
+    # score += left where norm < threshold, else right: one float64 addition
+    # per window, as in eval_window
+    np.less(norm, threshold, out=lt)
+    np.add(score, left, out=score, where=lt)
+    np.logical_not(lt, out=lt)
+    np.add(score, right, out=score, where=lt)
+
+
+def _walk_band(plan: _SizePlan, ii: np.ndarray, sq: np.ndarray,
+               ny: int, nx: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
     """The dense-then-sparse stage walk over an ``ny`` x ``nx`` band of origins.
 
     ``ii`` and ``sq`` are the integral tables cut to start at the band's
     first row of origins.  Returns the accepted windows' flat row-major
     indices within the band and their last-stage scores.
     """
-    area = float(win.area)
-    mean = _grid_taps(ii, ny, nx, stride, win) / area
-    var = _grid_taps(sq, ny, nx, stride, win) / area - mean * mean
-    denom = np.where(var > 0, np.sqrt(np.maximum(var, 0.0)), 1.0) * area
-    # only denom lives on through the stages: a lower peak heap is trimmed
-    # and faulted back in less often between walks
-    del mean, var
-
     n = ny * nx
-    alive = np.arange(n, dtype=np.intp)
-    score = np.zeros(0)
-    for stage in c.stages:
-        if len(alive) == n:
-            taps = partial(_grid_taps, ii, ny, nx, stride)
-            adenom = denom
-        else:
-            taps = partial(_rect_taps, ii, (alive % nx) * stride, (alive // nx) * stride)
+    # the band's scratch: every dense step writes into these
+    acc, tmp = np.empty((2, ny, nx), dtype=np.int64)
+    denom, norm, score = np.empty((3, n))
+    lt = np.empty(n, dtype=bool)
+    acc_flat = acc.reshape(n)
+
+    area = float(plan.win.area)
+    _grid_sum(acc, tmp, ii, plan.window_taps, stride)
+    np.true_divide(acc_flat, area, out=norm)            # mean
+    _grid_sum(acc, tmp, sq, plan.window_taps, stride)
+    np.true_divide(acc_flat, area, out=score)
+    np.multiply(norm, norm, out=norm)
+    np.subtract(score, norm, out=score)                 # var
+    np.greater(score, 0.0, out=lt)
+    denom.fill(1.0)
+    np.sqrt(score, out=denom, where=lt)
+    np.multiply(denom, area, out=denom)                 # sigma * area
+
+    width = ii.shape[1]
+    alive = None  # every window of the band, until a stage rejects one
+    for st in plan.stages:
+        if alive is None:
+            score.fill(0.0)
+            for taps, threshold, left, right in st.weak:
+                _grid_sum(acc, tmp, ii, taps, stride)
+                np.true_divide(acc_flat, denom, out=norm)
+                _add_votes(score, norm, lt, threshold, left, right)
+            np.greater_equal(score, st.threshold, out=lt)
+            if lt.all():
+                continue
+            alive = np.flatnonzero(lt)
+            score = score[alive]
+            base = alive // nx * (stride * width) + alive % nx * stride
             adenom = denom[alive]
-        score = np.zeros(len(alive))
-        for wk in stage.weak:
-            raw = np.zeros(len(alive))
-            for r, weight in scaled[wk.feature_index]:
-                raw += weight * taps(r)
-            norm = raw / adenom
-            score += np.where(norm < wk.threshold, wk.left_value, wk.right_value)
-        keep = score >= stage.stage_threshold
-        alive = alive[keep]
-        score = score[keep]
+        else:
+            # the survivors only: one gather per merged corner and window,
+            # then one integer sum per weak classifier
+            m = len(alive)
+            taps = ii.ravel().take((st.dy * width + st.dx)[:, None] + base)
+            taps *= st.k
+            raw = np.add.reduceat(taps, st.starts, axis=0)
+            score = np.zeros(m)
+            for j, (_, threshold, left, right) in enumerate(st.weak):
+                np.true_divide(raw[j], adenom, out=norm[:m])
+                _add_votes(score, norm[:m], lt[:m], threshold, left, right)
+            keep = score >= st.threshold
+            alive, score, base, adenom = alive[keep], score[keep], base[keep], adenom[keep]
         if len(alive) == 0:
             break
+    if alive is None:
+        return np.arange(n, dtype=np.intp), score.copy()
     return alive, score
 
 
@@ -308,45 +427,50 @@ def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detecti
     """Scan the window ladder over the image; all accepted windows, ungrouped.
 
     Output order is deterministic: scale ascending, then y, then x.  The
-    vectorized stage walk reproduces eval_window exactly (same float64
-    operations in the same order), so per-window results agree bit for bit.
+    vectorized stage walk reproduces eval_window exactly (the same integer
+    feature sums, then the same float64 operations in the same order), so
+    per-window results agree bit for bit.
 
-    Each size's windows form an ``ny`` x ``nx`` grid of origins at the
-    stride, cut into row bands of at most ``_BAND_WINDOWS`` windows (at
-    least one row).  Within a band, while no window has been rejected, a
-    stage reads its rectangle sums as strided slices of the integral table;
-    from the first rejection on, it gathers them for the surviving windows
-    only.  Both reads give the same integers, so the switch cannot change a
-    result, and every window is classified on its own, so neither can the
-    cut.  The bands of a size that splits into more than one go to a pool
-    of one thread per usable CPU; the calling thread walks the one-band
-    sizes meanwhile.  Results are collected size by size, then band by band
-    from the top.  The integral tables, part scaling and the ``Detection``
-    objects stay on the calling thread, so a tracer wrapping ``integral``
-    sees every call from one thread.
+    Every size of the ladder takes its cached size plan, compiled on first
+    use; compiling checks that each scaled part stays in the window, so an
+    escaping part raises here, before any band runs, on every call.  Each
+    size's windows form an ``ny`` x ``nx`` grid of origins at the stride,
+    cut into row bands of at most ``_BAND_WINDOWS`` windows (at least one
+    row).  Within a band, while no window has been rejected, each feature
+    sums its merged corner taps as strided slices of the integral table into
+    the band's int64 scratch; from the first rejection on, a stage gathers
+    its corners for the surviving windows only.  Both reads give the same
+    integers, so the switch cannot change a result, and every window is
+    classified on its own, so neither can the cut.  The bands of a size that
+    splits into more than one go to a pool of one thread per usable CPU; the
+    calling thread walks the one-band sizes meanwhile.  Results are
+    collected size by size, then band by band from the top.  The integral
+    tables, the plans and the ``Detection`` objects stay on the calling
+    thread, so a tracer wrapping ``integral`` sees every call from one
+    thread.
     """
     ip = integral(img)
     n_stages = len(c.stages)
     # every feature of every size is checked here, before any band runs
-    ladder = [(win_w, win_h, [_scaled_parts(f, scale, win_w, win_h, fi)
-                              for fi, f in enumerate(c.features)])
-              for win_w, win_h, scale in _scan_sizes(c, img.width, img.height, p)]
+    plans = [_size_plan(c, win_w, win_h)
+             for win_w, win_h, _ in _scan_sizes(c, img.width, img.height, p)]
 
     walked = []  # per size: (window, stride, nx, rows per band, band results from the top)
-    for win_w, win_h, scaled in ladder:
-        stride = max(1, _round_half_up(win_w / p.step_divisor))
-        nx = (img.width - win_w) // stride + 1
-        ny = (img.height - win_h) // stride + 1
+    for plan in plans:
+        win = plan.win
+        stride = max(1, _round_half_up(win.w / p.step_divisor))
+        nx = (img.width - win.w) // stride + 1
+        ny = (img.height - win.h) // stride + 1
         rows = max(1, _BAND_WINDOWS // nx)
-        win = Rect(0, 0, win_w, win_h)
         if ny <= rows:  # one band, walked here and now
-            bands = [_walk_band(c, scaled, ip.ii, ip.sq, ny, nx, stride, win)]
+            bands = [_walk_band(plan, ip.ii, ip.sq, ny, nx, stride)]
         else:
-            walks = [partial(_walk_band, c, scaled, ip.ii[r0 * stride:], ip.sq[r0 * stride:],
-                             min(rows, ny - r0), nx, stride, win)
-                     for r0 in range(0, ny, rows)]
+            r0s = range(0, ny, rows)
             # queued now: the calling thread walks the later, one-band sizes meanwhile
-            bands = _band_pool().map(_call, walks)
+            bands = _band_pool().map(
+                _walk_band, repeat(plan), [ip.ii[r0 * stride:] for r0 in r0s],
+                [ip.sq[r0 * stride:] for r0 in r0s], [min(rows, ny - r0) for r0 in r0s],
+                repeat(nx), repeat(stride))
         walked.append((win, stride, nx, rows, bands))
 
     out: list[Detection] = []

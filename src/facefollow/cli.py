@@ -9,7 +9,6 @@ converged).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .cascade import (Cascade, detect_multiscale, group_detections,
@@ -85,8 +84,6 @@ def cmd_track_sim(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    if not all(math.isfinite(v) for v in (args.vx, args.vy, args.vz)):
-        return _fail("velocities must be finite")
     msg = build_velocity_message(args.vx, args.vy, args.vz,
                                  target_system=args.target_system,
                                  target_component=args.target_component,

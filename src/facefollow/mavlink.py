@@ -83,17 +83,25 @@ class VelocityTargetMessage:
     yaw_rate: float = 0.0
 
 
+def _field(name: str, v: int, top: int) -> int:
+    """``v`` if it fits its unsigned frame field, whose largest value is ``top``."""
+    if not 0 <= v <= top:
+        raise ValueError(f"{name} must lie in 0..{top}, got {v}")
+    return v
+
+
 def build_velocity_message(vx: float, vy: float, vz: float, *,
                            target_system: int = 1, target_component: int = 1,
                            time_boot_ms: int = 0) -> VelocityTargetMessage:
-    """Populate a velocity-only message; every ignored field stays zero."""
+    """Populate a velocity-only message; every ignored field stays zero.
+    A value that does not fit its frame field raises ValueError."""
     for name, v in (("vx", vx), ("vy", vy), ("vz", vz)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
     return VelocityTargetMessage(
-        time_boot_ms=int(time_boot_ms) & 0xFFFFFFFF,
-        target_system=target_system & 0xFF,
-        target_component=target_component & 0xFF,
+        time_boot_ms=_field("time_boot_ms", int(time_boot_ms), 0xFFFFFFFF),
+        target_system=_field("target_system", target_system, 0xFF),
+        target_component=_field("target_component", target_component, 0xFF),
         vx=vx, vy=vy, vz=vz)
 
 
@@ -107,10 +115,11 @@ def _payload(m: VelocityTargetMessage) -> bytes:
 
 def encode_frame(m: VelocityTargetMessage, seq: int = 0, *,
                  sysid: int = 255, compid: int = 0) -> bytes:
-    """61-octet v1 frame: 6-byte header, 53-byte payload, 2-byte checksum."""
+    """61-octet v1 frame: 6-byte header, 53-byte payload, 2-byte checksum.
+    A ``seq``, ``sysid`` or ``compid`` outside 0..255 raises ValueError."""
     payload = _payload(m)
-    header = bytes((MAGIC_V1, PAYLOAD_LEN, seq & 0xFF, sysid & 0xFF,
-                    compid & 0xFF, MSG_ID))
+    header = bytes((MAGIC_V1, PAYLOAD_LEN, _field("seq", seq, 0xFF),
+                    _field("sysid", sysid, 0xFF), _field("compid", compid, 0xFF), MSG_ID))
     crc = x25_crc(header[1:] + payload)
     crc = x25_crc(bytes((CRC_EXTRA,)), crc)
     return header + payload + struct.pack("<H", crc)

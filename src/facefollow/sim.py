@@ -42,10 +42,15 @@ class CameraModel:
 
 @dataclass(frozen=True)
 class TargetPath:
-    """Waypoint schedule; the target walks each leg at constant speed."""
+    """Waypoint schedule; the target walks each leg at constant speed (m/s;
+    0 holds it in place)."""
 
     waypoints: tuple[Ned, ...] = ()
     speed: float = 0.3
+
+    def __post_init__(self):
+        if not self.speed >= 0:
+            raise ValueError(f"speed must be >= 0, got {self.speed}")
 
 
 @dataclass(frozen=True)
@@ -376,7 +381,7 @@ def load_run_config(text: str, cascade_loader=None) -> RunConfig:
                                       for i, w in enumerate(wps))
         if "speed" in t:
             walk["speed"] = _real(t["speed"], "$.target.speed")
-        kw["path"] = TargetPath(**walk)
+        kw["path"] = _build("$.target", TargetPath, **walk)
     if "tracker" in doc:
         kw["tracker"] = _fields(TrackerConfig, doc["tracker"], "$.tracker")
     if "mission" in doc:

@@ -1,8 +1,10 @@
+import gc
 import json
 import math
 import os
 import re
 import signal
+import weakref
 
 import numpy as np
 import pytest
@@ -12,8 +14,10 @@ from facefollow.cascade import (Cascade, CascadeFormatError, Detection, ScanPara
                                 Stage, UnsupportedCascadeError, WeakClassifier,
                                 detect_multiscale, eval_window, group_detections,
                                 import_legacy_xml, parse_cascade, serialize_cascade)
-from facefollow.haar import FeatureKind, FeaturePart, HaarFeature, scale_rect
+from facefollow.haar import (FeatureEvalError, FeatureKind, FeaturePart, HaarFeature,
+                             scale_rect)
 from facefollow.imaging import GrayImage, Rect, integral, rect_sum
+from facefollow.synthetic import build_body_cascade, synthetic_gate_params
 
 from conftest import (accept_all_cascade, fixture_text, random_cascade,
                       random_image, reject_all_cascade)
@@ -116,6 +120,20 @@ class TestParseCascade:
         with pytest.raises(CascadeFormatError, match=re.escape("$.base_w: 3 below minimum 4")):
             parse_cascade(json.dumps(doc))
 
+    @pytest.mark.parametrize("weight", [0.5, -1.25, 65537.0, -65537.0, 1e300])
+    def test_weight_not_an_integer_up_to_2_16_rejected(self, weight):
+        doc = json.loads(MINIMAL_DOC)
+        doc["features"][0]["parts"][1]["weight"] = weight
+        with pytest.raises(CascadeFormatError, match=re.escape(
+                f"$: features[0].parts[1]: weight {weight!r} is not an integer "
+                "of magnitude at most 65536")):
+            parse_cascade(json.dumps(doc))
+
+    def test_weight_of_magnitude_2_16_accepted(self):
+        doc = json.loads(MINIMAL_DOC)
+        doc["features"][0]["parts"][1]["weight"] = -65536
+        assert parse_cascade(json.dumps(doc)).features[0].parts[1].weight == -65536.0
+
 
 class TestCascadeModel:
     """Cascades built in code: the model checks its cross-value rules itself
@@ -139,6 +157,17 @@ class TestCascadeModel:
         with pytest.raises(ValueError, match=re.escape(
                 "stages[0].weak[1].feature: index 2 out of range (table has 1)")) as info:
             Cascade(4, 4, (self.feature(2),), (stage,))
+        assert not isinstance(info.value, CascadeFormatError)
+
+    @pytest.mark.parametrize("weight", [0.5, 2.0 ** 16 + 1, float("nan")])
+    def test_weight_not_an_integer_up_to_2_16(self, weight):
+        stage = Stage((WeakClassifier(0, 0.1, -0.5, 0.5),), 0.0)
+        feat = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(Rect(0, 0, 2, 4), weight),
+                                                  FeaturePart(Rect(2, 0, 2, 4), -1.0)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"features[0].parts[0]: weight {weight!r} is not an integer of "
+                "magnitude at most 65536")) as info:
+            Cascade(4, 4, (feat,), (stage,))
         assert not isinstance(info.value, CascadeFormatError)
 
 
@@ -220,7 +249,11 @@ class TestLegacyImport:
          "outside 20x20 base window"),
         ("0 -1 0 1.3387810066342354e-02", "0 -1 99 1.3387810066342354e-02",
          "cascade: stages[0].weak[0].feature: index 99 out of range (table has 6)"),
-    ], ids=["part-outside-base-window", "feature-index-out-of-range"])
+        ("<_>0 5 20 3 2.</_>", "<_>0 5 20 3 2.5</_>",
+         "cascade: features[0].parts[1]: weight 2.5 is not an integer of "
+         "magnitude at most 65536"),
+    ], ids=["part-outside-base-window", "feature-index-out-of-range",
+            "non-integral-weight"])
     def test_model_rule_reported_at_the_cascade_element(self, old, new, why):
         text = fixture_text("upperbody_20x20.xml").replace(old, new)
         with pytest.raises(CascadeFormatError, match=re.escape(why)):
@@ -488,6 +521,126 @@ class TestDetectMultiscale:
         with pytest.raises(ValueError, match="min_size"):
             detect_multiscale(accept_all_cascade(24, 24), img,
                               ScanParams(min_size=12))
+
+
+def cancelling_cascade(rng) -> Cascade:
+    """The synthetic body cascade's features, whose parts share corners that
+    merge or cancel, plus a feature whose corners all cancel, under random
+    stumps; the first stage reads the all-cancelling feature."""
+    zero = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(Rect(0, 0, 6, 9), 2.0),
+                                              FeaturePart(Rect(0, 0, 6, 9), -2.0)))
+    features = build_body_cascade().features + (zero,)
+    stages = []
+    for si in range(3):
+        weak = [WeakClassifier(rng.randrange(len(features)), rng.uniform(-0.3, 0.3),
+                               rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+                for _ in range(rng.randrange(1, 4))]
+        if si == 0:
+            weak.append(WeakClassifier(4, rng.uniform(-0.1, 0.1), 0.5, -0.5))
+        stages.append(Stage(tuple(weak), rng.uniform(-1.0, 1.0)))
+    return Cascade(12, 18, features, tuple(stages), name="cancelling")
+
+
+def escaping_cascade() -> Cascade:
+    """Feature 1 scales cleanly at 12x12 and escapes a 25x25 window."""
+    inside = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(Rect(0, 0, 4, 4), 1.0),
+                                                FeaturePart(Rect(4, 0, 4, 4), -1.0)))
+    wide = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(Rect(0, 0, 6, 12), 1.0),
+                                              FeaturePart(Rect(6, 0, 6, 12), -1.0)))
+    return Cascade(12, 12, (inside, wide), (Stage((WeakClassifier(0, 0.0, 0.0, 1.0),), -1.0),))
+
+
+class TestSizePlans:
+    """Each (cascade, window size) compiles once to merged corner taps."""
+
+    def test_body_features_read_six_merged_taps(self):
+        c = build_body_cascade()
+        sizes = cascade._scan_sizes(c, 320, 240, synthetic_gate_params(320).body_scan)
+        assert len(sizes) > 10
+        for win_w, win_h, _ in sizes:
+            plan = cascade._size_plan(c, win_w, win_h)
+            # 2-part features: 8 corners, 2 shared; 3-part: 12 corners, 2 cancel
+            # and 4 shared
+            assert [len(taps) for st in plan.stages for taps, *_ in st.weak] == [6] * 4
+            assert plan.window_taps == ((0, 0, 1), (0, win_w, -1),
+                                        (win_h, 0, -1), (win_h, win_w, 1))
+
+    def test_feature_whose_corners_all_cancel_reads_one_zero_tap(self, rng):
+        plan = cascade._size_plan(cancelling_cascade(rng), 15, 23)
+        assert plan.stages[0].weak[-1][0] == ((0, 0, 0),)
+
+    def test_plan_is_cached_per_size(self, rng):
+        c = random_cascade(rng)
+        small, large = cascade._size_plan(c, 12, 12), cascade._size_plan(c, 15, 15)
+        assert cascade._size_plan(c, 12, 12) is small
+        assert small is not large
+        assert (small.win, large.win) == (Rect(0, 0, 12, 12), Rect(0, 0, 15, 15))
+
+    def test_equal_but_distinct_cascade_gets_its_own_plan(self, rng):
+        c = random_cascade(rng)
+        twin = Cascade(c.base_w, c.base_h, c.features, c.stages, name=c.name)
+        assert twin == c and twin is not c
+        assert cascade._size_plan(twin, 12, 12) is not cascade._size_plan(c, 12, 12)
+
+    def test_scans_never_reuse_another_cascades_or_sizes_plan(self, rng):
+        """Cascades with one base window scanned in turn over images whose
+        ladders share sizes: each scan is still its own cascade's eval_window."""
+        cs = [random_cascade(rng, base_w=8, base_h=8, n_stages=2) for _ in range(3)]
+        imgs = [random_image(rng, w, h) for w, h in ((32, 32), (27, 35), (40, 21))]
+        p = ScanParams(scale_factor=1.5, min_size=8, step_divisor=4)
+        accepted = 0
+        for _ in range(2):
+            for c in cs:
+                for img in imgs:
+                    got = {(d.box.x, d.box.y, d.box.w, d.box.h): d.score
+                           for d in detect_multiscale(c, img, p)}
+                    want, _ = per_window_eval(c, img, p)
+                    assert got == want
+                    accepted += len(want)
+        assert accepted
+
+    def test_collected_cascade_leaves_no_plan_behind(self, rng):
+        c = random_cascade(rng)
+        detect_multiscale(c, random_image(rng, 30, 30), ScanParams())
+        key, ref = id(c), weakref.ref(c)
+        assert key in cascade._plans
+        del c
+        gc.collect()
+        assert ref() is None
+        assert key not in cascade._plans
+
+    def test_escaping_cascade_raises_on_every_call(self, rng):
+        c, img = escaping_cascade(), random_image(rng, 30, 30)
+        # the ladder is 12x12, which compiles, then 25x25, which does not
+        p = ScanParams(scale_factor=25 / 12, max_size=25)
+        for _ in range(3):
+            with pytest.raises(FeatureEvalError, match=re.escape(
+                    "feature 1: scaled part 1 (Rect(x=13, y=0, w=13, h=25)) "
+                    "escapes 25x25 window")):
+                detect_multiscale(c, img, p)
+        assert set(cascade._plans[id(c)][1]) == {(12, 12)}
+
+    @pytest.mark.parametrize("first", ["random", "accept-all"])
+    @pytest.mark.parametrize("split", [False, True], ids=["whole", "split-bands"])
+    def test_cancelling_corners_match_per_window_eval(self, rng, monkeypatch, band_pool,
+                                                      first, split):
+        """At several sizes, and with every size cut into bands of at most
+        two windows walked by the pool."""
+        if split:
+            monkeypatch.setattr(cascade, "_BAND_WINDOWS", 2)
+        p = ScanParams(scale_factor=1.25, step_divisor=4)
+        accepted = 0
+        for _ in range(4):
+            c = first_stage(cancelling_cascade(rng), first)
+            img = random_image(rng, 41, 50)
+            got = [(d.box, d.stages_passed, d.score)
+                   for d in detect_multiscale(c, img, p)]
+            want, grids = per_window_eval(c, img, p)
+            assert got == [(Rect(*k), len(c.stages), sc) for k, sc in want.items()]
+            accepted += len(want)
+        assert len(grids) >= 4 and accepted
+        # every size splits, or none does
+        assert band_pool.submitted > 4 * len(grids) if split else band_pool.submitted == 0
 
 
 def brute_force_groups(boxes, eps):

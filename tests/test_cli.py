@@ -170,6 +170,7 @@ class TestTrackSim:
         ({"mission": {"loop_dt": 0.1}}, "$.mission"),
         ({"mission": {"climb_speed": -0.5}}, "$.mission"),
         ({"tracker": {"dead_zone": 0.9}}, "$.tracker"),
+        ({"target": {"speed": -1.0}}, "$.target"),
         ({"mode": "x"}, "$"),
         ({"mode": "rendered"}, "$"),
         ({"cascades": {"body": "no-such-body.json", "face": "no-such-face.json"}},
@@ -220,9 +221,20 @@ class TestEncode:
         msg = decode_frame(frame)
         assert (msg.vx, msg.vy, msg.vz) == (0.5, -0.25, 0.125)
 
-    def test_non_finite_exits_1(self, capsys):
-        code = main(["encode-cmd", "--vx", "nan", "--vy", "0", "--vz", "0"])
+    @pytest.mark.parametrize("flag,value,why", [
+        ("--vx", "nan", "vx must be finite, got nan"),
+        ("--sysid", "999", "sysid must lie in 0..255, got 999"),
+        ("--seq", "256", "seq must lie in 0..255, got 256"),
+        ("--target-system", "-1", "target_system must lie in 0..255, got -1"),
+        ("--time-boot-ms", "-5", "time_boot_ms must lie in 0..4294967295, got -5"),
+    ], ids=["vx-nan", "sysid-999", "seq-256", "target-system-minus-1", "time-boot-ms-minus-5"])
+    def test_bad_value_exits_1(self, capsys, flag, value, why):
+        args = {"--vx": "0", "--vy": "0", "--vz": "0", flag: value}
+        code = main(["encode-cmd", *(x for kv in args.items() for x in kv)])
         assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {why}\n"
 
 
 class TestImportCascade:

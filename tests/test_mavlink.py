@@ -1,3 +1,4 @@
+import re
 import socket
 import struct
 
@@ -46,6 +47,15 @@ class TestMessage:
             with pytest.raises(ValueError, match="finite"):
                 build_velocity_message(bad, 0.0, 0.0)
 
+    @pytest.mark.parametrize("field,value,top", [
+        ("target_system", 256, 255), ("target_system", -1, 255),
+        ("target_component", 999, 255), ("time_boot_ms", -5, 2**32 - 1),
+        ("time_boot_ms", 2**32, 2**32 - 1)])
+    def test_value_outside_its_field_rejected(self, field, value, top):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field} must lie in 0..{top}, got {value}")):
+            build_velocity_message(0.0, 0.0, 0.0, **{field: value})
+
 
 class TestWireFormat:
     def test_frame_length_from_field_sizes(self):
@@ -53,6 +63,21 @@ class TestWireFormat:
         expected = 6 + (4 + 11 * 4 + 2 + 3) + 2
         frame = encode_frame(build_velocity_message(0.0, 0.0, 0.0))
         assert len(frame) == expected == FRAME_LEN == 61
+
+    @pytest.mark.parametrize("field,value", [("seq", 256), ("seq", -1), ("sysid", 999),
+                                             ("compid", 256), ("compid", -1)])
+    def test_header_value_outside_0_255_rejected(self, field, value):
+        kw = {"seq": 0, "sysid": 1, "compid": 1, field: value}
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field} must lie in 0..255, got {value}")):
+            encode_frame(build_velocity_message(0.0, 0.0, 0.0), kw.pop("seq"), **kw)
+
+    def test_field_extremes_round_trip(self):
+        m = build_velocity_message(0.0, 0.0, 0.0, target_system=255, target_component=0,
+                                   time_boot_ms=2**32 - 1)
+        frame = encode_frame(m, 255, sysid=0, compid=255)
+        assert tuple(frame[2:5]) == (255, 0, 255)
+        assert decode_frame(frame) == m
 
     def test_zero_message_crc_matches_bitwise_oracle(self):
         frame = encode_frame(build_velocity_message(0.0, 0.0, 0.0), seq=0,

@@ -128,6 +128,16 @@ class TestStepSim:
             st = step_sim(st, VelocityCommand(0, 0, 0), 0.25)
         assert st.target_pos == Ned(5.2, 0.0, -1.5)
 
+    def test_negative_target_speed_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("speed must be >= 0, got -0.5")):
+            TargetPath((Ned(10.0, 5.0, -1.5),), speed=-0.5)
+
+    def test_zero_target_speed_stands_still(self):
+        st = sim_state(Ned(5.0, 0.0, -1.5), path=TargetPath((Ned(10.0, 5.0, -1.5),), 0.0))
+        for _ in range(4):
+            st = step_sim(st, VelocityCommand(0, 0, 0), 0.25)
+        assert st.target_pos == Ned(5.0, 0.0, -1.5)
+
     def test_bad_dt(self):
         with pytest.raises(ValueError):
             step_sim(sim_state(Ned(5, 0, -1.5)), VelocityCommand(0, 0, 0), 0.0)
@@ -287,6 +297,12 @@ class TestRunConfigJson:
     def test_empty_sections_load_the_defaults(self):
         assert load_run_config(json.dumps({"drone": {}, "target": {}, "battery": {}})) \
             == RunConfig()
+
+    def test_negative_target_speed_names_the_target(self):
+        doc = {"target": {"waypoints": [[8, 0, -2]], "speed": -1.0}}
+        with pytest.raises(ValueError, match=re.escape(
+                "$.target: speed must be >= 0, got -1.0")):
+            load_run_config(json.dumps(doc))
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
