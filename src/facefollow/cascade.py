@@ -5,11 +5,11 @@ feature table.  Window evaluation walks the stages and bails out at the
 first stage whose score falls below its threshold, which is where the
 detector gets its speed.  ``detect_multiscale`` runs the same decision
 vectorized over each scale's window grid.  Each (cascade, window size)
-compiles once into a size plan, cached while the cascade lives: every
-feature's scaled parts become corner taps ``(dy, dx, k)``, summed per
-distinct corner so shared corners merge or cancel.  The grid is cut into
-row bands of at most ``_BAND_WINDOWS`` windows so a band's scratch buffers
-stay in cache.  Within a band the walk is dense, then sparse: while every
+compiles once into a size plan, which the ``Cascade`` keeps in its private
+``_plans`` dict, outside the model's fields: every feature's scaled parts
+become corner taps ``(dy, dx, k)``, summed per distinct corner so shared
+corners merge or cancel.  The grid is cut into row bands of at most
+``_BAND_WINDOWS`` windows so a band's scratch buffers stay in cache.  Within a band the walk is dense, then sparse: while every
 window of the band is still alive, a feature sums its taps as strided
 slices of the integral table in int64; after the first rejection a stage
 gathers its merged corners for the survivors only.  The bands of a scale
@@ -33,7 +33,6 @@ import math
 import os
 import sys
 import threading
-import weakref
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from itertools import repeat
@@ -95,6 +94,9 @@ class Cascade:
     name: str = ""
 
     def __post_init__(self):
+        # size plans by (win_w, win_h), filled by _size_plan; not a field, so
+        # ==, hash and repr see the model only, and replace() starts empty
+        object.__setattr__(self, "_plans", {})
         if self.base_w < 4 or self.base_h < 4:
             raise ValueError(f"base window {self.base_w}x{self.base_h} below 4x4")
         if not self.stages:
@@ -190,8 +192,9 @@ def eval_window(c: Cascade, ip: IntegralPair, window: Rect) -> WindowEval:
 
 
 def _scan_sizes(c: Cascade, img_w: int, img_h: int,
-                p: ScanParams) -> list[tuple[int, int, float]]:
-    """Deduplicated (win_w, win_h, scale) ladder, ascending."""
+                p: ScanParams) -> list[tuple[int, int]]:
+    """Deduplicated (win_w, win_h) ladder, ascending; a size's scale is
+    ``win_w / base_w``."""
     min_w = c.base_w if p.min_size is None else p.min_size
     max_w = img_w if p.max_size is None else min(p.max_size, img_w)
     if min_w < c.base_w:
@@ -203,11 +206,10 @@ def _scan_sizes(c: Cascade, img_w: int, img_h: int,
         win_w = _round_half_up(c.base_w * f)
         if win_w > max_w:
             break
-        scale = win_w / c.base_w
-        win_h = _round_half_up(c.base_h * scale)
+        win_h = _round_half_up(c.base_h * (win_w / c.base_w))
         if win_w >= min_w and win_h <= img_h and (win_w, win_h) not in seen:
             seen.add((win_w, win_h))
-            sizes.append((win_w, win_h, scale))
+            sizes.append((win_w, win_h))
         f *= p.scale_factor
     return sizes
 
@@ -261,26 +263,14 @@ def _compile_size(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
     return _SizePlan(win, _corner_taps([(win, 1)]), tuple(stages))
 
 
-# per cascade, by identity: a weak reference (whose callback drops the entry
-# when the cascade is collected) and the cascade's plans by window size;
-# looking a cascade up never hashes its contents
-_plans: dict[int, tuple[weakref.ref, dict[tuple[int, int], _SizePlan]]] = {}
-
-
 def _size_plan(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
-    """The cached plan of ``c`` at one window size, compiled on first use.
-    A size that fails to compile is not cached, so it raises on every call."""
-    key = id(c)
-    entry = _plans.get(key)
-    if entry is None or entry[0]() is not c:
-        def forget(ref, key=key):
-            if _plans.get(key, (None,))[0] is ref:
-                del _plans[key]
-        entry = _plans[key] = (weakref.ref(c, forget), {})
-    sized = entry[1]
-    plan = sized.get((win_w, win_h))
+    """The plan of ``c`` at one window size, compiled on first use and kept
+    in ``c._plans`` while the cascade lives.  A size that fails to compile is
+    not kept, so it raises on every call.  Two threads that miss at once both
+    compile the size; the plans are equal, so either may stay."""
+    plan = c._plans.get((win_w, win_h))
     if plan is None:
-        plan = sized[win_w, win_h] = _compile_size(c, win_w, win_h)
+        plan = c._plans[win_w, win_h] = _compile_size(c, win_w, win_h)
     return plan
 
 
@@ -453,7 +443,7 @@ def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detecti
     n_stages = len(c.stages)
     # every feature of every size is checked here, before any band runs
     plans = [_size_plan(c, win_w, win_h)
-             for win_w, win_h, _ in _scan_sizes(c, img.width, img.height, p)]
+             for win_w, win_h in _scan_sizes(c, img.width, img.height, p)]
 
     walked = []  # per size: (window, stride, nx, rows per band, band results from the top)
     for plan in plans:
@@ -615,7 +605,7 @@ def _load_json(text: str):
     except json.JSONDecodeError as e:
         raise CascadeFormatError(
             f"$: syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    except ValueError as e:  # an integer literal over the interpreter's digit limit
+    except (ValueError, RecursionError) as e:  # over the interpreter's digit or depth limit
         raise CascadeFormatError(f"$: {e}") from e
 
 

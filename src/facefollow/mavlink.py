@@ -24,8 +24,12 @@ FRAME_LEN = 6 + PAYLOAD_LEN + 2
 # the velocity bits (3..5) stay clear so vx/vy/vz are honored
 TYPE_MASK_VELOCITY_ONLY = 0x0DC7
 
-# v1 size-sorted field order: twelve 4-byte fields, one u16, three u8
+# v1 size-sorted field order: twelve 4-byte fields, one u16, three u8; frames
+# are packed and unpacked by these names
 _PAYLOAD_FMT = struct.Struct("<I11fHBBB")
+_PAYLOAD_FIELDS = ("time_boot_ms", "x", "y", "z", "vx", "vy", "vz", "afx", "afy", "afz",
+                   "yaw", "yaw_rate", "type_mask", "target_system", "target_component",
+                   "coordinate_frame")
 
 
 class FrameError(ValueError):
@@ -105,24 +109,20 @@ def build_velocity_message(vx: float, vy: float, vz: float, *,
         vx=vx, vy=vy, vz=vz)
 
 
-def _payload(m: VelocityTargetMessage) -> bytes:
-    return _PAYLOAD_FMT.pack(
-        m.time_boot_ms,
-        m.x, m.y, m.z, m.vx, m.vy, m.vz, m.afx, m.afy, m.afz,
-        m.yaw, m.yaw_rate,
-        m.type_mask, m.target_system, m.target_component, m.coordinate_frame)
+def _checksum(body: bytes) -> int:
+    """The X25 CRC of ``body``, the frame after its start byte, extended with
+    CRC_EXTRA."""
+    return x25_crc(bytes((CRC_EXTRA,)), x25_crc(body))
 
 
 def encode_frame(m: VelocityTargetMessage, seq: int = 0, *,
                  sysid: int = 255, compid: int = 0) -> bytes:
     """61-octet v1 frame: 6-byte header, 53-byte payload, 2-byte checksum.
     A ``seq``, ``sysid`` or ``compid`` outside 0..255 raises ValueError."""
-    payload = _payload(m)
-    header = bytes((MAGIC_V1, PAYLOAD_LEN, _field("seq", seq, 0xFF),
-                    _field("sysid", sysid, 0xFF), _field("compid", compid, 0xFF), MSG_ID))
-    crc = x25_crc(header[1:] + payload)
-    crc = x25_crc(bytes((CRC_EXTRA,)), crc)
-    return header + payload + struct.pack("<H", crc)
+    body = bytes((PAYLOAD_LEN, _field("seq", seq, 0xFF), _field("sysid", sysid, 0xFF),
+                  _field("compid", compid, 0xFF), MSG_ID))
+    body += _PAYLOAD_FMT.pack(*(getattr(m, name) for name in _PAYLOAD_FIELDS))
+    return bytes((MAGIC_V1,)) + body + struct.pack("<H", _checksum(body))
 
 
 def decode_frame(data: bytes) -> VelocityTargetMessage:
@@ -135,29 +135,23 @@ def decode_frame(data: bytes) -> VelocityTargetMessage:
             f"got {len(data)} octets / payload {data[1] if len(data) > 1 else '?'}")
     if data[5] != MSG_ID:
         raise WrongMsgId(f"expected message id {MSG_ID}, got {data[5]}")
-    crc = x25_crc(data[1:-2])
-    crc = x25_crc(bytes((CRC_EXTRA,)), crc)
+    crc = _checksum(data[1:-2])
     (got,) = struct.unpack("<H", data[-2:])
     if got != crc:
         raise BadCrc(f"checksum 0x{got:04X} != computed 0x{crc:04X}")
-    vals = _PAYLOAD_FMT.unpack(data[6:-2])
-    return VelocityTargetMessage(
-        time_boot_ms=vals[0],
-        x=vals[1], y=vals[2], z=vals[3],
-        vx=vals[4], vy=vals[5], vz=vals[6],
-        afx=vals[7], afy=vals[8], afz=vals[9],
-        yaw=vals[10], yaw_rate=vals[11],
-        type_mask=vals[12], target_system=vals[13],
-        target_component=vals[14], coordinate_frame=vals[15])
+    return VelocityTargetMessage(**dict(zip(_PAYLOAD_FIELDS,
+                                            _PAYLOAD_FMT.unpack(data[6:-2]))))
 
 
 class CommandSink:
     """Orders frames onto a destination with a wrapping u8 sequence counter."""
 
     def __init__(self, initial_seq: int = 0, sysid: int = 255, compid: int = 0):
-        self._seq = initial_seq & 0xFF
-        self._sysid = sysid
-        self._compid = compid
+        """A value outside 0..255 raises ValueError, before a subclass opens
+        its destination."""
+        self._seq = _field("initial_seq", initial_seq, 0xFF)
+        self._sysid = _field("sysid", sysid, 0xFF)
+        self._compid = _field("compid", compid, 0xFF)
 
     @property
     def next_seq(self) -> int:

@@ -91,6 +91,15 @@ class TestDetect:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: $: ")
 
+    def test_deeply_nested_cascade_exits_1(self, tmp_path, scene_image, capsys):
+        img_path, _ = scene_image
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 1000)
+        code = main(["detect", "--body-cascade", str(deep), "--image", img_path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: $: ") and err.count("\n") == 1
+
     def test_part_escaping_a_scaled_window_exits_1(self, tmp_path, scene_image,
                                                   capsys):
         """The reader accepts the cascade; the scan finds at the 6x6 window
@@ -177,6 +186,7 @@ class TestTrackSim:
          "$.cascades.body"),
         pytest.param('{"ticks": 3,', "$", id="syntax-error"),
         pytest.param('{"ticks": ' + "1" * 5000 + "}", "$", id="5000-digit-integer"),
+        pytest.param("[" * 1000, "$", id="nested-1000-deep"),
     ])
     def test_bad_value_exits_1_naming_path(self, tmp_path, capsys, over, path):
         """``over`` is merged into a valid document, or is the raw text."""

@@ -1,6 +1,7 @@
 import re
 import socket
 import struct
+from functools import partial
 
 import pytest
 
@@ -169,6 +170,24 @@ class TestSinks:
         seqs = [sink.send(build_velocity_message(0, 0, 0))[2] for _ in range(600)]
         for a, b in zip(seqs, seqs[1:]):
             assert b == (a + 1) % 256
+
+    @pytest.mark.parametrize("field,value", [("initial_seq", 300), ("initial_seq", -1),
+                                             ("sysid", 999), ("compid", 256),
+                                             ("compid", -1)])
+    @pytest.mark.parametrize("kind", ["null", "file", "udp"])
+    def test_id_outside_0_255_rejected_when_built(self, tmp_path, monkeypatch,
+                                                  kind, field, value):
+        """Checked before a file or socket is opened."""
+        def no_socket(*a):
+            raise AssertionError("socket opened")
+        monkeypatch.setattr(socket, "socket", no_socket)
+        path = tmp_path / "cmds.bin"
+        make = {"null": NullSink, "file": partial(FileSink, str(path)),
+                "udp": partial(UdpSink, "127.0.0.1", 14550)}[kind]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field} must lie in 0..255, got {value}")):
+            make(**{field: value})
+        assert not path.exists()
 
     def test_udp_loopback_byte_identical(self):
         rx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
