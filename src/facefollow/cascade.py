@@ -124,7 +124,6 @@ class Cascade:
 @dataclass(frozen=True)
 class Detection:
     box: Rect
-    stages_passed: int
     score: float
     neighbors: int = 0
 
@@ -138,8 +137,9 @@ class WindowEval:
 
 @dataclass
 class ScanParams:
-    """Multi-scale scan settings; grouping knobs ride along for the
-    detect-then-group pipelines (detect_multiscale itself ignores them)."""
+    """Multi-scale scan settings; ``min_neighbors`` and ``eps`` are the
+    grouping settings ``gated.detect_grouped`` applies to the scan's windows
+    (detect_multiscale itself ignores them)."""
 
     scale_factor: float = 1.2
     min_size: int | None = None   # window width floor; defaults to the base width
@@ -440,7 +440,6 @@ def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detecti
     thread.
     """
     ip = integral(img)
-    n_stages = len(c.stages)
     # every feature of every size is checked here, before any band runs
     plans = [_size_plan(c, win_w, win_h)
              for win_w, win_h in _scan_sizes(c, img.width, img.height, p)]
@@ -468,7 +467,7 @@ def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detecti
         for b, (alive, score) in enumerate(bands):
             for idx, sc in zip(alive.tolist(), score.tolist()):
                 out.append(Detection(Rect(idx % nx * stride, (b * rows + idx // nx) * stride,
-                                          win.w, win.h), n_stages, sc))
+                                          win.w, win.h), sc))
     return out
 
 
@@ -487,7 +486,8 @@ def group_detections(dets: list[Detection], min_neighbors: int = 3,
     similar boxes is one cluster.  Clusters come out ordered by their
     smallest member index.  The representative box is the rounded mean of
     (x, y, right, bottom) so it stays inside the cluster's convex bounds;
-    ``neighbors`` reports the cluster population.
+    its ``score`` is the best member score and ``neighbors`` the cluster
+    population.  ``gated.detect_grouped`` runs it after each scan.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -526,12 +526,8 @@ def group_detections(dets: list[Detection], min_neighbors: int = 3,
             continue
         bx, by, br, bb = (_round_half_up(int(v) / k)
                           for v in corners[members].sum(axis=0))
-        out.append(Detection(
-            Rect(bx, by, br - bx, bb - by),
-            stages_passed=max(dets[j].stages_passed for j in members),
-            score=max(dets[j].score for j in members),
-            neighbors=k,
-        ))
+        out.append(Detection(Rect(bx, by, br - bx, bb - by),
+                             max(dets[j].score for j in members), neighbors=k))
     return out
 
 
@@ -611,11 +607,6 @@ def _load_json(text: str):
 
 # --- canonical JSON form ----------------------------------------------------
 
-_KIND_NAMES = {FeatureKind.TWO_RECT: "two", FeatureKind.THREE_RECT: "three",
-               FeatureKind.FOUR_RECT: "four"}
-_NAMES_KIND = {v: k for k, v in _KIND_NAMES.items()}
-
-
 def parse_cascade(text: str) -> Cascade:
     """Parse the canonical JSON cascade document (strict: unknown keys rejected)."""
     doc = _obj(_load_json(text), "$",
@@ -628,9 +619,11 @@ def parse_cascade(text: str) -> Cascade:
     for fi, fobj in enumerate(_array(doc["features"], "$.features")):
         path = f"$.features[{fi}]"
         _obj(fobj, path, required=("kind", "parts"))
-        kind = _NAMES_KIND.get(_str(fobj["kind"], f"{path}.kind"))
-        if kind is None:
-            raise CascadeFormatError(f"{path}.kind: unknown kind {fobj['kind']!r}")
+        kind_name = _str(fobj["kind"], f"{path}.kind")
+        try:
+            kind = FeatureKind(kind_name)
+        except ValueError:
+            raise CascadeFormatError(f"{path}.kind: unknown kind {kind_name!r}") from None
         parts = []
         for pi, pobj in enumerate(_array(fobj["parts"], f"{path}.parts", 2, 4)):
             ppath = f"{path}.parts[{pi}]"
@@ -663,7 +656,7 @@ def serialize_cascade(c: Cascade) -> str:
         "base_w": c.base_w,
         "base_h": c.base_h,
         "features": [
-            {"kind": _KIND_NAMES[f.kind],
+            {"kind": f.kind.value,
              "parts": [{"x": p.rect.x, "y": p.rect.y, "w": p.rect.w,
                         "h": p.rect.h, "weight": p.weight} for p in f.parts]}
             for f in c.features

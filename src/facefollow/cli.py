@@ -11,10 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cascade import (Cascade, detect_multiscale, group_detections,
-                      import_legacy_xml, parse_cascade, serialize_cascade)
+from .cascade import Cascade, import_legacy_xml, parse_cascade, serialize_cascade
 from .dataset import parse_negative_manifest, parse_positive_manifest, validate_dataset
-from .gated import BODY_COLOR, FACE_COLOR, GateParams, detect_gated
+from .gated import BODY_COLOR, FACE_COLOR, GateParams, detect_gated, detect_grouped
 from .imaging import decode_pnm, draw_box, encode_ppm, to_rgb
 from .mavlink import build_velocity_message, encode_frame
 from .sim import converged, load_run_config, run_closed_loop
@@ -46,9 +45,7 @@ def cmd_detect(args) -> int:
             rows.append(("body", d.body.box, d.body.score, d.body.neighbors))
             rows.append(("face", d.face.box, d.face.score, d.face.neighbors))
     else:
-        raw = detect_multiscale(body_c, img, gate.body_scan)
-        for d in group_detections(raw, gate.body_scan.min_neighbors,
-                                  gate.body_scan.eps):
+        for d in detect_grouped(body_c, img, gate.body_scan):
             rows.append(("body", d.box, d.score, d.neighbors))
 
     if args.csv:

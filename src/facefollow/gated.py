@@ -32,7 +32,7 @@ class GatedDetection:
 class GateParams:
     """Scan settings of the two steps.
 
-    ``face_scan.min_size`` is ignored: each body's face scan starts at
+    ``face_scan.min_size`` must be ``None``: each body's face scan starts at
     ``max(face base width, face_min_fraction * body width)``.
     """
 
@@ -44,6 +44,21 @@ class GateParams:
         if not 0.0 < self.face_min_fraction <= 1.0:
             raise ValueError(
                 f"face_min_fraction must lie in (0, 1], got {self.face_min_fraction}")
+        if self.face_scan.min_size is not None:
+            raise ValueError(
+                f"face_scan.min_size must be None (set per body by face_min_fraction), "
+                f"got {self.face_scan.min_size}")
+
+
+def _rank(box: Rect) -> tuple[int, int, int]:
+    """``min`` key of the box ranking: largest area, ties to the topmost-leftmost,
+    then to the first in order."""
+    return (-box.area, box.y, box.x)
+
+
+def detect_grouped(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detection]:
+    """Scan ``img`` with ``c`` and group the windows by ``p``'s grouping settings."""
+    return group_detections(detect_multiscale(c, img, p), p.min_neighbors, p.eps)
 
 
 def detect_gated(body_c: Cascade, face_c: Cascade, img: GrayImage,
@@ -52,32 +67,25 @@ def detect_gated(body_c: Cascade, face_c: Cascade, img: GrayImage,
 
     The face scan runs on the cropped body region with its minimum window
     width raised to face_min_fraction of the body width; face boxes are
-    mapped back to full-image coordinates.  At most one face (largest area,
-    ties to the topmost-leftmost) is kept per body.
+    mapped back to full-image coordinates.  At most one face, the first by
+    ``_rank``, is kept per body.
     """
     p = p or GateParams()
-    bodies_raw = detect_multiscale(body_c, img, p.body_scan)
-    bodies = group_detections(bodies_raw, p.body_scan.min_neighbors, p.body_scan.eps)
-
     out: list[GatedDetection] = []
-    for body in bodies:
+    for body in detect_grouped(body_c, img, p.body_scan):
         min_w = max(face_c.base_w,
                     _round_half_up(p.face_min_fraction * body.box.w))
-        scan = replace(p.face_scan, min_size=min_w)
-        faces = group_detections(detect_multiscale(face_c, img.crop(body.box), scan),
-                                 scan.min_neighbors, scan.eps)
+        faces = detect_grouped(face_c, img.crop(body.box),
+                               replace(p.face_scan, min_size=min_w))
         if not faces:
             continue
-        best = max(faces, key=lambda d: (d.box.area, -d.box.y, -d.box.x))
+        best = min(faces, key=lambda d: _rank(d.box))
         placed = Rect(body.box.x + best.box.x, body.box.y + best.box.y,
                       best.box.w, best.box.h)
-        out.append(GatedDetection(body, Detection(placed, best.stages_passed,
-                                                  best.score, best.neighbors)))
+        out.append(GatedDetection(body, replace(best, box=placed)))
     return out
 
 
 def select_target(dets: list[GatedDetection]) -> GatedDetection | None:
-    """Pick the entry with the largest face area; ties go to smallest (y, x)."""
-    if not dets:
-        return None
-    return min(dets, key=lambda d: (-d.face.box.area, d.face.box.y, d.face.box.x))
+    """The entry whose face comes first by ``_rank``; None when there is none."""
+    return min(dets, key=lambda d: _rank(d.face.box), default=None)

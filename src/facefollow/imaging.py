@@ -194,13 +194,15 @@ def decode_pnm(data: bytes) -> GrayImage:
 
     samples = width * height * (3 if color else 1)
     if ascii_form:
-        flat = np.empty(samples, dtype=np.int64)
-        for i in range(samples):
+        # grown as samples are read, so a header cannot reserve what the input lacks
+        buf = bytearray()
+        for _ in range(samples):
             at = pos
             v, pos = _next_int(data, pos, "sample value")
             if v > maxval:
                 raise PnmParseError(f"sample {v} exceeds maxval {maxval}", at)
-            flat[i] = v
+            buf.append(v)
+        flat = np.frombuffer(buf, dtype=np.uint8).astype(np.int64)
     else:
         # exactly one whitespace byte separates maxval from binary payload
         if not data[pos:pos + 1].isspace():

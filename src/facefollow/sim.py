@@ -219,8 +219,8 @@ def _oracle_detections(state: SimState, cam: CameraModel) -> list[GatedDetection
     boxes = project_target(state, cam)
     if boxes is None:
         return []
-    body = Detection(boxes["body"], stages_passed=1, score=1.0, neighbors=1)
-    face = Detection(boxes["face"], stages_passed=1, score=1.0, neighbors=1)
+    body = Detection(boxes["body"], score=1.0, neighbors=1)
+    face = Detection(boxes["face"], score=1.0, neighbors=1)
     return [GatedDetection(body, face)]
 
 

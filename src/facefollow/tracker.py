@@ -89,33 +89,25 @@ def normalized_error(cx: float, cy: float, img_w: int, img_h: int) -> tuple[floa
 
 
 def _band(e: float, cfg: TrackerConfig) -> int:
-    """0 = dead zone, 1 = slow, 2 = fast; boundary values take the lower band."""
+    """Error band signed like ``e``: 0 = dead zone, ±1 = slow, ±2 = fast;
+    boundary values take the lower band."""
     a = abs(e)
-    if a <= cfg.dead_zone:
-        return 0
-    if a <= cfg.fast_threshold:
-        return 1
-    return 2
+    band = 0 if a <= cfg.dead_zone else 1 if a <= cfg.fast_threshold else 2
+    return band if e > 0 else -band
+
+
+# zones by signed band + 2, negative (left, up) to positive (right, down)
+_HORIZ = (HorizZone.FAST_LEFT, HorizZone.SLOW_LEFT, HorizZone.CENTER,
+          HorizZone.SLOW_RIGHT, HorizZone.FAST_RIGHT)
+_VERT = (VertZone.FAST_UP, VertZone.SLOW_UP, VertZone.CENTER,
+         VertZone.SLOW_DOWN, VertZone.FAST_DOWN)
 
 
 def classify_zone(cx: float, cy: float, img_w: int, img_h: int,
                   cfg: TrackerConfig) -> Zone:
     """Zone of a pixel centroid under the config's error bands."""
     ex, ey = normalized_error(cx, cy, img_w, img_h)
-    hb, vb = _band(ex, cfg), _band(ey, cfg)
-    if hb == 0:
-        horiz = HorizZone.CENTER
-    elif ex < 0:
-        horiz = HorizZone.SLOW_LEFT if hb == 1 else HorizZone.FAST_LEFT
-    else:
-        horiz = HorizZone.SLOW_RIGHT if hb == 1 else HorizZone.FAST_RIGHT
-    if vb == 0:
-        vert = VertZone.CENTER
-    elif ey < 0:
-        vert = VertZone.SLOW_UP if vb == 1 else VertZone.FAST_UP
-    else:
-        vert = VertZone.SLOW_DOWN if vb == 1 else VertZone.FAST_DOWN
-    return Zone(horiz, vert)
+    return Zone(_HORIZ[_band(ex, cfg) + 2], _VERT[_band(ey, cfg) + 2])
 
 
 def centroid_of(box) -> tuple[float, float]:
@@ -136,9 +128,9 @@ def compute_command(target: Detection | None, img_w: int, img_h: int,
     cx, cy = centroid_of(target.box)
     ex, ey = normalized_error(cx, cy, img_w, img_h)
 
-    hb, vb = _band(ex, cfg), _band(ey, cfg)
-    vy = 0.0 if hb == 0 else (cfg.roll_s if hb == 1 else cfg.roll_f) * (1 if ex > 0 else -1)
-    vz = 0.0 if vb == 0 else (cfg.th_s if vb == 1 else cfg.th_f) * (1 if ey > 0 else -1)
+    # by signed band + 2; the dead zone is +0.0, never -0.0
+    vy = (-cfg.roll_f, -cfg.roll_s, 0.0, cfg.roll_s, cfg.roll_f)[_band(ex, cfg) + 2]
+    vz = (-cfg.th_f, -cfg.th_s, 0.0, cfg.th_s, cfg.th_f)[_band(ey, cfg) + 2]
 
     ratio = target.box.w / img_w
     if ratio < cfg.width_far:

@@ -84,6 +84,15 @@ class TestParseCascade:
                 "$: stages[0].weak[0].feature: index 1 out of range (table has 1)")):
             parse_cascade(json.dumps(doc))
 
+    @pytest.mark.parametrize("kind", ["five", "TWO_RECT"])
+    def test_unknown_feature_kind_rejected(self, kind):
+        """A kind is a FeatureKind value; an enum member's name is not one."""
+        doc = json.loads(MINIMAL_DOC)
+        doc["features"][0]["kind"] = kind
+        with pytest.raises(CascadeFormatError, match=re.escape(
+                f"$.features[0].kind: unknown kind {kind!r}")):
+            parse_cascade(json.dumps(doc))
+
     def test_unknown_key_rejected(self):
         doc = json.loads(MINIMAL_DOC)
         doc["surprise"] = 1
@@ -440,10 +449,9 @@ class TestDetectMultiscale:
                                            n_stages=3), first)
             img = random_image(rng, img_w, img_h)
             p = ScanParams(scale_factor=1.3, step_divisor=rng.choice([2, 3]))
-            got = [(d.box, d.stages_passed, d.score)
-                   for d in detect_multiscale(c, img, p)]
+            got = [(d.box, d.score) for d in detect_multiscale(c, img, p)]
             want, grids = per_window_eval(c, img, p)
-            assert got == [(Rect(*k), len(c.stages), sc) for k, sc in want.items()]
+            assert got == [(Rect(*k), sc) for k, sc in want.items()]
             shapes |= grids
             if first == "reject-all":
                 assert got == []
@@ -461,10 +469,9 @@ class TestDetectMultiscale:
         for _ in range(4):
             c = first_stage(random_cascade(rng, base_w=8, base_h=5, n_stages=3), first)
             img = random_image(rng, 38, 47)
-            got = [(d.box, d.stages_passed, d.score)
-                   for d in detect_multiscale(c, img, p)]
+            got = [(d.box, d.score) for d in detect_multiscale(c, img, p)]
             want, grids = per_window_eval(c, img, p)
-            assert got == [(Rect(*k), len(c.stages), sc) for k, sc in want.items()]
+            assert got == [(Rect(*k), sc) for k, sc in want.items()]
         rows = {g: max(1, 2 // g[3]) for g in grids}  # g: (w, h, stride, nx, ny)
         assert all(g[4] > r for g, r in rows.items())  # every size splits
         assert any(g[3] > 2 for g in rows)  # one-row bands of more than 2 windows
@@ -639,10 +646,9 @@ class TestSizePlans:
         for _ in range(4):
             c = first_stage(cancelling_cascade(rng), first)
             img = random_image(rng, 41, 50)
-            got = [(d.box, d.stages_passed, d.score)
-                   for d in detect_multiscale(c, img, p)]
+            got = [(d.box, d.score) for d in detect_multiscale(c, img, p)]
             want, grids = per_window_eval(c, img, p)
-            assert got == [(Rect(*k), len(c.stages), sc) for k, sc in want.items()]
+            assert got == [(Rect(*k), sc) for k, sc in want.items()]
             accepted += len(want)
         assert len(grids) >= 4 and accepted
         # every size splits, or none does
@@ -679,32 +685,32 @@ def brute_force_groups(boxes, eps):
 
 class TestGrouping:
     def test_dissimilar_boxes_kept_verbatim(self):
-        dets = [Detection(Rect(0, 0, 10, 10), 1, 1.0),
-                Detection(Rect(100, 100, 10, 10), 1, 1.0),
-                Detection(Rect(0, 100, 40, 40), 1, 1.0)]
+        dets = [Detection(Rect(0, 0, 10, 10), 1.0),
+                Detection(Rect(100, 100, 10, 10), 1.0),
+                Detection(Rect(0, 100, 40, 40), 1.0)]
         out = group_detections(dets, min_neighbors=0, eps=0.2)
         assert [d.box for d in out] == [d.box for d in dets]
         assert all(d.neighbors == 1 for d in out)
 
     def test_identical_boxes_collapse(self):
         k = 5
-        dets = [Detection(Rect(10, 20, 30, 40), 1, 1.0) for _ in range(k)]
+        dets = [Detection(Rect(10, 20, 30, 40), 1.0) for _ in range(k)]
         out = group_detections(dets, min_neighbors=k - 1, eps=0.2)
         assert len(out) == 1
         assert out[0].box == Rect(10, 20, 30, 40)
         assert out[0].neighbors == k
 
     def test_small_clusters_dropped(self):
-        dets = [Detection(Rect(0, 0, 10, 10), 1, 1.0),
-                Detection(Rect(1, 0, 10, 10), 1, 1.0),
-                Detection(Rect(200, 200, 10, 10), 1, 1.0)]
+        dets = [Detection(Rect(0, 0, 10, 10), 1.0),
+                Detection(Rect(1, 0, 10, 10), 1.0),
+                Detection(Rect(200, 200, 10, 10), 1.0)]
         out = group_detections(dets, min_neighbors=1, eps=0.2)
         assert len(out) == 1
         assert out[0].neighbors == 2
 
     def test_partitions_match_brute_force_components(self, rng):
         """Full output against a reference built from the brute-force
-        components: boxes, neighbors, score, stages_passed and order."""
+        components: boxes, neighbors, score and order."""
         for trial in range(12):
             n = rng.randrange(0, 25) if trial % 2 else rng.randrange(0, 600)
             boxes = []
@@ -712,8 +718,7 @@ class TestGrouping:
                 cx, cy = rng.randrange(200), rng.randrange(200)
                 w = rng.randrange(8, 40)
                 boxes.append(Rect(cx, cy, w, w + rng.randrange(0, 6)))
-            dets = [Detection(b, rng.randrange(1, 5), rng.uniform(-1.0, 1.0))
-                    for b in boxes]
+            dets = [Detection(b, rng.uniform(-1.0, 1.0)) for b in boxes]
             min_neighbors = rng.randrange(0, 4)
             want = []
             for comp in brute_force_groups(boxes, 0.25):
@@ -723,17 +728,15 @@ class TestGrouping:
                 x, y, r, b = (math.floor(sum(v) / k + 0.5) for v in zip(
                     *((boxes[i].x, boxes[i].y, boxes[i].right, boxes[i].bottom)
                       for i in comp)))
-                want.append(Detection(
-                    Rect(x, y, r - x, b - y),
-                    max(dets[i].stages_passed for i in comp),
-                    max(dets[i].score for i in comp), k))
+                want.append(Detection(Rect(x, y, r - x, b - y),
+                                      max(dets[i].score for i in comp), neighbors=k))
             assert group_detections(dets, min_neighbors, eps=0.25) == want
 
     def test_chain_of_similar_boxes_is_one_cluster(self):
         # delta = 0.2 * 40 / 4 = 2: a~b and b~c, but a and c are 4 apart
         a, b, c = Rect(0, 0, 10, 10), Rect(2, 0, 10, 10), Rect(4, 0, 10, 10)
         far = Rect(100, 100, 10, 10)
-        dets = [Detection(r, 1, 1.0) for r in (a, far, c, b)]
+        dets = [Detection(r, 1.0) for r in (a, far, c, b)]
         out = group_detections(dets, min_neighbors=0, eps=0.2)
         assert [(d.box, d.neighbors) for d in out] == [
             (Rect(2, 0, 10, 10), 3), (far, 1)]
@@ -745,7 +748,7 @@ class TestGrouping:
             dets = [Detection(Rect(base.x + rng.randrange(-2, 3),
                                    base.y + rng.randrange(-2, 3),
                                    base.w + rng.randrange(0, 3),
-                                   base.h + rng.randrange(0, 3)), 1, 1.0)
+                                   base.h + rng.randrange(0, 3)), 1.0)
                     for _ in range(6)]
             out = group_detections(dets, min_neighbors=0, eps=0.3)
             for g in out:

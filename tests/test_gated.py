@@ -36,7 +36,7 @@ class TestDetectGated:
         gate = GateParams(
             body_scan=ScanParams(scale_factor=2.0, min_size=128, max_size=128,
                                  step_divisor=1, min_neighbors=0, eps=0.2),
-            face_scan=face_scan,
+            face_scan=replace(face_scan, min_size=None),
             face_min_fraction=12 / 128)
         gated = detect_gated(accept_all_cascade(16, 16), face_c, img, gate)
 
@@ -163,10 +163,41 @@ class TestDetectGated:
         assert band_pool.submitted == submitted
 
 
+# (face boxes in scan order, index of the one both rankings keep)
+RANK_TIES = [
+    pytest.param([Rect(20, 12, 8, 8), Rect(20, 10, 8, 8), Rect(10, 10, 8, 8),
+                  Rect(5, 14, 16, 4)], 2, id="equal-area-topmost-then-leftmost"),
+    pytest.param([Rect(10, 10, 4, 16), Rect(10, 10, 16, 4), Rect(10, 10, 8, 8)], 0,
+                 id="equal-area-and-origin-first-wins"),
+]
+
+
+@pytest.mark.parametrize("faces,want", RANK_TIES)
+def test_face_ties_in_one_body(monkeypatch, faces, want):
+    """The per-body face choice; the kept face keeps its score and neighbors."""
+    body_c, face_c = accept_all_cascade(16, 16), accept_all_cascade(8, 8)
+    body = Detection(Rect(30, 40, 60, 60), 0.5, neighbors=3)
+    found = [Detection(r, float(i), neighbors=i + 1) for i, r in enumerate(faces)]
+    monkeypatch.setattr("facefollow.gated.detect_grouped",
+                        lambda c, img, p: [body] if c is body_c else found)
+    img = render_scene(128, 128, Rect(50, 50, 16, 16), Rect(30, 40, 60, 60))
+    out = detect_gated(body_c, face_c, img)
+    r = faces[want]
+    assert out == [GatedDetection(body, Detection(Rect(30 + r.x, 40 + r.y, r.w, r.h),
+                                                  float(want), neighbors=want + 1))]
+
+
+@pytest.mark.parametrize("faces,want", RANK_TIES)
+def test_target_ties(faces, want):
+    entries = [GatedDetection(Detection(Rect(0, 0, 40, 40), 1.0), Detection(r, 1.0))
+               for r in faces]
+    assert select_target(entries) is entries[want]
+
+
 class TestSelectTarget:
     def d(self, x, y, w, h):
-        body = Detection(Rect(max(0, x - 10), max(0, y - 10), w + 20, h + 20), 1, 1.0)
-        return GatedDetection(body, Detection(Rect(x, y, w, h), 1, 1.0))
+        body = Detection(Rect(max(0, x - 10), max(0, y - 10), w + 20, h + 20), 1.0)
+        return GatedDetection(body, Detection(Rect(x, y, w, h), 1.0))
 
     def test_empty_is_none(self):
         assert select_target([]) is None
@@ -207,3 +238,9 @@ class TestSelectTarget:
 def test_gate_params_validation():
     with pytest.raises(ValueError):
         GateParams(face_min_fraction=0.0)
+
+
+def test_gate_params_reject_a_face_scan_min_size():
+    """Each body sets the face scan's floor, so a configured one is an error."""
+    with pytest.raises(ValueError, match=r"face_scan\.min_size must be None"):
+        GateParams(face_scan=ScanParams(min_size=24))

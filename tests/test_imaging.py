@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,20 @@ class TestDecodePnm:
             decode_pnm(b"P2 2 1 255 7x")
         assert str(ei.value) == ("malformed header: expected sample value "
                                  "(byte offset 12)")
+
+    def test_ascii_header_reserves_no_memory_for_missing_samples(self):
+        """The header names 8192x8192 color samples, the input holds one: the
+        decoder fails at the second sample, not at a table of 201M samples."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(PnmParseError) as ei:
+                decode_pnm(b"P3 8192 8192 255\n1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(ei.value) == ("malformed header: expected sample value "
+                                 "(byte offset 18)")
+        assert peak < 1 << 20
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="interpreter has no integer digit limit")

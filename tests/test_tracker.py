@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from facefollow.cascade import Detection
@@ -11,7 +13,7 @@ W, H = 320, 240
 
 def det(cx, cy, w, h=None):
     h = h or w
-    return Detection(Rect(int(cx - w / 2), int(cy - h / 2), w, h), 1, 1.0)
+    return Detection(Rect(int(cx - w / 2), int(cy - h / 2), w, h), 1.0)
 
 
 def zone_oracle(cx, cy, cfg=CFG, img_w=W, img_h=H):
@@ -81,9 +83,9 @@ class TestComputeCommand:
             h = rng.randrange(4, 60)
             x = rng.randrange(0, W - w + 1)
             y = rng.randrange(0, H - h + 1)
-            a = compute_command(Detection(Rect(x, y, w, h), 1, 1.0), W, H, CFG)
+            a = compute_command(Detection(Rect(x, y, w, h), 1.0), W, H, CFG)
             mirrored = Rect(W - x - w, H - y - h, w, h)
-            b = compute_command(Detection(mirrored, 1, 1.0), W, H, CFG)
+            b = compute_command(Detection(mirrored, 1.0), W, H, CFG)
             assert a.vy == pytest.approx(-b.vy)
             assert a.vz == pytest.approx(-b.vz)
             assert a.vx == b.vx
@@ -95,7 +97,7 @@ class TestComputeCommand:
             h = rng.randrange(4, 100)
             x = rng.randrange(0, W - w + 1)
             y = rng.randrange(0, H - h + 1)
-            d = Detection(Rect(x, y, w, h), 1, 1.0)
+            d = Detection(Rect(x, y, w, h), 1.0)
             cmd = compute_command(d, W, H, cfg)
             ccx, ccy = d.box.x + d.box.w / 2, d.box.y + d.box.h / 2
             ex, ey = normalized_error(ccx, ccy, W, H)
@@ -121,11 +123,30 @@ class TestComputeCommand:
             w = rng.randrange(4, 200)
             h = rng.randrange(4, 200)
             d = Detection(Rect(rng.randrange(0, W - w + 1),
-                               rng.randrange(0, H - h + 1), w, h), 1, 1.0)
+                               rng.randrange(0, H - h + 1), w, h), 1.0)
             cmd = compute_command(d, W, H, CFG)
             assert abs(cmd.vx) <= CFG.fwd_speed
             assert abs(cmd.vy) <= CFG.roll_f
             assert abs(cmd.vz) <= CFG.th_f
+
+
+# an error inside each signed band; the dead zone's is negative, where a
+# sign-multiplied zero would be -0.0
+BAND_ERROR = {-2: -0.75, -1: -0.3, 0: -0.1, 1: 0.3, 2: 0.75}
+
+
+@pytest.mark.parametrize("hb", sorted(BAND_ERROR))
+@pytest.mark.parametrize("vb", sorted(BAND_ERROR))
+def test_signed_bands_give_exact_speeds_and_zones(hb, vb):
+    cx, cy = W / 2 * (1 + BAND_ERROR[hb]), H / 2 * (1 + BAND_ERROR[vb])
+    cmd = compute_command(det(cx, cy, 20), W, H, CFG)
+    want_vy = {-2: -CFG.roll_f, -1: -CFG.roll_s, 0: 0.0, 1: CFG.roll_s, 2: CFG.roll_f}[hb]
+    want_vz = {-2: -CFG.th_f, -1: -CFG.th_s, 0: 0.0, 1: CFG.th_s, 2: CFG.th_f}[vb]
+    for got, want in ((cmd.vy, want_vy), (cmd.vz, want_vz)):
+        assert got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+    z = classify_zone(cx, cy, W, H, CFG)
+    assert (z.horiz, z.vert) == zone_oracle(cx, cy)
 
 
 class TestConfigValidation:
