@@ -9,19 +9,22 @@ compiles once into a size plan, which the ``Cascade`` keeps in its private
 ``_plans`` dict, outside the model's fields: every feature's scaled parts
 become corner taps ``(dy, dx, k)``, summed per distinct corner so shared
 corners merge or cancel.  The grid is cut into row bands of at most
-``_BAND_WINDOWS`` windows so a band's scratch buffers stay in cache.  Within a band the walk is dense, then sparse: while every
+``_BAND_WINDOWS`` windows so a band's scratch buffers stay in cache, and
+the calling thread walks the bands in scan order.  When stage 0's first
+weak classifier vetoes and the sign of its integer sum fixes its vote (a
+sign cut, see ``_sign_cut``), a band first sums that feature as strided
+slices of the integral table and drops the windows with the vetoing sign;
+only the survivors get sigma and the stages, through a gather of their
+merged corners.  Without a cut the walk is dense, then sparse: while every
 window of the band is still alive, a feature sums its taps as strided
-slices of the integral table in int64; after the first rejection a stage
-gathers its merged corners for the survivors only.  The bands of a scale
-whose grid splits run on a thread pool with one thread per usable CPU; the
-other scales run on the calling thread meanwhile, and results are collected
-in scan order.  The scalar and vectorized paths give bit-identical results,
-so one can be checked against the other: part weights are integers (a
-``Cascade`` rule), so a feature's sum is the same exact integer in the
-scan's int64 and in ``eval_window``'s float64, and every float64 operation
-after it runs in the same order on both paths.  Both scale part rects only
-through ``haar._scaled_parts``, the one home of that rule and its escape
-check.
+slices in int64; after the first rejection a stage gathers its corners for
+the survivors only.  The scalar and vectorized paths give bit-identical
+results, so one can be checked against the other: part weights are
+integers (a ``Cascade`` rule), so a feature's sum is the same exact integer
+in the scan's int64 and in ``eval_window``'s float64, and every float64
+operation after it runs in the same order on both paths.  Both scale part
+rects only through ``haar._scaled_parts``, the one home of that rule and of
+its clip to the window.
 ``group_detections`` clusters the accepted windows with a boolean
 similarity matrix and reachability over it.
 """
@@ -30,22 +33,16 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
-import threading
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from itertools import repeat
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 from xml.parsers.expat import ErrorString
 
 import numpy as np
 
 from .haar import FeatureKind, FeaturePart, HaarFeature, _scaled_parts, feature_value
 from .imaging import GrayImage, IntegralPair, Rect, _round_half_up, integral, rect_sum
-
-if TYPE_CHECKING:  # imported for real by _band_pool, on first use
-    from concurrent.futures import ThreadPoolExecutor
 
 
 class CascadeError(ValueError):
@@ -102,11 +99,17 @@ class Cascade:
         if not self.stages:
             raise ValueError("cascade must contain at least one stage")
         for si, st in enumerate(self.stages):
+            # a NaN score passes eval_window's "score < threshold" test but
+            # fails the scan's "score >= threshold" test
+            if not math.isfinite(st.stage_threshold):
+                raise ValueError(f"stages[{si}].threshold: {st.stage_threshold} is not finite")
             for wi, wk in enumerate(st.weak):
                 if not 0 <= wk.feature_index < len(self.features):
                     raise ValueError(
                         f"stages[{si}].weak[{wi}].feature: index {wk.feature_index} "
                         f"out of range (table has {len(self.features)})")
+                if not all(map(math.isfinite, (wk.threshold, wk.left_value, wk.right_value))):
+                    raise ValueError(f"stages[{si}].weak[{wi}]: threshold or leaf is not finite")
         for fi, f in enumerate(self.features):
             for pi, p in enumerate(f.parts):
                 if p.rect.right > self.base_w or p.rect.bottom > self.base_h:
@@ -135,7 +138,7 @@ class WindowEval:
     score: float        # score of the last stage evaluated
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScanParams:
     """Multi-scale scan settings; ``min_neighbors`` and ``eps`` are the
     grouping settings ``gated.detect_grouped`` applies to the scan's windows
@@ -169,7 +172,8 @@ def eval_window(c: Cascade, ip: IntegralPair, window: Rect) -> WindowEval:
     """Run the staged classifier on one window with early rejection.
 
     Every part rect is scaled by window.w / base_w, as in ``_scan_sizes``,
-    and must land inside the window (checked per weak classifier reached).
+    and clipped to the window; a part that starts outside it (a window
+    smaller than the scaled base) raises when its weak classifier is reached.
     Feature values are divided by sigma * area of the window before
     thresholding so trained thresholds transfer across lighting.
     """
@@ -231,24 +235,77 @@ def _corner_taps(parts) -> _Taps:
     return tuple((dy, dx, k) for (dy, dx), k in sorted(coef.items()) if k) or ((0, 0, 0),)
 
 
+class _Gather(NamedTuple):
+    """Tap lists, concatenated, to be read at scattered window origins."""
+    dy: np.ndarray
+    dx: np.ndarray
+    k: np.ndarray       # int64 coefficients, as a column
+    starts: np.ndarray  # first tap of each list
+
+
+def _gather(tap_lists: list[_Taps]) -> _Gather:
+    dy, dx, k = np.array([t for taps in tap_lists for t in taps], dtype=np.int64).T
+    starts = np.cumsum([0] + [len(taps) for taps in tap_lists[:-1]])
+    return _Gather(dy, dx, k[:, None], starts)
+
+
+def _gather_sums(g: _Gather, base: np.ndarray, *tables: np.ndarray) -> list[np.ndarray]:
+    """For each table (all of one width), an array whose row i holds tap list
+    i's int64 sums at the flat offsets ``base``: one gather per tap and
+    origin, then one sum per list."""
+    idx = (g.dy * tables[0].shape[1] + g.dx)[:, None] + base
+    sums = []
+    for table in tables:
+        taps = table.ravel().take(idx)
+        taps *= g.k
+        sums.append(np.add.reduceat(taps, g.starts, axis=0))
+    return sums
+
+
 class _StagePlan(NamedTuple):
     weak: tuple[tuple[_Taps, float, float, float], ...]  # taps, threshold, left, right
     threshold: float
-    dy: np.ndarray      # every weak classifier's taps, concatenated in weak order
-    dx: np.ndarray
-    k: np.ndarray       # int64 coefficients, as a column
-    starts: np.ndarray  # first tap of each weak classifier
+    gather: _Gather     # every weak classifier's taps, in weak order
 
 
 class _SizePlan(NamedTuple):
     win: Rect
     window_taps: _Taps  # the window's own corners, for s1 and s2
+    window: _Gather     # the same corners, for scattered windows
     stages: tuple[_StagePlan, ...]
+    keep_sign: int      # the sign cut of stage 0, see _sign_cut
+
+
+def _sign_cut(st: Stage) -> int:
+    """+1 or -1 when the sign of the first feature's integer sum alone can
+    reject a window: a window can pass ``st`` only where the sum has that
+    sign.  0 when it cannot.
+
+    Two conditions make the cut.  The first weak classifier vetoes: its
+    lower leaf plus every other weak classifier's higher leaf, added in
+    float64 in stage order, stays below the stage threshold, so (IEEE
+    addition being monotone) no window that takes that leaf passes.  And
+    the sum's sign fixes that leaf: sigma * area > 0 on every window, so a
+    sum <= 0 votes left under a threshold > 0, and a sum >= 0 votes right
+    under a threshold <= 0.  Leaves are finite (a ``Cascade`` rule), so the
+    bound is never NaN.
+    """
+    first = st.weak[0]
+    total = 0.0 + min(first.left_value, first.right_value)
+    for wk in st.weak[1:]:
+        total += max(wk.left_value, wk.right_value)
+    if total >= st.stage_threshold:
+        return 0
+    if first.left_value < first.right_value and first.threshold > 0:
+        return 1
+    if first.right_value < first.left_value and first.threshold <= 0:
+        return -1
+    return 0
 
 
 def _compile_size(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
-    """Scale every feature to a ``win_w`` x ``win_h`` window (a part pushed
-    outside it raises FeatureEvalError) and turn the parts into corner taps."""
+    """Scale every feature to a ``win_w`` x ``win_h`` window, clipped to it,
+    and turn the parts into corner taps."""
     scale = win_w / c.base_w
     feats = [_corner_taps(_scaled_parts(f, scale, win_w, win_h, fi))
              for fi, f in enumerate(c.features)]
@@ -256,18 +313,18 @@ def _compile_size(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
     for st in c.stages:
         weak = tuple((feats[wk.feature_index], wk.threshold, wk.left_value, wk.right_value)
                      for wk in st.weak)
-        dy, dx, k = np.array([t for taps, *_ in weak for t in taps], dtype=np.int64).T
-        starts = np.cumsum([0] + [len(taps) for taps, *_ in weak[:-1]])
-        stages.append(_StagePlan(weak, st.stage_threshold, dy, dx, k[:, None], starts))
+        stages.append(_StagePlan(weak, st.stage_threshold, _gather([w[0] for w in weak])))
     win = Rect(0, 0, win_w, win_h)
-    return _SizePlan(win, _corner_taps([(win, 1)]), tuple(stages))
+    window_taps = _corner_taps([(win, 1)])
+    return _SizePlan(win, window_taps, _gather([window_taps]), tuple(stages),
+                     _sign_cut(c.stages[0]))
 
 
 def _size_plan(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
     """The plan of ``c`` at one window size, compiled on first use and kept
-    in ``c._plans`` while the cascade lives.  A size that fails to compile is
-    not kept, so it raises on every call.  Two threads that miss at once both
-    compile the size; the plans are equal, so either may stay."""
+    in ``c._plans`` while the cascade lives; its ``keep_sign`` is nonzero
+    when stage 0 has a sign cut.  Two threads that miss at once both compile
+    the size; the plans are equal, so either may stay."""
     plan = c._plans.get((win_w, win_h))
     if plan is None:
         plan = c._plans[win_w, win_h] = _compile_size(c, win_w, win_h)
@@ -278,47 +335,6 @@ def _size_plan(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
 # 256 KiB apiece, so a stage walk stays in cache instead of faulting in fresh
 # pages for whole-grid arrays
 _BAND_WINDOWS = 32768
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _band_pool() -> ThreadPoolExecutor:
-    """The threads that walk split bands, one per usable CPU, made on first
-    use (``concurrent.futures`` is imported only then, so scans that never
-    split do not pay for it).
-
-    While the pool works, the calling thread walks the one-band sizes and
-    then waits, so for a short while there is one busy thread more than
-    CPUs.  One thread fewer leaves a CPU idle for the whole of the split
-    sizes, which are most of a 640x480 scan: on a 2-core machine the
-    ``detect-640`` median tick was 133 ms with one pool thread and 101 ms
-    with two.  The count comes from the CPU affinity mask; a cgroup CPU
-    quota is not read.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="facefollow-band")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the pool object but none of its threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _grid_sum(acc: np.ndarray, tmp: np.ndarray, table: np.ndarray, taps: _Taps,
@@ -340,6 +356,18 @@ def _grid_sum(acc: np.ndarray, tmp: np.ndarray, table: np.ndarray, taps: _Taps,
             np.add(acc, tmp, out=acc)
 
 
+def _sigma_area(s1: np.ndarray, s2: np.ndarray, area: float) -> np.ndarray:
+    """sigma * area per window from the int64 sums of its pixels ``s1`` and
+    squared pixels ``s2``: ``_variance_denominator``'s float64 operations in
+    its order, sigma falling back to 1 where the variance is not positive."""
+    mean = s1 / area
+    var = s2 / area
+    var -= mean * mean
+    sigma = np.sqrt(var, out=np.ones_like(var), where=var > 0)
+    sigma *= area
+    return sigma
+
+
 def _add_votes(score: np.ndarray, norm: np.ndarray, lt: np.ndarray,
                threshold: float, left: float, right: float) -> None:
     # score += left where norm < threshold, else right: one float64 addition
@@ -350,67 +378,75 @@ def _add_votes(score: np.ndarray, norm: np.ndarray, lt: np.ndarray,
     np.add(score, right, out=score, where=lt)
 
 
+def _walk_sparse(stages, ii: np.ndarray, alive: np.ndarray, base: np.ndarray,
+                 denom: np.ndarray, score) -> tuple[np.ndarray, np.ndarray]:
+    """``stages`` over the band's windows ``alive``, whose origins lie at the
+    flat offsets ``base`` into ``ii`` and whose sigma * area is ``denom``.
+    ``score`` is the windows' last score, returned when ``stages`` is empty."""
+    for st in stages:
+        raw, = _gather_sums(st.gather, base, ii)
+        score = np.zeros(len(alive))
+        lt = np.empty(len(alive), dtype=bool)
+        for j, (_, threshold, left, right) in enumerate(st.weak):
+            _add_votes(score, raw[j] / denom, lt, threshold, left, right)
+        keep = score >= st.threshold
+        alive, score, base, denom = alive[keep], score[keep], base[keep], denom[keep]
+        if len(alive) == 0:
+            break
+    return alive, score
+
+
 def _walk_band(plan: _SizePlan, ii: np.ndarray, sq: np.ndarray,
                ny: int, nx: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """The dense-then-sparse stage walk over an ``ny`` x ``nx`` band of origins.
+    """The stage walk over an ``ny`` x ``nx`` band of origins.
 
     ``ii`` and ``sq`` are the integral tables cut to start at the band's
     first row of origins.  Returns the accepted windows' flat row-major
     indices within the band and their last-stage scores.
+
+    With a sign cut, the cut feature's taps are summed first, as strided
+    slices, and the windows whose sum has the vetoing sign are dropped; the
+    survivors get sigma and every stage from the sparse walk, which gathers
+    each merged corner for them only.  Without a cut, or when it drops no
+    window, the walk is dense up to the first rejection: sigma for every
+    window, then each feature's taps as strided slices.  The sparse walk
+    takes the stages after it.
     """
     n = ny * nx
-    # the band's scratch: every dense step writes into these
-    acc, tmp = np.empty((2, ny, nx), dtype=np.int64)
-    denom, norm, score = np.empty((3, n))
-    lt = np.empty(n, dtype=bool)
-    acc_flat = acc.reshape(n)
-
-    area = float(plan.win.area)
-    _grid_sum(acc, tmp, ii, plan.window_taps, stride)
-    np.true_divide(acc_flat, area, out=norm)            # mean
-    _grid_sum(acc, tmp, sq, plan.window_taps, stride)
-    np.true_divide(acc_flat, area, out=score)
-    np.multiply(norm, norm, out=norm)
-    np.subtract(score, norm, out=score)                 # var
-    np.greater(score, 0.0, out=lt)
-    denom.fill(1.0)
-    np.sqrt(score, out=denom, where=lt)
-    np.multiply(denom, area, out=denom)                 # sigma * area
-
     width = ii.shape[1]
-    alive = None  # every window of the band, until a stage rejects one
-    for st in plan.stages:
-        if alive is None:
-            score.fill(0.0)
-            for taps, threshold, left, right in st.weak:
-                _grid_sum(acc, tmp, ii, taps, stride)
-                np.true_divide(acc_flat, denom, out=norm)
-                _add_votes(score, norm, lt, threshold, left, right)
-            np.greater_equal(score, st.threshold, out=lt)
-            if lt.all():
-                continue
+    area = float(plan.win.area)
+    acc, tmp = np.empty((2, ny, nx), dtype=np.int64)
+
+    def origins(alive):
+        return alive // nx * (stride * width) + alive % nx * stride
+
+    if plan.keep_sign:
+        _grid_sum(acc, tmp, ii, plan.stages[0].weak[0][0], stride)
+        alive = np.flatnonzero(acc > 0 if plan.keep_sign > 0 else acc < 0)
+        if len(alive) < n:
+            base = origins(alive)
+            (s1,), (s2,) = _gather_sums(plan.window, base, ii, sq)
+            return _walk_sparse(plan.stages, ii, alive, base, _sigma_area(s1, s2, area), None)
+
+    s1 = np.empty_like(acc)
+    _grid_sum(s1, tmp, ii, plan.window_taps, stride)
+    _grid_sum(acc, tmp, sq, plan.window_taps, stride)
+    acc_flat = acc.reshape(n)
+    denom = _sigma_area(s1.reshape(n), acc_flat, area)
+    norm, score = np.empty((2, n))
+    lt = np.empty(n, dtype=bool)
+    for si, st in enumerate(plan.stages):
+        score.fill(0.0)
+        for taps, threshold, left, right in st.weak:
+            _grid_sum(acc, tmp, ii, taps, stride)
+            np.true_divide(acc_flat, denom, out=norm)
+            _add_votes(score, norm, lt, threshold, left, right)
+        np.greater_equal(score, st.threshold, out=lt)
+        if not lt.all():
             alive = np.flatnonzero(lt)
-            score = score[alive]
-            base = alive // nx * (stride * width) + alive % nx * stride
-            adenom = denom[alive]
-        else:
-            # the survivors only: one gather per merged corner and window,
-            # then one integer sum per weak classifier
-            m = len(alive)
-            taps = ii.ravel().take((st.dy * width + st.dx)[:, None] + base)
-            taps *= st.k
-            raw = np.add.reduceat(taps, st.starts, axis=0)
-            score = np.zeros(m)
-            for j, (_, threshold, left, right) in enumerate(st.weak):
-                np.true_divide(raw[j], adenom, out=norm[:m])
-                _add_votes(score, norm[:m], lt[:m], threshold, left, right)
-            keep = score >= st.threshold
-            alive, score, base, adenom = alive[keep], score[keep], base[keep], adenom[keep]
-        if len(alive) == 0:
-            break
-    if alive is None:
-        return np.arange(n, dtype=np.intp), score.copy()
-    return alive, score
+            return _walk_sparse(plan.stages[si + 1:], ii, alive, origins(alive),
+                                denom[alive], score[alive])
+    return np.arange(n, dtype=np.intp), score
 
 
 def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detection]:
@@ -422,52 +458,32 @@ def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detecti
     per-window results agree bit for bit.
 
     Every size of the ladder takes its cached size plan, compiled on first
-    use; compiling checks that each scaled part stays in the window, so an
-    escaping part raises here, before any band runs, on every call.  Each
-    size's windows form an ``ny`` x ``nx`` grid of origins at the stride,
-    cut into row bands of at most ``_BAND_WINDOWS`` windows (at least one
-    row).  Within a band, while no window has been rejected, each feature
-    sums its merged corner taps as strided slices of the integral table into
-    the band's int64 scratch; from the first rejection on, a stage gathers
-    its corners for the surviving windows only.  Both reads give the same
-    integers, so the switch cannot change a result, and every window is
-    classified on its own, so neither can the cut.  The bands of a size that
-    splits into more than one go to a pool of one thread per usable CPU; the
-    calling thread walks the one-band sizes meanwhile.  Results are
-    collected size by size, then band by band from the top.  The integral
-    tables, the plans and the ``Detection`` objects stay on the calling
-    thread, so a tracer wrapping ``integral`` sees every call from one
-    thread.
+    use.  Each size's windows form an ``ny`` x ``nx`` grid of origins at the
+    stride, cut into row bands of at most ``_BAND_WINDOWS`` windows (at
+    least one row), which the calling thread walks in turn from the top.
+    Within a band, a plan with a sign cut first drops the windows whose
+    first feature sum has the vetoing sign, and the survivors take sigma and
+    every stage from gathered corners; otherwise each feature sums its
+    merged corner taps as strided slices of the integral table until the
+    first rejection, and a stage gathers its corners for the surviving
+    windows only from then on.  Both reads give the same integers, so no
+    switch can change a result, and every window is classified on its own,
+    so neither can the bands.
     """
     ip = integral(img)
-    # every feature of every size is checked here, before any band runs
-    plans = [_size_plan(c, win_w, win_h)
-             for win_w, win_h in _scan_sizes(c, img.width, img.height, p)]
-
-    walked = []  # per size: (window, stride, nx, rows per band, band results from the top)
-    for plan in plans:
-        win = plan.win
-        stride = max(1, _round_half_up(win.w / p.step_divisor))
-        nx = (img.width - win.w) // stride + 1
-        ny = (img.height - win.h) // stride + 1
-        rows = max(1, _BAND_WINDOWS // nx)
-        if ny <= rows:  # one band, walked here and now
-            bands = [_walk_band(plan, ip.ii, ip.sq, ny, nx, stride)]
-        else:
-            r0s = range(0, ny, rows)
-            # queued now: the calling thread walks the later, one-band sizes meanwhile
-            bands = _band_pool().map(
-                _walk_band, repeat(plan), [ip.ii[r0 * stride:] for r0 in r0s],
-                [ip.sq[r0 * stride:] for r0 in r0s], [min(rows, ny - r0) for r0 in r0s],
-                repeat(nx), repeat(stride))
-        walked.append((win, stride, nx, rows, bands))
-
     out: list[Detection] = []
-    for win, stride, nx, rows, bands in walked:
-        for b, (alive, score) in enumerate(bands):
+    for win_w, win_h in _scan_sizes(c, img.width, img.height, p):
+        plan = _size_plan(c, win_w, win_h)
+        stride = max(1, _round_half_up(win_w / p.step_divisor))
+        nx = (img.width - win_w) // stride + 1
+        ny = (img.height - win_h) // stride + 1
+        rows = max(1, _BAND_WINDOWS // nx)
+        for r0 in range(0, ny, rows):
+            alive, score = _walk_band(plan, ip.ii[r0 * stride:], ip.sq[r0 * stride:],
+                                      min(rows, ny - r0), nx, stride)
             for idx, sc in zip(alive.tolist(), score.tolist()):
-                out.append(Detection(Rect(idx % nx * stride, (b * rows + idx // nx) * stride,
-                                          win.w, win.h), sc))
+                out.append(Detection(Rect(idx % nx * stride, (r0 + idx // nx) * stride,
+                                          win_w, win_h), sc))
     return out
 
 

@@ -28,7 +28,7 @@ class GatedDetection:
             raise ValueError(f"face box {self.face.box} not inside body box {self.body.box}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GateParams:
     """Scan settings of the two steps.
 

@@ -52,16 +52,22 @@ def scale_rect(r: Rect, scale: float) -> Rect:
 
 def _scaled_parts(f: HaarFeature, scale: float, win_w: int, win_h: int,
                   index: int | None = None) -> list[tuple[Rect, float]]:
-    """The feature's (scaled rect, weight) parts for a win_w x win_h window;
-    a part pushed outside it raises FeatureEvalError naming ``index``."""
+    """The feature's (scaled rect, weight) parts for a win_w x win_h window.
+
+    A part that rounding pushes past the window's far edge is clipped to it;
+    a part whose origin lies outside the window raises FeatureEvalError
+    naming ``index``.  At every ladder size (``scale = win_w / base_w >= 1``)
+    each origin lies inside, so every feature of a cascade scans.
+    """
     parts = []
     for pi, part in enumerate(f.parts):
         s = scale_rect(part.rect, scale)
-        if s.right > win_w or s.bottom > win_h:
+        if s.x >= win_w or s.y >= win_h:
             label = f"feature {index}" if index is not None else "feature"
             raise FeatureEvalError(
-                f"{label}: scaled part {pi} ({s}) escapes {win_w}x{win_h} window")
-        parts.append((s, part.weight))
+                f"{label}: scaled part {pi} ({s}) starts outside {win_w}x{win_h} window")
+        parts.append((Rect(s.x, s.y, min(s.w, win_w - s.x), min(s.h, win_h - s.y)),
+                      part.weight))
     return parts
 
 
@@ -69,8 +75,9 @@ def feature_value(ip: IntegralPair, f: HaarFeature, window: Rect,
                   scale: float = 1.0, index: int | None = None) -> float:
     """Raw (unnormalized) feature value over ``window`` at the given scale.
 
-    Part rects are scaled, offset by the window origin and must stay inside
-    the window; violations raise FeatureEvalError naming the feature.
+    Part rects are scaled, clipped to the window and offset by its origin;
+    a part that starts outside the window raises FeatureEvalError naming
+    the feature.
     """
     if not window.fits_in(ip.width, ip.height):
         raise ValueError(f"window {window} outside {ip.width}x{ip.height} image")

@@ -59,7 +59,7 @@ class MissionState:
     takeoff_alt: float   # altitude of the takeoff point, meters
 
 
-@dataclass
+@dataclass(frozen=True)
 class MissionConfig:
     batt_min: float = 21.0          # 3.5 V/cell floor for a 6s pack
     failsafe_alt_gain: float = 5.0  # climb this far above the takeoff point

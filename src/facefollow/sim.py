@@ -181,7 +181,7 @@ class Trace:
         return "\n".join(out) + "\n"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     mode: str = "oracle"                   # "oracle" | "rendered"
     ticks: int = 120

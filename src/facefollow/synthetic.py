@@ -87,9 +87,6 @@ def build_body_cascade() -> Cascade:
     interior window or a straddling window cannot manage.  They are split
     across two stages so the vertical checks reject the bulk of the grid
     before the horizontal ones run.
-
-    Parts are anchored to the window origin (or keep a 2 px base margin),
-    so round-half-up scaling can never push them outside the window.
     """
     w, h = 12, 18
     features = (

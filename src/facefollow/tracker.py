@@ -52,7 +52,7 @@ class VelocityCommand:
         return self.vx == 0.0 and self.vy == 0.0 and self.vz == 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrackerConfig:
     dead_zone: float = 0.15        # normalized half-width of the zero-command region
     fast_threshold: float = 0.5    # |error| above this uses the fast speeds

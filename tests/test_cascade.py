@@ -2,9 +2,8 @@ import dataclasses
 import gc
 import json
 import math
-import os
+import random
 import re
-import signal
 import weakref
 
 import numpy as np
@@ -15,10 +14,11 @@ from facefollow.cascade import (Cascade, CascadeFormatError, Detection, ScanPara
                                 Stage, UnsupportedCascadeError, WeakClassifier,
                                 detect_multiscale, eval_window, group_detections,
                                 import_legacy_xml, parse_cascade, serialize_cascade)
-from facefollow.haar import (FeatureEvalError, FeatureKind, FeaturePart, HaarFeature,
-                             scale_rect)
+from facefollow.haar import (FeatureKind, FeaturePart, HaarFeature, enumerate_base_features,
+                             feature_value, scale_rect)
 from facefollow.imaging import GrayImage, Rect, integral, rect_sum
-from facefollow.synthetic import build_body_cascade, synthetic_gate_params
+from facefollow.synthetic import (build_body_cascade, build_face_cascade,
+                                  synthetic_gate_params)
 
 from conftest import (accept_all_cascade, fixture_text, random_cascade,
                       random_image, reject_all_cascade)
@@ -49,9 +49,10 @@ def full_eval_oracle(c: Cascade, ip, window: Rect):
         for wk in stage.weak:
             raw = 0.0
             for part in c.features[wk.feature_index].parts:
-                s = scale_rect(part.rect, scale)
+                s = scale_rect(part.rect, scale)  # clipped to the window
                 raw += part.weight * rect_sum(
-                    ip, Rect(window.x + s.x, window.y + s.y, s.w, s.h))
+                    ip, Rect(window.x + s.x, window.y + s.y,
+                             min(s.w, window.w - s.x), min(s.h, window.h - s.y)))
             norm = raw / denom
             total += wk.left_value if norm < wk.threshold else wk.right_value
         sums.append(total)
@@ -183,6 +184,20 @@ class TestCascadeModel:
                 "magnitude at most 65536")) as info:
             Cascade(4, 4, (feat,), (stage,))
         assert not isinstance(info.value, CascadeFormatError)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("where", ["stage", "threshold", "left", "right"])
+    def test_non_finite_threshold_or_leaf(self, value, where):
+        """A NaN score would pass eval_window's stage test and fail the scan's."""
+        wk = dict(threshold=0.1, left=-0.5, right=0.5)
+        if where in wk:
+            wk[where] = value
+        stage = Stage((WeakClassifier(0, wk["threshold"], wk["left"], wk["right"]),),
+                      value if where == "stage" else 0.0)
+        why = ("stages[0].threshold: " if where == "stage"
+               else "stages[0].weak[0]: threshold or leaf ")
+        with pytest.raises(ValueError, match=re.escape(why)):
+            Cascade(4, 4, (self.feature(2),), (stage,))
 
 
 class TestLegacyImport:
@@ -460,10 +475,10 @@ class TestDetectMultiscale:
         assert any(1 in (nx, ny) and nx != ny for _, _, _, nx, ny in shapes)
 
     @pytest.mark.parametrize("first", ["random", "accept-all"])
-    def test_split_bands_match_per_window_eval(self, rng, monkeypatch, band_pool,
+    def test_split_bands_match_per_window_eval(self, rng, monkeypatch, band_walks,
                                                first):
-        """Every size cut into row bands of at most two windows, walked by
-        the pool: still eval_window's result for every window, in order."""
+        """Every size cut into row bands of at most two windows: still
+        eval_window's result for every window, in order."""
         monkeypatch.setattr(cascade, "_BAND_WINDOWS", 2)
         p = ScanParams(scale_factor=1.3, step_divisor=3)
         for _ in range(4):
@@ -476,40 +491,7 @@ class TestDetectMultiscale:
         assert all(g[4] > r for g, r in rows.items())  # every size splits
         assert any(g[3] > 2 for g in rows)  # one-row bands of more than 2 windows
         assert any(r > 1 and g[4] % r for g, r in rows.items())  # a short last band
-        assert band_pool.submitted == 4 * sum(-(-g[4] // r) for g, r in rows.items())
-
-    def test_band_pool_has_one_thread_per_usable_cpu(self, monkeypatch):
-        monkeypatch.setattr(cascade, "_pool", None)
-        monkeypatch.setattr(cascade, "_usable_cpus", lambda: 3)
-        pool = cascade._band_pool()
-        try:
-            assert pool._max_workers == 3
-            assert cascade._band_pool() is pool
-        finally:
-            pool.shutdown()
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-    def test_forked_child_scans_without_the_parents_threads(self, rng, monkeypatch):
-        monkeypatch.setattr(cascade, "_BAND_WINDOWS", 2)
-        monkeypatch.setattr(cascade, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(cascade, "_pool", None)
-        c, img = random_cascade(rng), random_image(rng, 40, 40)
-        want = detect_multiscale(c, img, ScanParams())
-        pool = cascade._pool
-        try:
-            assert pool is not None
-            pid = os.fork()
-            if pid == 0:  # the child must exit here, whatever the scan does
-                code = 1
-                try:
-                    signal.alarm(20)  # a child waiting on the parent's threads dies here
-                    code = 0 if detect_multiscale(c, img, ScanParams()) == want else 2
-                finally:
-                    os._exit(code)
-            _, status = os.waitpid(pid, 0)
-            assert os.waitstatus_to_exitcode(status) == 0
-        finally:
-            pool.shutdown()
+        assert band_walks.count == 4 * sum(-(-g[4] // r) for g, r in rows.items())
 
     def test_translation_moves_boxes(self, rng):
         from facefollow.synthetic import build_body_cascade, render_scene
@@ -553,13 +535,17 @@ def cancelling_cascade(rng) -> Cascade:
     return Cascade(12, 18, features, tuple(stages), name="cancelling")
 
 
-def escaping_cascade() -> Cascade:
-    """Feature 1 scales cleanly at 12x12 and escapes a 25x25 window."""
+def edge_flush_cascade() -> Cascade:
+    """Feature 1's right part is flush with the base window's right edge:
+    at 25x25 (scale 25/12) it scales to x=13, w=13, one column past the
+    window, and is clipped to w=12."""
     inside = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(Rect(0, 0, 4, 4), 1.0),
                                                 FeaturePart(Rect(4, 0, 4, 4), -1.0)))
     wide = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(Rect(0, 0, 6, 12), 1.0),
                                               FeaturePart(Rect(6, 0, 6, 12), -1.0)))
-    return Cascade(12, 12, (inside, wide), (Stage((WeakClassifier(0, 0.0, 0.0, 1.0),), -1.0),))
+    return Cascade(12, 12, (inside, wide),
+                   (Stage((WeakClassifier(0, 0.0, 0.0, 1.0),), -1.0),
+                    Stage((WeakClassifier(1, 0.01, 0.0, 1.0),), 0.5)))
 
 
 class TestSizePlans:
@@ -622,23 +608,63 @@ class TestSizePlans:
         gc.collect()
         assert ref() is None
 
-    def test_escaping_cascade_raises_on_every_call(self, rng):
-        c, img = escaping_cascade(), random_image(rng, 30, 30)
-        # the ladder is 12x12, which compiles, then 25x25, which does not
-        p = ScanParams(scale_factor=25 / 12, max_size=25)
-        for _ in range(3):
-            with pytest.raises(FeatureEvalError, match=re.escape(
-                    "feature 1: scaled part 1 (Rect(x=13, y=0, w=13, h=25)) "
-                    "escapes 25x25 window")):
-                detect_multiscale(c, img, p)
-        assert set(c._plans) == {(12, 12)}
+    def test_edge_flush_part_is_clipped_to_the_window(self, rng):
+        c, img = edge_flush_cascade(), random_image(rng, 30, 30)
+        p = ScanParams(scale_factor=25 / 12, max_size=25)  # 12x12, then 25x25
+        for _ in range(2):
+            got = {(d.box.x, d.box.y, d.box.w, d.box.h): d.score
+                   for d in detect_multiscale(c, img, p)}
+            want, _ = per_window_eval(c, img, p)
+            assert got == want and any(k[2] == 25 for k in want)
+        assert set(c._plans) == {(12, 12), (25, 25)}
+        clipped = [(Rect(0, 0, 13, 25), 1.0), (Rect(13, 0, 12, 25), -1.0)]
+        assert cascade._size_plan(c, 25, 25).stages[1].weak[0][0] == \
+            cascade._corner_taps(clipped)
+
+    def test_fixture_cascade_at_every_size_of_the_640_ladder(self):
+        """The imported upper-body fixture, whose parts touch the base
+        window's far edges, at each size of the default 640x480 ladder: on a
+        crop of a random frame a few strides larger than the window, window
+        for window against eval_window."""
+        c = import_legacy_xml(fixture_text("upperbody_20x20.xml"))
+        frame = GrayImage(np.random.default_rng(7).integers(0, 256, (480, 640),
+                                                            dtype=np.uint8))
+        sizes = cascade._scan_sizes(c, 640, 480, ScanParams())
+        accepted = rejected = 0
+        for w, h in sizes:
+            reach = 4 * max(1, int(w / 24 + 0.5))  # four strides
+            crop = frame.crop(Rect(0, 0, min(640, w + reach), min(480, h + reach)))
+            p = ScanParams(min_size=w, max_size=w)
+            got = {(d.box.x, d.box.y, d.box.w, d.box.h): d.score
+                   for d in detect_multiscale(c, crop, p)}
+            want, grids = per_window_eval(c, crop, p)
+            assert got == want
+            (_, _, _, nx, ny), = grids
+            accepted += len(want)
+            rejected += nx * ny - len(want)
+        assert len(sizes) == 18 and accepted and rejected
+        # the sizes where a part scales one pixel past the window
+        assert sum(any(scale_rect(part.rect, w / 20).right > w
+                       or scale_rect(part.rect, w / 20).bottom > h
+                       for f in c.features for part in f.parts) for w, h in sizes) > 8
+
+    def test_sampled_base_features_compile_on_the_640_ladder(self):
+        feats = random.Random(5).sample(enumerate_base_features(22, 18), 400)
+        c = Cascade(22, 18, tuple(feats), (Stage((WeakClassifier(0, 0.0, 0.0, 0.0),), -1.0),))
+        sizes = cascade._scan_sizes(c, 640, 480, ScanParams())
+        for w, h in sizes:
+            plan = cascade._size_plan(c, w, h)
+            assert all(0 <= dy <= h and 0 <= dx <= w
+                       for st in plan.stages for taps, *_ in st.weak for dy, dx, _ in taps)
+        assert any(scale_rect(part.rect, w / 22).right > w
+                   for f in feats for part in f.parts for w, _ in sizes)
 
     @pytest.mark.parametrize("first", ["random", "accept-all"])
     @pytest.mark.parametrize("split", [False, True], ids=["whole", "split-bands"])
-    def test_cancelling_corners_match_per_window_eval(self, rng, monkeypatch, band_pool,
+    def test_cancelling_corners_match_per_window_eval(self, rng, monkeypatch, band_walks,
                                                       first, split):
         """At several sizes, and with every size cut into bands of at most
-        two windows walked by the pool."""
+        two windows."""
         if split:
             monkeypatch.setattr(cascade, "_BAND_WINDOWS", 2)
         p = ScanParams(scale_factor=1.25, step_divisor=4)
@@ -652,7 +678,107 @@ class TestSizePlans:
             accepted += len(want)
         assert len(grids) >= 4 and accepted
         # every size splits, or none does
-        assert band_pool.submitted > 4 * len(grids) if split else band_pool.submitted == 0
+        walks = 4 * sum(-(-ny // max(1, 2 // nx)) if split else 1
+                        for _, _, _, nx, ny in grids)
+        assert band_walks.count == walks and walks > 4 * len(grids) * split
+
+
+# stage 0 of the sign-cut cascades: (weak 0's threshold, left, right, stage
+# threshold, the plan's keep_sign); weak 1 adds 0.5 or -0.25
+SIGN_CUTS = {
+    "left-lower": (0.05, -1.0, 1.0, 0.0, 1),
+    "right-lower-at-0": (0.0, 1.0, -1.0, 0.0, -1),
+    "right-lower-at-minus-0": (-0.0, 1.0, -1.0, 0.0, -1),
+    # near misses: no cut
+    "left-lower-at-0": (0.0, -1.0, 1.0, 0.0, 0),  # a sum of 0 votes right
+    "reachable": (0.05, -1.0, 1.0, -0.5, 0),  # -1.0 + 0.5 passes a -0.5 stage
+    "equal-leaves": (0.05, -1.0, -1.0, 0.0, 0),
+}
+
+
+def sign_cut_cascade(rng, kind: str) -> Cascade:
+    """Feature 0, the left half minus the right half of the 8x8 base,
+    drives stage 0's first weak classifier; two random stages follow."""
+    threshold, left, right, stage_threshold, _ = SIGN_CUTS[kind]
+    halves = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(Rect(0, 0, 4, 8), 1.0),
+                                                FeaturePart(Rect(4, 0, 4, 8), -1.0)))
+    rest = random_cascade(rng, base_w=8, base_h=8, n_stages=2)
+    first = Stage((WeakClassifier(0, threshold, left, right),
+                   WeakClassifier(1, rng.uniform(-0.3, 0.3), 0.5, -0.25)), stage_threshold)
+    return Cascade(8, 8, (halves,) + rest.features, (first,) + rest.stages)
+
+
+def sign_cut_image(rng, name: str) -> GrayImage:
+    """36x30 test images; the first feature's sums are mixed on "random",
+    mixed with exact zeros (and sigma 1) on "flat-patches", all positive on
+    "ramp" (brighter to the left); "flat" is one gray level."""
+    if name == "random":
+        return random_image(rng, 36, 30)
+    if name == "ramp":
+        return GrayImage(np.tile(np.arange(250, 250 - 6 * 36, -6, dtype=np.uint8), (30, 1)))
+    data = np.full((30, 36), 90, dtype=np.uint8)
+    if name == "flat-patches":
+        data = random_image(rng, 36, 30).data.copy()
+        data[:16, :20] = 90
+        data[18:, 14:] = 200
+    return GrayImage(data)
+
+
+class TestSignCut:
+    """Stage 0's first feature rejects windows on the sign of its sum."""
+
+    @pytest.mark.parametrize("kind", SIGN_CUTS)
+    def test_which_plans_get_a_cut(self, rng, kind):
+        c = sign_cut_cascade(rng, kind)
+        assert {cascade._size_plan(c, w, w).keep_sign for w in (8, 10, 13)} == \
+            {SIGN_CUTS[kind][-1]}
+
+    def test_synthetic_cascades_cut(self):
+        for c in (build_body_cascade(), build_face_cascade()):
+            assert cascade._size_plan(c, 2 * c.base_w, 2 * c.base_h).keep_sign == 1
+
+    @pytest.mark.parametrize("image", ["random", "flat-patches", "ramp", "flat"])
+    @pytest.mark.parametrize("kind", SIGN_CUTS)
+    @pytest.mark.parametrize("split", [False, True], ids=["whole", "split-bands"])
+    def test_matches_per_window_eval(self, rng, monkeypatch, band_walks, kind, image,
+                                     split):
+        """Whole grids, and bands of at most two windows, so that some bands
+        lose every window to the cut and some lose none."""
+        if split:
+            monkeypatch.setattr(cascade, "_BAND_WINDOWS", 2)
+        p = ScanParams(scale_factor=1.25, step_divisor=4)
+        for _ in range(3):
+            c = sign_cut_cascade(rng, kind)
+            img = sign_cut_image(rng, image)
+            got = [(d.box, d.score) for d in detect_multiscale(c, img, p)]
+            want, grids = per_window_eval(c, img, p)
+            assert got == [(Rect(*k), sc) for k, sc in want.items()]
+        assert len(grids) >= 4
+        assert (band_walks.count > 3 * len(grids)) == split
+
+    @pytest.mark.parametrize("image", ["ramp", "flat"])
+    def test_sizes_that_the_cut_keeps_whole_or_empties(self, rng, image):
+        """Each size is one band here.  On "ramp" every first-feature sum is
+        positive, so the left-lower cut drops no window and every band walks
+        dense.  On "flat" sigma falls back to 1, and the sum is 0 (every
+        window cut) where the scaled halves are equal and positive where
+        rounding widens the left one (no window cut)."""
+        c, img = sign_cut_cascade(rng, "left-lower"), sign_cut_image(rng, image)
+        p = ScanParams(scale_factor=1.25, step_divisor=4)
+        ip = integral(img)
+        sums: dict[int, list[float]] = {}
+        for x, y, w, h in per_window_eval(accept_all_cascade(8, 8), img, p)[0]:
+            sums.setdefault(w, []).append(
+                feature_value(ip, c.features[0], Rect(x, y, w, h), w / 8))
+        cut = {w for w, v in sums.items() if max(v) <= 0}
+        kept = {w for w, v in sums.items() if min(v) > 0}
+        if image == "ramp":
+            assert kept == set(sums)
+        else:
+            assert cut and kept and cut | kept == set(sums)
+        got = {(d.box.x, d.box.y, d.box.w, d.box.h): d.score
+               for d in detect_multiscale(c, img, p)}
+        assert got == per_window_eval(c, img, p)[0]
 
 
 def brute_force_groups(boxes, eps):

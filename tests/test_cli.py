@@ -100,21 +100,36 @@ class TestDetect:
         err = capsys.readouterr().err
         assert err.startswith("error: $: ") and err.count("\n") == 1
 
-    def test_part_escaping_a_scaled_window_exits_1(self, tmp_path, scene_image,
-                                                  capsys):
-        """The reader accepts the cascade; the scan finds at the 6x6 window
-        that part 1, scaled by 1.5 with halves rounded up, leaves it."""
+    def test_part_clipped_to_a_scaled_window_scans(self, tmp_path, scene_image,
+                                                   capsys):
+        """At the 6x6 window part 1, scaled by 1.5 with halves rounded up,
+        lands at x=5, w=2, one column past the window; the scan clips it
+        (and its one stage rejects every window)."""
         img_path, _ = scene_image
         feat = HaarFeature(FeatureKind.TWO_RECT, (
             FeaturePart(Rect(0, 0, 3, 4), 1.0), FeaturePart(Rect(3, 0, 1, 4), -1.0)))
-        c = Cascade(4, 4, (feat,), (Stage((WeakClassifier(0, 0.0, 0.0, 1.0),), 0.5),))
-        body = tmp_path / "escape.json"
+        c = Cascade(4, 4, (feat,), (Stage((WeakClassifier(0, 0.0, 0.0, 1.0),), 2.0),))
+        body = tmp_path / "edge.json"
         body.write_text(serialize_cascade(c))
         code = main(["detect", "--body-cascade", str(body), "--image", img_path])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "error: feature 0: scaled part 1 (Rect(x=5, y=0, w=2, h=6)) "
-            "escapes 6x6 window\n")
+        assert code == 2
+        assert capsys.readouterr().err == ""
+
+    def test_imported_fixture_cascades_scan(self, tmp_path, capsys):
+        """Both OpenCV-format fixtures hold parts flush with the base
+        window's far edges, which the scan clips at some ladder sizes."""
+        img = tmp_path / "flat.pgm"
+        img.write_bytes(encode_pgm(GrayImage(np.full((72, 96), 128, dtype=np.uint8))))
+        paths = []
+        for name in ("upperbody_20x20", "face_24x24"):
+            paths.append(str(tmp_path / f"{name}.json"))
+            assert main(["import-cascade", "--xml", fixture_path(f"{name}.xml"),
+                         "--out", paths[-1]]) == 0
+        capsys.readouterr()
+        code = main(["detect", "--body-cascade", paths[0], "--face-cascade", paths[1],
+                     "--image", str(img)])
+        assert code in (0, 2)
+        assert capsys.readouterr().err == ""
 
     def test_body_only_mode(self, tmp_path, cascades, scene_image):
         body_path, _ = cascades

@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -7,8 +7,11 @@ from facefollow import cascade
 from facefollow.cascade import Detection, ScanParams, detect_multiscale, group_detections
 from facefollow.gated import GatedDetection, GateParams, detect_gated, select_target
 from facefollow.imaging import Rect
+from facefollow.mission import MissionConfig
+from facefollow.sim import RunConfig
 from facefollow.synthetic import (build_body_cascade, build_face_cascade,
                                   render_scene, synthetic_gate_params)
+from facefollow.tracker import TrackerConfig
 
 from conftest import accept_all_cascade, reject_all_cascade
 
@@ -128,26 +131,16 @@ class TestDetectGated:
         body_c, face_c = build_body_cascade(), build_face_cascade()
         gate = synthetic_gate_params()
         assert detect_gated(body_c, face_c, img, gate)  # the body is found
-        gate.face_scan = replace(gate.face_scan, max_size=face_c.base_w - 1)
+        gate = replace(gate, face_scan=replace(gate.face_scan, max_size=face_c.base_w - 1))
         assert detect_gated(body_c, face_c, img, gate) == []
-
-    def test_rendered_320_scans_run_on_the_calling_thread(self, monkeypatch):
-        """Every grid of the rendered loop's scans fits in one band."""
-        def no_pool():
-            raise AssertionError("a 320x240 scan asked for the band pool")
-        monkeypatch.setattr(cascade, "_band_pool", no_pool)
-        img, _, _ = one_person_scene()
-        out = detect_gated(build_body_cascade(), build_face_cascade(), img,
-                           synthetic_gate_params(320))
-        assert out, "the face scans ran too"
 
     @pytest.mark.parametrize("face,body", [
         (Rect(300, 150, 32, 32), Rect(268, 94, 96, 144)),  # the nested clusters above
         (Rect(400, 300, 8, 8), Rect(392, 290, 24, 36)),  # found by stride-1 sizes
     ], ids=["nested", "far"])
-    def test_split_scan_at_640_matches_unsplit(self, monkeypatch, band_pool, face, body):
-        """The stride-1 sizes of a 640x480 scan split into bands for the
-        pool; with bands as large as the frame nothing splits."""
+    def test_split_scan_at_640_matches_unsplit(self, monkeypatch, band_walks, face, body):
+        """The stride-1 sizes of a 640x480 scan split into bands; with bands
+        as large as the frame nothing splits, and the walks are fewer."""
         img = render_scene(640, 480, face, body)
         body_c, face_c = build_body_cascade(), build_face_cascade()
 
@@ -155,12 +148,12 @@ class TestDetectGated:
             return (detect_multiscale(body_c, img, ScanParams()),
                     detect_gated(body_c, face_c, img))
 
-        pooled = scan()
-        submitted = band_pool.submitted
-        assert submitted > 0 and pooled[1]
+        split = scan()
+        walks, band_walks.count = band_walks.count, 0
+        assert split[1]
         monkeypatch.setattr(cascade, "_BAND_WINDOWS", 640 * 480)
-        assert scan() == pooled
-        assert band_pool.submitted == submitted
+        assert scan() == split
+        assert 0 < band_walks.count < walks
 
 
 # (face boxes in scan order, index of the one both rankings keep)
@@ -244,3 +237,18 @@ def test_gate_params_reject_a_face_scan_min_size():
     """Each body sets the face scan's floor, so a configured one is an error."""
     with pytest.raises(ValueError, match=r"face_scan\.min_size must be None"):
         GateParams(face_scan=ScanParams(min_size=24))
+
+
+def test_gate_params_are_frozen():
+    """So the face_scan.min_size rule cannot be bypassed after construction."""
+    gate = GateParams()
+    with pytest.raises(FrozenInstanceError):
+        gate.face_scan = ScanParams(min_size=24)
+    assert gate.face_scan.min_size is None
+
+
+@pytest.mark.parametrize("config", [ScanParams, GateParams, TrackerConfig, MissionConfig,
+                                    RunConfig])
+def test_configs_are_frozen(config):
+    with pytest.raises(FrozenInstanceError):
+        setattr(config(), fields(config)[0].name, None)

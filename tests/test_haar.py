@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from facefollow.cascade import (Cascade, ScanParams, Stage, WeakClassifier,
-                                detect_multiscale, eval_window)
+                                _variance_denominator, detect_multiscale, eval_window)
 from facefollow.haar import (FeatureEvalError, FeatureKind, FeaturePart,
                              HaarFeature, count_base_features,
                              enumerate_base_features, feature_value, scale_rect)
@@ -43,13 +45,14 @@ def template_shape(f: HaarFeature) -> tuple[int, int]:
 
 def pixel_loop_value(img: GrayImage, f: HaarFeature, window: Rect,
                      scale: float) -> float:
-    """Brute-force oracle: same scaling rule, explicit per-pixel summation."""
+    """Brute-force oracle: same scaling rule, clipped to the window, explicit
+    per-pixel summation."""
     total = 0.0
     for part in f.parts:
         s = scale_rect(part.rect, scale)
         acc = 0
-        for y in range(window.y + s.y, window.y + s.bottom):
-            for x in range(window.x + s.x, window.x + s.right):
+        for y in range(window.y + s.y, window.y + min(s.bottom, window.h)):
+            for x in range(window.x + s.x, window.x + min(s.right, window.w)):
                 acc += int(img.data[y, x])
         total += part.weight * acc
     return total
@@ -73,10 +76,12 @@ class TestFeatureValue:
         assert value == -255 * 32  # minus white half-area
 
     def test_random_features_match_pixel_loop(self, rng):
+        """Parts may touch the far base edges; some of them then scale one
+        pixel past the window and are clipped."""
         img = random_image(rng, 40, 40)
         ip = integral(img)
-        checked = 0
-        while checked < 60:
+        clipped = 0
+        for _ in range(60):
             base = 8
             parts = []
             for _ in range(rng.randrange(2, 4)):
@@ -90,12 +95,10 @@ class TestFeatureValue:
             wx = rng.randrange(0, 40 - win_w + 1)
             wy = rng.randrange(0, 40 - win_h + 1)
             window = Rect(wx, wy, win_w, win_h)
-            try:
-                got = feature_value(ip, f, window, scale)
-            except FeatureEvalError:
-                continue  # precondition violated by this random draw
-            assert got == pixel_loop_value(img, f, window, scale)
-            checked += 1
+            assert feature_value(ip, f, window, scale) == \
+                pixel_loop_value(img, f, window, scale)
+            clipped += any(scale_rect(p.rect, scale).right > win_w for p in parts)
+        assert clipped
 
     def test_scale_one_equals_unscaled_parts(self, rng):
         img = random_image(rng, 16, 16)
@@ -120,28 +123,56 @@ class TestFeatureValue:
 
     @pytest.mark.parametrize("entry", ["feature_value", "eval_window",
                                        "detect_multiscale"])
+    def test_edge_flush_part_is_clipped(self, rng, entry):
+        """At scale 25/12 the lower part of this stacked feature lands at
+        y=13, h=13: one row past a 25x25 window, so it reads rows 13..24."""
+        img = random_image(rng, 30, 30)
+        ip = integral(img)
+        f = HaarFeature(FeatureKind.TWO_RECT, (
+            FeaturePart(Rect(0, 0, 12, 6), 1.0),
+            FeaturePart(Rect(0, 6, 12, 6), -1.0)))
+        window = Rect(2, 3, 25, 25)
+        clipped = (int(img.data[3:16, 2:27].sum()) - int(img.data[16:28, 2:27].sum()))
+        assert scale_rect(f.parts[1].rect, 25 / 12) == Rect(0, 13, 25, 13)
+        # one stump: accept where the normalized clipped sum is at least 0.1
+        c = Cascade(12, 12, (f,), (Stage((WeakClassifier(0, 0.1, 0.0, 1.0),), 0.5),))
+        if entry == "feature_value":
+            assert feature_value(ip, f, window, 25 / 12) == clipped
+        elif entry == "eval_window":
+            assert eval_window(c, ip, window).accepted == \
+                (clipped / _variance_denominator(ip, window) >= 0.1)
+        else:
+            # the ladder's only size is 25x25, at scale 25/12, stride 1
+            out = detect_multiscale(
+                c, img, ScanParams(scale_factor=25 / 12, min_size=25, max_size=25))
+            want = [Rect(x, y, 25, 25) for y in range(6) for x in range(6)]
+            assert [d.box for d in out] == [r for r in want if eval_window(c, ip, r).accepted]
+            assert 0 < len(out) < 36
+
+    @pytest.mark.parametrize("entry", ["feature_value", "eval_window"])
     def test_escape_names_feature_index(self, rng, entry):
+        """A part that starts outside the window: a free scale, or a window
+        shorter than the scaled base."""
         img = random_image(rng, 30, 30)
         f = HaarFeature(FeatureKind.TWO_RECT, (
-            FeaturePart(Rect(0, 0, 6, 12), 1.0),
-            FeaturePart(Rect(6, 0, 6, 12), -1.0)))
+            FeaturePart(Rect(0, 0, 12, 6), 1.0),
+            FeaturePart(Rect(0, 6, 12, 6), -1.0)))
         inside = HaarFeature(FeatureKind.TWO_RECT, (
             FeaturePart(Rect(0, 0, 4, 4), 1.0),
             FeaturePart(Rect(4, 0, 4, 4), -1.0)))
         # features 0..2 scale cleanly; the only weak classifier reads feature 3
         c = Cascade(12, 12, (inside,) * 3 + (f,),
                     (Stage((WeakClassifier(3, 0.0, 0.0, 1.0),), -1.0),))
-        window = Rect(0, 0, 25, 25)
-        # scale 25/12: round(6*2.0833)=13, round(12.5)=13 -> 26 > 25
+        # scale 25/12: part 1 starts at y = round(12.5) = 13, below 12 rows
+        window = Rect(0, 0, 25, 12)
         calls = {
             "feature_value": lambda: feature_value(integral(img), f, window,
                                                    25 / 12, index=3),
             "eval_window": lambda: eval_window(c, integral(img), window),
-            # the ladder's only size is 25x25, at scale 25/12
-            "detect_multiscale": lambda: detect_multiscale(
-                c, img, ScanParams(scale_factor=25 / 12, min_size=25, max_size=25)),
         }
-        with pytest.raises(FeatureEvalError, match="feature 3"):
+        with pytest.raises(FeatureEvalError, match=re.escape(
+                "feature 3: scaled part 1 (Rect(x=0, y=13, w=25, h=13)) starts "
+                "outside 25x12 window")):
             calls[entry]()
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -211,8 +212,7 @@ class TestClosedLoopOracle:
     def test_hover_when_target_lost(self):
         # target walks out of the frustum: loop hovers rather than wandering
         path = TargetPath((Ned(4.0, 40.0, -6.0),), speed=5.0)
-        cfg = offset_config(0.0, 0.0, standoff=4.0, ticks=40)
-        cfg.path = path
+        cfg = replace(offset_config(0.0, 0.0, standoff=4.0, ticks=40), path=path)
         trace = run_closed_loop(cfg)
         lost = [r for r in trace.rows if not r.detected]
         assert lost
