@@ -11,18 +11,22 @@ become corner taps ``(dy, dx, k)``, summed per distinct corner so shared
 corners merge or cancel.  The grid is cut into row bands of at most
 ``_BAND_WINDOWS`` windows so a band's scratch buffers stay in cache, and
 the calling thread walks the bands in scan order.  When stage 0's first
-weak classifier vetoes and the sign of its integer sum fixes its vote (a
-sign cut, see ``_sign_cut``), a band first sums that feature as strided
-slices of the integral table and drops the windows with the vetoing sign;
-only the survivors get sigma and the stages, through a gather of their
-merged corners.  Without a cut the walk is dense, then sparse: while every
-window of the band is still alive, a feature sums its taps as strided
-slices in int64; after the first rejection a stage gathers its corners for
-the survivors only.  The scalar and vectorized paths give bit-identical
-results, so one can be checked against the other: part weights are
-integers (a ``Cascade`` rule), so a feature's sum is the same exact integer
-in the scan's int64 and in ``eval_window``'s float64, and every float64
-operation after it runs in the same order on both paths.  Both scale part
+weak classifier vetoes, the sign of its integer sum fixes its vote and
+that sum fits in int32 (a sign cut, see ``_sign_cut``), a band first sums
+that feature as strided slices of an int32 view of the integral table and
+drops the windows with the vetoing sign.  The survivors keep those sums;
+one gather of their window corners and stage 0's other features reads
+everything else stage 0 needs, and later stages gather their own corners.
+A gather reads every tap of its lists at every survivor in one ``take``
+and sums the lists with one product by their integer coefficients.  Without a
+cut the walk is dense, then sparse: while every window of the band is
+still alive, a feature sums its taps as strided slices in int64; after the
+first rejection a stage gathers its corners for the survivors only.  The
+scalar and vectorized paths give bit-identical results, so one can be
+checked against the other: part weights are integers (a ``Cascade`` rule),
+so a feature's sum is the same exact integer in the scan's int64 (or the
+cut's int32) and in ``eval_window``'s float64, and every float64 operation
+after it runs in the same order on both paths.  Both scale part
 rects only through ``haar._scaled_parts``, the one home of that rule and of
 its clip to the window.
 ``group_detections`` clusters the accepted windows with a boolean
@@ -152,8 +156,11 @@ class ScanParams:
     eps: float = 0.2
 
     def __post_init__(self):
-        if self.scale_factor <= 1.0:
-            raise ValueError(f"scale_factor must exceed 1, got {self.scale_factor}")
+        # inf overflows and NaN fails the ladder's round-half-up at scan time
+        if not (math.isfinite(self.scale_factor) and self.scale_factor > 1.0):
+            raise ValueError(f"scale_factor must be finite and exceed 1, got {self.scale_factor}")
+        if isinstance(self.step_divisor, bool) or not isinstance(self.step_divisor, int):
+            raise ValueError(f"step_divisor must be an int, got {self.step_divisor!r}")
         if self.step_divisor < 1:
             raise ValueError("step_divisor must be at least 1")
 
@@ -236,30 +243,27 @@ def _corner_taps(parts) -> _Taps:
 
 
 class _Gather(NamedTuple):
-    """Tap lists, concatenated, to be read at scattered window origins."""
-    dy: np.ndarray
+    """Tap lists to be read at scattered window origins, padded with zero
+    taps to one length: list i's corners and its coefficient on each."""
+    dy: np.ndarray      # int64, lists x taps
     dx: np.ndarray
-    k: np.ndarray       # int64 coefficients, as a column
-    starts: np.ndarray  # first tap of each list
+    coef: np.ndarray    # 0 on the padding
 
 
 def _gather(tap_lists: list[_Taps]) -> _Gather:
-    dy, dx, k = np.array([t for taps in tap_lists for t in taps], dtype=np.int64).T
-    starts = np.cumsum([0] + [len(taps) for taps in tap_lists[:-1]])
-    return _Gather(dy, dx, k[:, None], starts)
+    longest = max(map(len, tap_lists))
+    return _Gather(*np.array([t + ((0, 0, 0),) * (longest - len(t)) for t in tap_lists],
+                             dtype=np.int64).transpose(2, 0, 1))
 
 
-def _gather_sums(g: _Gather, base: np.ndarray, *tables: np.ndarray) -> list[np.ndarray]:
-    """For each table (all of one width), an array whose row i holds tap list
-    i's int64 sums at the flat offsets ``base``: one gather per tap and
-    origin, then one sum per list."""
-    idx = (g.dy * tables[0].shape[1] + g.dx)[:, None] + base
-    sums = []
-    for table in tables:
-        taps = table.ravel().take(idx)
-        taps *= g.k
-        sums.append(np.add.reduceat(taps, g.starts, axis=0))
-    return sums
+def _gather_sums(g: _Gather, base: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Row i: tap list i's int64 sums at the flat offsets ``base`` into
+    ``table``.  One ``take`` reads every tap at every origin, and one
+    product with the coefficient matrix sums each list over its own taps,
+    so the cost grows with the taps, not with lists times taps.  The
+    products and sums are exact integers, far below 2**63 in magnitude."""
+    idx = (g.dy * table.shape[1] + g.dx)[:, :, None] + base
+    return np.einsum("lt,ltn->ln", g.coef, table.ravel().take(idx))
 
 
 class _StagePlan(NamedTuple):
@@ -274,22 +278,35 @@ class _SizePlan(NamedTuple):
     window: _Gather     # the same corners, for scattered windows
     stages: tuple[_StagePlan, ...]
     keep_sign: int      # the sign cut of stage 0, see _sign_cut
+    first: _Gather      # the window's corners, then stage 0's weak classifiers
+                        # after the first: a cut's survivors read ii through it
 
 
-def _sign_cut(st: Stage) -> int:
+# a cut feature's sum(|weight| * 255 * area) stays below this, so that its
+# sum modulo 2**32, read as int32, is the true sum
+_INT32_BOUND = 2 ** 31
+
+
+def _sign_cut(st: Stage, parts: list[tuple[Rect, float]]) -> int:
     """+1 or -1 when the sign of the first feature's integer sum alone can
     reject a window: a window can pass ``st`` only where the sum has that
-    sign.  0 when it cannot.
+    sign.  0 when it cannot.  ``parts`` are that feature's scaled, clipped
+    parts at the plan's size.
 
-    Two conditions make the cut.  The first weak classifier vetoes: its
+    Three conditions make the cut.  The first weak classifier vetoes: its
     lower leaf plus every other weak classifier's higher leaf, added in
     float64 in stage order, stays below the stage threshold, so (IEEE
-    addition being monotone) no window that takes that leaf passes.  And
-    the sum's sign fixes that leaf: sigma * area > 0 on every window, so a
+    addition being monotone) no window that takes that leaf passes.  The
+    sum's sign fixes that leaf: sigma * area > 0 on every window, so a
     sum <= 0 votes left under a threshold > 0, and a sum >= 0 votes right
     under a threshold <= 0.  Leaves are finite (a ``Cascade`` rule), so the
-    bound is never NaN.
+    bound is never NaN.  And the sum fits in int32: the cut adds the taps
+    over an int32 view of the integral table, modulo 2**32, which gives
+    the true sum whenever sum(|weight| * 255 * area) over the parts is
+    below 2**31.
     """
+    if sum(abs(int(w)) * 255 * r.area for r, w in parts) >= _INT32_BOUND:
+        return 0
     first = st.weak[0]
     total = 0.0 + min(first.left_value, first.right_value)
     for wk in st.weak[1:]:
@@ -307,8 +324,8 @@ def _compile_size(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
     """Scale every feature to a ``win_w`` x ``win_h`` window, clipped to it,
     and turn the parts into corner taps."""
     scale = win_w / c.base_w
-    feats = [_corner_taps(_scaled_parts(f, scale, win_w, win_h, fi))
-             for fi, f in enumerate(c.features)]
+    parts = [_scaled_parts(f, scale, win_w, win_h, fi) for fi, f in enumerate(c.features)]
+    feats = [_corner_taps(p) for p in parts]
     stages = []
     for st in c.stages:
         weak = tuple((feats[wk.feature_index], wk.threshold, wk.left_value, wk.right_value)
@@ -316,8 +333,10 @@ def _compile_size(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
         stages.append(_StagePlan(weak, st.stage_threshold, _gather([w[0] for w in weak])))
     win = Rect(0, 0, win_w, win_h)
     window_taps = _corner_taps([(win, 1)])
+    stage0 = c.stages[0]
     return _SizePlan(win, window_taps, _gather([window_taps]), tuple(stages),
-                     _sign_cut(c.stages[0]))
+                     _sign_cut(stage0, parts[stage0.weak[0].feature_index]),
+                     _gather([window_taps] + [w[0] for w in stages[0].weak[1:]]))
 
 
 def _size_plan(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
@@ -368,14 +387,19 @@ def _sigma_area(s1: np.ndarray, s2: np.ndarray, area: float) -> np.ndarray:
     return sigma
 
 
-def _add_votes(score: np.ndarray, norm: np.ndarray, lt: np.ndarray,
-               threshold: float, left: float, right: float) -> None:
-    # score += left where norm < threshold, else right: one float64 addition
-    # per window, as in eval_window
-    np.less(norm, threshold, out=lt)
-    np.add(score, left, out=score, where=lt)
-    np.logical_not(lt, out=lt)
-    np.add(score, right, out=score, where=lt)
+def _add_votes(score: np.ndarray, norm: np.ndarray, threshold: float,
+               left: float, right: float) -> None:
+    # one float64 addition per window, as in eval_window
+    score += np.where(norm < threshold, left, right)
+
+
+def _votes(st: _StagePlan, raw, denom: np.ndarray) -> np.ndarray:
+    """The stage's score per window from each weak classifier's integer
+    sums in ``raw``, in weak order."""
+    score = np.zeros(len(denom))
+    for sums, (_, threshold, left, right) in zip(raw, st.weak):
+        _add_votes(score, sums / denom, threshold, left, right)
+    return score
 
 
 def _walk_sparse(stages, ii: np.ndarray, alive: np.ndarray, base: np.ndarray,
@@ -384,66 +408,74 @@ def _walk_sparse(stages, ii: np.ndarray, alive: np.ndarray, base: np.ndarray,
     flat offsets ``base`` into ``ii`` and whose sigma * area is ``denom``.
     ``score`` is the windows' last score, returned when ``stages`` is empty."""
     for st in stages:
-        raw, = _gather_sums(st.gather, base, ii)
-        score = np.zeros(len(alive))
-        lt = np.empty(len(alive), dtype=bool)
-        for j, (_, threshold, left, right) in enumerate(st.weak):
-            _add_votes(score, raw[j] / denom, lt, threshold, left, right)
-        keep = score >= st.threshold
-        alive, score, base, denom = alive[keep], score[keep], base[keep], denom[keep]
         if len(alive) == 0:
             break
+        score = _votes(st, _gather_sums(st.gather, base, ii), denom)
+        keep = score >= st.threshold
+        alive, score, base, denom = alive[keep], score[keep], base[keep], denom[keep]
     return alive, score
 
 
-def _walk_band(plan: _SizePlan, ii: np.ndarray, sq: np.ndarray,
+def _walk_band(plan: _SizePlan, ii: np.ndarray, sq: np.ndarray, ii32: np.ndarray,
                ny: int, nx: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
     """The stage walk over an ``ny`` x ``nx`` band of origins.
 
-    ``ii`` and ``sq`` are the integral tables cut to start at the band's
-    first row of origins.  Returns the accepted windows' flat row-major
-    indices within the band and their last-stage scores.
+    ``ii``, ``sq`` and ``ii32`` (``ii`` modulo 2**32, as int32) are the
+    integral tables cut to start at the band's first row of origins.
+    Returns the accepted windows' flat row-major indices within the band
+    and their last-stage scores.
 
     With a sign cut, the cut feature's taps are summed first, as strided
-    slices, and the windows whose sum has the vetoing sign are dropped; the
-    survivors get sigma and every stage from the sparse walk, which gathers
-    each merged corner for them only.  Without a cut, or when it drops no
+    slices of ``ii32`` into int32 scratch, and the windows whose sum has
+    the vetoing sign are dropped.  The survivors keep their cut sums; one
+    gather of ``ii`` reads their window corners and stage 0's other
+    features, one gather of ``sq`` their window corners, and the sparse walk
+    takes the stages after stage 0.  Without a cut, or when it drops no
     window, the walk is dense up to the first rejection: sigma for every
-    window, then each feature's taps as strided slices.  The sparse walk
-    takes the stages after it.
+    window, then each feature's taps as strided slices of ``ii`` into int64
+    scratch.  The sparse walk, which gathers each merged corner for the
+    survivors only, takes the stages after it.
     """
     n = ny * nx
     width = ii.shape[1]
     area = float(plan.win.area)
-    acc, tmp = np.empty((2, ny, nx), dtype=np.int64)
 
     def origins(alive):
         return alive // nx * (stride * width) + alive % nx * stride
 
     if plan.keep_sign:
-        _grid_sum(acc, tmp, ii, plan.stages[0].weak[0][0], stride)
-        alive = np.flatnonzero(acc > 0 if plan.keep_sign > 0 else acc < 0)
+        cut, tmp = np.empty((2, ny, nx), dtype=np.int32)
+        _grid_sum(cut, tmp, ii32, plan.stages[0].weak[0][0], stride)
+        cut = cut.reshape(n)
+        alive = np.flatnonzero(cut > 0 if plan.keep_sign > 0 else cut < 0)
         if len(alive) < n:
             base = origins(alive)
-            (s1,), (s2,) = _gather_sums(plan.window, base, ii, sq)
-            return _walk_sparse(plan.stages, ii, alive, base, _sigma_area(s1, s2, area), None)
+            first = _gather_sums(plan.first, base, ii)
+            s2, = _gather_sums(plan.window, base, sq)
+            denom = _sigma_area(first[0], s2, area)
+            st = plan.stages[0]
+            score = _votes(st, [cut[alive], *first[1:]], denom)
+            keep = score >= st.threshold
+            return _walk_sparse(plan.stages[1:], ii, alive[keep], base[keep], denom[keep],
+                                score[keep])
 
+    acc, tmp = np.empty((2, ny, nx), dtype=np.int64)
     s1 = np.empty_like(acc)
     _grid_sum(s1, tmp, ii, plan.window_taps, stride)
     _grid_sum(acc, tmp, sq, plan.window_taps, stride)
     acc_flat = acc.reshape(n)
     denom = _sigma_area(s1.reshape(n), acc_flat, area)
     norm, score = np.empty((2, n))
-    lt = np.empty(n, dtype=bool)
+    passed = np.empty(n, dtype=bool)
     for si, st in enumerate(plan.stages):
         score.fill(0.0)
         for taps, threshold, left, right in st.weak:
             _grid_sum(acc, tmp, ii, taps, stride)
             np.true_divide(acc_flat, denom, out=norm)
-            _add_votes(score, norm, lt, threshold, left, right)
-        np.greater_equal(score, st.threshold, out=lt)
-        if not lt.all():
-            alive = np.flatnonzero(lt)
+            _add_votes(score, norm, threshold, left, right)
+        np.greater_equal(score, st.threshold, out=passed)
+        if not passed.all():
+            alive = np.flatnonzero(passed)
             return _walk_sparse(plan.stages[si + 1:], ii, alive, origins(alive),
                                 denom[alive], score[alive])
     return np.arange(n, dtype=np.intp), score
@@ -462,8 +494,9 @@ def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detecti
     stride, cut into row bands of at most ``_BAND_WINDOWS`` windows (at
     least one row), which the calling thread walks in turn from the top.
     Within a band, a plan with a sign cut first drops the windows whose
-    first feature sum has the vetoing sign, and the survivors take sigma and
-    every stage from gathered corners; otherwise each feature sums its
+    first feature sum has the vetoing sign, summed over the scan's one int32
+    view of the table, and the survivors take sigma and every stage from
+    gathered corners; otherwise each feature sums its
     merged corner taps as strided slices of the integral table until the
     first rejection, and a stage gathers its corners for the surviving
     windows only from then on.  Both reads give the same integers, so no
@@ -471,6 +504,7 @@ def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detecti
     so neither can the bands.
     """
     ip = integral(img)
+    ii32 = ip.ii.astype(np.uint32).view(np.int32)  # modulo 2**32, whatever the byte order
     out: list[Detection] = []
     for win_w, win_h in _scan_sizes(c, img.width, img.height, p):
         plan = _size_plan(c, win_w, win_h)
@@ -480,7 +514,7 @@ def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detecti
         rows = max(1, _BAND_WINDOWS // nx)
         for r0 in range(0, ny, rows):
             alive, score = _walk_band(plan, ip.ii[r0 * stride:], ip.sq[r0 * stride:],
-                                      min(rows, ny - r0), nx, stride)
+                                      ii32[r0 * stride:], min(rows, ny - r0), nx, stride)
             for idx, sc in zip(alive.tolist(), score.tolist()):
                 out.append(Detection(Rect(idx % nx * stride, (r0 + idx // nx) * stride,
                                           win_w, win_h), sc))

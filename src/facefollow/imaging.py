@@ -130,17 +130,20 @@ class IntegralPair:
 def integral(img: GrayImage) -> IntegralPair:
     """Build both integral tables in one cumulative sweep per axis.
 
-    Row-cumulative sums first, then column-cumulative: the vectorized form
-    of s(x,y) = s(x,y-1) + i(x,y); ii(x,y) = ii(x-1,y) + s(x,y).
+    The pixels and their squares are widened into the tables' interiors,
+    then summed in place down the columns and then along the rows: the
+    vectorized form of s(x,y) = s(x,y-1) + i(x,y); ii(x,y) = ii(x-1,y) +
+    s(x,y).  No temporary copy of the pixels is made.
     """
     h, w = img.height, img.width
     ii = np.zeros((h + 1, w + 1), dtype=np.int64)
     sq = np.zeros((h + 1, w + 1), dtype=np.int64)
-    px = img.data.astype(np.int64)
-    np.cumsum(px, axis=1, out=ii[1:, 1:])
-    np.cumsum(ii[1:, 1:], axis=0, out=ii[1:, 1:])
-    np.cumsum(px * px, axis=1, out=sq[1:, 1:])
-    np.cumsum(sq[1:, 1:], axis=0, out=sq[1:, 1:])
+    px, px2 = ii[1:, 1:], sq[1:, 1:]
+    np.copyto(px, img.data)
+    np.multiply(px, px, out=px2)
+    for t in (px, px2):
+        np.cumsum(t, axis=0, out=t)
+        np.cumsum(t, axis=1, out=t)
     return IntegralPair(w, h, ii, sq)
 
 

@@ -419,6 +419,26 @@ def first_stage(c: Cascade, first: str) -> Cascade:
                    (Stage((WeakClassifier(0, 0.0, 0.0, 0.0),), vacuous),) + c.stages)
 
 
+class TestScanParams:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1.0, 0.5])
+    def test_scale_factor_must_be_finite_and_exceed_1(self, value):
+        with pytest.raises(ValueError, match="^scale_factor must be finite and exceed 1"):
+            ScanParams(scale_factor=value)
+
+    @pytest.mark.parametrize("value", [1.5, 24.0, True, False, "24", None])
+    def test_step_divisor_must_be_an_int(self, value):
+        with pytest.raises(ValueError, match="^step_divisor must be an int"):
+            ScanParams(step_divisor=value)
+
+    def test_step_divisor_must_be_at_least_1(self):
+        with pytest.raises(ValueError, match="^step_divisor must be at least 1"):
+            ScanParams(step_divisor=0)
+
+    def test_smallest_valid_settings(self):
+        p = ScanParams(scale_factor=math.nextafter(1.0, 2.0), step_divisor=1)
+        assert p.step_divisor == 1 and p.scale_factor > 1.0
+
+
 class TestDetectMultiscale:
     def test_blank_image_reject_all_empty(self):
         img = GrayImage(np.zeros((64, 64), dtype=np.uint8))
@@ -779,6 +799,153 @@ class TestSignCut:
         got = {(d.box.x, d.box.y, d.box.w, d.box.h): d.score
                for d in detect_multiscale(c, img, p)}
         assert got == per_window_eval(c, img, p)[0]
+
+
+# parts of a same-sign feature whose int32 bound is 2 * 2**16 * 255 * area:
+# area 64 stays below 2**31 (by 0.4%), area 65 reaches it (by 1.2%)
+INT32_BOUND_SIDES = {"below": (16, 8, Rect(0, 0, 8, 8), Rect(8, 0, 8, 8)),
+                     "above": (10, 13, Rect(0, 0, 5, 13), Rect(5, 0, 5, 13))}
+
+
+def heavy_cascade(side: str) -> Cascade:
+    """Stage 0 is one left-lower weak classifier on a feature of two parts
+    of weight 2**16: on a bright window its sum comes within 1% of 2**31
+    ("below") or passes it ("above"); stage 1 reads the same parts as a
+    left-minus-right feature."""
+    base_w, base_h, left, right = INT32_BOUND_SIDES[side]
+    heavy = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(left, 2.0 ** 16),
+                                               FeaturePart(right, 2.0 ** 16)))
+    edge = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(left, 1.0),
+                                              FeaturePart(right, -1.0)))
+    return Cascade(base_w, base_h, (heavy, edge),
+                   (Stage((WeakClassifier(0, 0.05, -1.0, 1.0),), 0.0),
+                    Stage((WeakClassifier(1, 0.0, -1.0, 1.0),), 0.0)))
+
+
+def bright_frame() -> GrayImage:
+    """3000x3000, mostly 255, so the integral table passes 2**31 near the
+    bottom-right corner.  A few dark rects lie in the upper left; the
+    bottom-right 400x400 holds vertical bars (250 and 90, 24 px wide)
+    darkened by 40 on every other 40-row band, so the windows there have
+    first-feature sums of both signs."""
+    gen = np.random.default_rng(3)
+    data = np.full((3000, 3000), 255, dtype=np.uint8)
+    yy, xx = np.mgrid[:400, :400]
+    data[2600:, 2600:] = 250 - 160 * (xx // 24 % 2) - 40 * (yy // 40 % 2)
+    for _ in range(6):
+        (x, y), (w, h) = gen.integers(0, 2500, 2), gen.integers(30, 200, 2)
+        data[y:y + h, x:x + w] = gen.integers(0, 120)
+    return GrayImage(data)
+
+
+class TestInt32Cut:
+    """The cut feature is summed modulo 2**32 over an int32 view of the
+    integral table; a plan gets a cut only where that sum is exact."""
+
+    def test_bright_frame_whose_integral_passes_2_31(self):
+        """Windows whose corners read table entries past 2**31, which the
+        int32 view holds wrapped, are cut, rejected later or accepted just
+        as eval_window has it."""
+        halves = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(Rect(0, 0, 4, 8), 1.0),
+                                                    FeaturePart(Rect(4, 0, 4, 8), -1.0)))
+        rows = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(Rect(0, 0, 8, 4), 1.0),
+                                                  FeaturePart(Rect(0, 4, 8, 4), -1.0)))
+        c = Cascade(8, 8, (halves, rows),
+                    (Stage((WeakClassifier(0, 0.01, -1.0, 1.0),), 0.0),
+                     Stage((WeakClassifier(1, 0.0, -1.0, 1.0),
+                            WeakClassifier(0, 0.1, 0.5, -0.25)), 0.0)))
+        img = bright_frame()
+        p = ScanParams(scale_factor=2.0, min_size=64, max_size=128, step_divisor=2)
+        assert [w for w, _ in cascade._scan_sizes(c, 3000, 3000, p)] == [64, 128]
+        assert all(cascade._size_plan(c, w, w).keep_sign == 1 for w in (64, 128))
+        got = [(d.box, d.score) for d in detect_multiscale(c, img, p)]
+        ip = integral(img)
+        assert ip.ii[-1, -1] >= 2 ** 31
+        want, wrapped = [], []
+        for w in (64, 128):
+            for y in range(0, 3000 - w + 1, w // 2):
+                for x in range(0, 3000 - w + 1, w // 2):
+                    res = eval_window(c, ip, Rect(x, y, w, w))
+                    if res.accepted:
+                        want.append((Rect(x, y, w, w), res.score))
+                    if ip.ii[y + w, x + w] >= 2 ** 31:
+                        wrapped.append(res.stages_passed)
+        assert got == want
+        # windows past 2**31 rejected by stage 0, by stage 1, and accepted
+        assert {0, 1, 2} <= set(wrapped)
+
+    @pytest.mark.parametrize("side", INT32_BOUND_SIDES)
+    def test_heavy_feature_on_both_sides_of_the_bound(self, rng, side):
+        """At the base size, 2 * 2**16 * 255 * 64 < 2**31 gets a cut and
+        2 * 2**16 * 255 * 65 does not; both scan as eval_window has it, on
+        an all-255 frame (every sum at its bound, every window accepted)
+        and on a random one with a black patch (sums of 0 are cut)."""
+        c = heavy_cascade(side)
+        plan = cascade._size_plan(c, c.base_w, c.base_h)
+        assert plan.keep_sign == (1 if side == "below" else 0)
+        # a larger size of the same cascade has no cut either way
+        assert cascade._size_plan(c, 2 * c.base_w, 2 * c.base_h).keep_sign == 0
+        p = ScanParams(min_size=c.base_w, max_size=c.base_w, step_divisor=4)
+        bright = GrayImage(np.full((30, 36), 255, dtype=np.uint8))
+        patched = random_image(rng, 36, 30).data.copy()
+        patched[:20, :20] = 0
+        for img in (bright, GrayImage(patched)):
+            got = {(d.box.x, d.box.y, d.box.w, d.box.h): d.score
+                   for d in detect_multiscale(c, img, p)}
+            want, ((_, _, _, nx, ny),) = per_window_eval(c, img, p)
+            assert got == want
+            assert len(want) == nx * ny if img is bright else 0 < len(want) < nx * ny
+        heavy_sum = feature_value(integral(bright), c.features[0],
+                                  Rect(0, 0, c.base_w, c.base_h))
+        assert (heavy_sum < 2 ** 31) == (side == "below")
+
+    def test_synthetic_cascades_cut_at_every_640_size(self):
+        for c, p in zip((build_body_cascade(), build_face_cascade()),
+                        (ScanParams(), synthetic_gate_params(640).face_scan)):
+            sizes = cascade._scan_sizes(c, 640, 480, p)
+            assert sizes and all(cascade._size_plan(c, w, h).keep_sign == 1 for w, h in sizes)
+
+
+class TestGather:
+    """One ``take`` of every tap, then one product with the coefficient
+    matrix, gives each tap list's strided-slice sums."""
+
+    def check(self, rng, tap_lists, g):
+        ip = integral(random_image(rng, 48, 48))
+        stride, ny, nx = 3, 6, 7  # origins up to (15, 18); taps reach 24 further
+        alive = np.array(sorted(rng.sample(range(ny * nx), 20)))
+        for table in (ip.ii, ip.sq):
+            base = alive // nx * (stride * table.shape[1]) + alive % nx * stride
+            got = cascade._gather_sums(g, base, table)
+            assert got.shape == (len(tap_lists), len(alive)) and got.dtype == np.int64
+            for i, taps in enumerate(tap_lists):
+                acc, tmp = np.empty((2, ny, nx), dtype=np.int64)
+                cascade._grid_sum(acc, tmp, table, taps, stride)
+                assert np.array_equal(got[i], acc.reshape(-1)[alive])
+
+    def test_unequal_lists_and_one_whose_corners_all_cancel(self, rng):
+        plan = cascade._size_plan(cancelling_cascade(rng), 15, 23)
+        tap_lists = [taps for st in plan.stages for taps, *_ in st.weak]
+        assert ((0, 0, 0),) in tap_lists and len({len(t) for t in tap_lists}) > 1
+        g = cascade._gather(tap_lists)
+        # one row per list, padded with zero taps to the longest
+        assert g.coef.shape == g.dy.shape == g.dx.shape == \
+            (len(tap_lists), max(map(len, tap_lists)))
+        for row, taps in zip(np.stack(g, axis=-1).tolist(), tap_lists):
+            assert row == [list(t) for t in taps] + [[0, 0, 0]] * (len(row) - len(taps))
+        self.check(rng, tap_lists, g)
+
+    @pytest.mark.parametrize("build", [build_body_cascade, build_face_cascade])
+    def test_cut_gather_reads_the_window_first(self, rng, build):
+        """The survivors' one gather of ii: row 0 the window's sum (s1),
+        then stage 0's weak classifiers after the cut one."""
+        c = build()
+        plan = cascade._size_plan(c, c.base_w + 3, c.base_h + 3)
+        tap_lists = [plan.window_taps] + [taps for taps, *_ in plan.stages[0].weak[1:]]
+        assert all(map(np.array_equal, plan.first, cascade._gather(tap_lists)))
+        assert np.stack(plan.first, axis=-1)[0, :4].tolist() == \
+            [list(t) for t in plan.window_taps]
+        self.check(rng, tap_lists, plan.first)
 
 
 def brute_force_groups(boxes, eps):
