@@ -10,27 +10,16 @@ compiles once into a size plan, which the ``Cascade`` keeps in its private
 become corner taps ``(dy, dx, k)``, summed per distinct corner so shared
 corners merge or cancel.  The grid is cut into row bands of at most
 ``_BAND_WINDOWS`` windows so a band's scratch buffers stay in cache, and
-the calling thread walks the bands in scan order.  When stage 0's first
-weak classifier vetoes, the sign of its integer sum fixes its vote and
-that sum fits in int32 (a sign cut, see ``_sign_cut``), a band first sums
-that feature as strided slices of an int32 view of the integral table and
-drops the windows with the vetoing sign.  The survivors keep those sums;
-one gather of their window corners and stage 0's other features reads
-everything else stage 0 needs, and later stages gather their own corners.
-A gather reads every tap of its lists at every survivor in one ``take``
-and sums the lists with one product by their integer coefficients.  Without a
-cut the walk is dense, then sparse: while every window of the band is
-still alive, a feature sums its taps as strided slices in int64; after the
-first rejection a stage gathers its corners for the survivors only.  The
-scalar and vectorized paths give bit-identical results, so one can be
-checked against the other: part weights are integers (a ``Cascade`` rule),
-so a feature's sum is the same exact integer in the scan's int64 (or the
-cut's int32) and in ``eval_window``'s float64, and every float64 operation
-after it runs in the same order on both paths.  Both scale part
-rects only through ``haar._scaled_parts``, the one home of that rule and of
-its clip to the window.
-``group_detections`` clusters the accepted windows with a boolean
-similarity matrix and reachability over it.
+the calling thread walks the bands in scan order; ``_walk_band`` describes
+how a band is read.  The scalar and vectorized paths give bit-identical
+results, so one can be checked against the other: part weights are
+integers (a ``Cascade`` rule), so a feature's sum is the same exact integer
+in the scan's int64 (or the cut's int32) and in ``eval_window``'s float64,
+and every float64 operation after it runs in the same order on both paths.
+Both scale part rects only through ``haar._scaled_parts``, the one home of
+that rule and of its clip to the window.
+``group_detections`` clusters the accepted windows by growing each cluster
+over the boxes not yet clustered.
 """
 
 from __future__ import annotations
@@ -269,7 +258,8 @@ def _gather_sums(g: _Gather, base: np.ndarray, table: np.ndarray) -> np.ndarray:
 class _StagePlan(NamedTuple):
     weak: tuple[tuple[_Taps, float, float, float], ...]  # taps, threshold, left, right
     threshold: float
-    gather: _Gather     # every weak classifier's taps, in weak order
+    gather: _Gather | None  # every weak classifier's taps, in weak order; None
+                            # on stage 0, which _walk_band never gathers
 
 
 class _SizePlan(NamedTuple):
@@ -327,10 +317,11 @@ def _compile_size(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
     parts = [_scaled_parts(f, scale, win_w, win_h, fi) for fi, f in enumerate(c.features)]
     feats = [_corner_taps(p) for p in parts]
     stages = []
-    for st in c.stages:
+    for si, st in enumerate(c.stages):
         weak = tuple((feats[wk.feature_index], wk.threshold, wk.left_value, wk.right_value)
                      for wk in st.weak)
-        stages.append(_StagePlan(weak, st.stage_threshold, _gather([w[0] for w in weak])))
+        stages.append(_StagePlan(weak, st.stage_threshold,
+                                 _gather([w[0] for w in weak]) if si else None))
     win = Rect(0, 0, win_w, win_h)
     window_taps = _corner_taps([(win, 1)])
     stage0 = c.stages[0]
@@ -357,9 +348,10 @@ _BAND_WINDOWS = 32768
 
 
 def _grid_sum(acc: np.ndarray, tmp: np.ndarray, table: np.ndarray, taps: _Taps,
-              stride: int) -> None:
+              stride: int) -> np.ndarray:
     """``acc`` = the taps' weighted sum at every origin of the ``acc.shape``
-    grid at ``stride``, each tap read as a strided slice of the table."""
+    grid at ``stride``, each tap read as a strided slice of the table;
+    returns ``acc`` flattened."""
     ny, nx = acc.shape
     sy, sx = (ny - 1) * stride + 1, (nx - 1) * stride + 1
     for i, (dy, dx, k) in enumerate(taps):
@@ -373,6 +365,7 @@ def _grid_sum(acc: np.ndarray, tmp: np.ndarray, table: np.ndarray, taps: _Taps,
         else:
             np.multiply(v, k, out=tmp)
             np.add(acc, tmp, out=acc)
+    return acc.reshape(-1)
 
 
 def _sigma_area(s1: np.ndarray, s2: np.ndarray, area: float) -> np.ndarray:
@@ -387,33 +380,14 @@ def _sigma_area(s1: np.ndarray, s2: np.ndarray, area: float) -> np.ndarray:
     return sigma
 
 
-def _add_votes(score: np.ndarray, norm: np.ndarray, threshold: float,
-               left: float, right: float) -> None:
-    # one float64 addition per window, as in eval_window
-    score += np.where(norm < threshold, left, right)
-
-
 def _votes(st: _StagePlan, raw, denom: np.ndarray) -> np.ndarray:
     """The stage's score per window from each weak classifier's integer
-    sums in ``raw``, in weak order."""
+    sums in ``raw``, in weak order: one float64 addition per window and
+    weak classifier, as in eval_window."""
     score = np.zeros(len(denom))
     for sums, (_, threshold, left, right) in zip(raw, st.weak):
-        _add_votes(score, sums / denom, threshold, left, right)
+        score += np.where(sums / denom < threshold, left, right)
     return score
-
-
-def _walk_sparse(stages, ii: np.ndarray, alive: np.ndarray, base: np.ndarray,
-                 denom: np.ndarray, score) -> tuple[np.ndarray, np.ndarray]:
-    """``stages`` over the band's windows ``alive``, whose origins lie at the
-    flat offsets ``base`` into ``ii`` and whose sigma * area is ``denom``.
-    ``score`` is the windows' last score, returned when ``stages`` is empty."""
-    for st in stages:
-        if len(alive) == 0:
-            break
-        score = _votes(st, _gather_sums(st.gather, base, ii), denom)
-        keep = score >= st.threshold
-        alive, score, base, denom = alive[keep], score[keep], base[keep], denom[keep]
-    return alive, score
 
 
 def _walk_band(plan: _SizePlan, ii: np.ndarray, sq: np.ndarray, ii32: np.ndarray,
@@ -425,60 +399,48 @@ def _walk_band(plan: _SizePlan, ii: np.ndarray, sq: np.ndarray, ii32: np.ndarray
     Returns the accepted windows' flat row-major indices within the band
     and their last-stage scores.
 
-    With a sign cut, the cut feature's taps are summed first, as strided
-    slices of ``ii32`` into int32 scratch, and the windows whose sum has
-    the vetoing sign are dropped.  The survivors keep their cut sums; one
-    gather of ``ii`` reads their window corners and stage 0's other
-    features, one gather of ``sq`` their window corners, and the sparse walk
-    takes the stages after stage 0.  Without a cut, or when it drops no
-    window, the walk is dense up to the first rejection: sigma for every
-    window, then each feature's taps as strided slices of ``ii`` into int64
-    scratch.  The sparse walk, which gathers each merged corner for the
-    survivors only, takes the stages after it.
+    Stage 0 reads the band in one of two ways.  With a sign cut, the cut
+    feature's taps are summed first, as strided slices of ``ii32`` into
+    int32 scratch, and the windows whose sum has the vetoing sign are
+    dropped; the survivors keep their cut sums, one gather of ``ii`` reads
+    their window corners and stage 0's other features, and one gather of
+    ``sq`` their window corners.  Without a cut, sigma and every stage 0
+    feature are summed for every window as strided slices of ``ii`` and
+    ``sq`` into int64 scratch.  Every later stage gathers its merged corners
+    for the windows still alive.  Strided and gathered reads give the same
+    integers, and ``_votes`` scores every stage from them, so a window's
+    result does not depend on how it was read.
     """
-    n = ny * nx
-    width = ii.shape[1]
-    area = float(plan.win.area)
-
     def origins(alive):
-        return alive // nx * (stride * width) + alive % nx * stride
+        return alive // nx * (stride * ii.shape[1]) + alive % nx * stride
 
+    st = plan.stages[0]
     if plan.keep_sign:
         cut, tmp = np.empty((2, ny, nx), dtype=np.int32)
-        _grid_sum(cut, tmp, ii32, plan.stages[0].weak[0][0], stride)
-        cut = cut.reshape(n)
+        cut = _grid_sum(cut, tmp, ii32, st.weak[0][0], stride)
         alive = np.flatnonzero(cut > 0 if plan.keep_sign > 0 else cut < 0)
-        if len(alive) < n:
-            base = origins(alive)
-            first = _gather_sums(plan.first, base, ii)
-            s2, = _gather_sums(plan.window, base, sq)
-            denom = _sigma_area(first[0], s2, area)
-            st = plan.stages[0]
-            score = _votes(st, [cut[alive], *first[1:]], denom)
-            keep = score >= st.threshold
-            return _walk_sparse(plan.stages[1:], ii, alive[keep], base[keep], denom[keep],
-                                score[keep])
-
-    acc, tmp = np.empty((2, ny, nx), dtype=np.int64)
-    s1 = np.empty_like(acc)
-    _grid_sum(s1, tmp, ii, plan.window_taps, stride)
-    _grid_sum(acc, tmp, sq, plan.window_taps, stride)
-    acc_flat = acc.reshape(n)
-    denom = _sigma_area(s1.reshape(n), acc_flat, area)
-    norm, score = np.empty((2, n))
-    passed = np.empty(n, dtype=bool)
-    for si, st in enumerate(plan.stages):
-        score.fill(0.0)
-        for taps, threshold, left, right in st.weak:
-            _grid_sum(acc, tmp, ii, taps, stride)
-            np.true_divide(acc_flat, denom, out=norm)
-            _add_votes(score, norm, threshold, left, right)
-        np.greater_equal(score, st.threshold, out=passed)
-        if not passed.all():
-            alive = np.flatnonzero(passed)
-            return _walk_sparse(plan.stages[si + 1:], ii, alive, origins(alive),
-                                denom[alive], score[alive])
-    return np.arange(n, dtype=np.intp), score
+        base = origins(alive)
+        first = _gather_sums(plan.first, base, ii)
+        s2, = _gather_sums(plan.window, base, sq)
+        s1, raw = first[0], [cut[alive], *first[1:]]
+    else:
+        alive = np.arange(ny * nx)
+        base = origins(alive)
+        s1, s2, acc, tmp = np.empty((4, ny, nx), dtype=np.int64)
+        s1 = _grid_sum(s1, tmp, ii, plan.window_taps, stride)
+        s2 = _grid_sum(s2, tmp, sq, plan.window_taps, stride)
+        # _votes reads each sum before the next one overwrites acc
+        raw = (_grid_sum(acc, tmp, ii, taps, stride) for taps, *_ in st.weak)
+    denom = _sigma_area(s1, s2, float(plan.win.area))
+    score = _votes(st, raw, denom)
+    keep = score >= st.threshold
+    for st in plan.stages[1:]:
+        if not keep.any():
+            break
+        alive, base, denom = alive[keep], base[keep], denom[keep]
+        score = _votes(st, _gather_sums(st.gather, base, ii), denom)
+        keep = score >= st.threshold
+    return alive[keep], score[keep]
 
 
 def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detection]:
@@ -492,16 +454,10 @@ def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detecti
     Every size of the ladder takes its cached size plan, compiled on first
     use.  Each size's windows form an ``ny`` x ``nx`` grid of origins at the
     stride, cut into row bands of at most ``_BAND_WINDOWS`` windows (at
-    least one row), which the calling thread walks in turn from the top.
-    Within a band, a plan with a sign cut first drops the windows whose
-    first feature sum has the vetoing sign, summed over the scan's one int32
-    view of the table, and the survivors take sigma and every stage from
-    gathered corners; otherwise each feature sums its
-    merged corner taps as strided slices of the integral table until the
-    first rejection, and a stage gathers its corners for the surviving
-    windows only from then on.  Both reads give the same integers, so no
-    switch can change a result, and every window is classified on its own,
-    so neither can the bands.
+    least one row), which the calling thread walks in turn from the top
+    with ``_walk_band``; ``ii32`` is the scan's one int32 view of the table
+    for the sign cut.  Every window is classified on its own, so the bands
+    cannot change a result.
     """
     ip = integral(img)
     ii32 = ip.ii.astype(np.uint32).view(np.int32)  # modulo 2**32, whatever the byte order
@@ -521,8 +477,8 @@ def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detecti
     return out
 
 
-# rows of the similarity matrix filled per step; bounds the int64/float64
-# temporaries to _GROUP_ROWS x n whatever the detection count
+# frontier boxes tested per step; bounds the int64/float64 temporaries to
+# _GROUP_ROWS x n whatever the detection count
 _GROUP_ROWS = 64
 
 
@@ -538,6 +494,10 @@ def group_detections(dets: list[Detection], min_neighbors: int = 3,
     (x, y, right, bottom) so it stays inside the cluster's convex bounds;
     its ``score`` is the best member score and ``neighbors`` the cluster
     population.  ``gated.detect_grouped`` runs it after each scan.
+
+    Each cluster grows from the first box not yet clustered: every round
+    tests the boxes it gained last round, ``_GROUP_ROWS`` at a time, against
+    the boxes still unclustered, so memory stays ``_GROUP_ROWS`` x n.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -546,31 +506,26 @@ def group_detections(dets: list[Detection], min_neighbors: int = 3,
     n = len(dets)
     x, y, w, h = np.array([(d.box.x, d.box.y, d.box.w, d.box.h) for d in dets],
                           dtype=np.int64).reshape(n, 4).T
-    similar = np.empty((n, n), dtype=bool)
-    for i0 in range(0, n, _GROUP_ROWS):
-        rows = slice(i0, i0 + _GROUP_ROWS)
-        delta = eps * (w[rows, None] + h[rows, None] + w + h) / 4.0
-        similar[rows] = ((np.abs(x[rows, None] - x) <= delta)
-                         & (np.abs(y[rows, None] - y) <= delta)
-                         & (np.abs(w[rows, None] - w) <= delta)
-                         & (np.abs(h[rows, None] - h) <= delta))
-
     corners = np.stack([x, y, x + w, y + h], axis=1)
-    seen = np.zeros(n, dtype=bool)
+    rest = np.arange(n)
     out = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        comp = similar[i].copy()
-        frontier = comp
-        while True:
-            grown = similar[frontier].any(axis=0) & ~comp
-            if not grown.any():
-                break
-            comp |= grown
-            frontier = grown
-        seen |= comp
-        members = np.flatnonzero(comp)
+    while len(rest):
+        frontier, rest = rest[:1], rest[1:]
+        members = [frontier]
+        while len(frontier) and len(rest):
+            grown = []
+            for i0 in range(0, len(frontier), _GROUP_ROWS):
+                f = frontier[i0:i0 + _GROUP_ROWS, None]
+                delta = eps * (w[f] + h[f] + w[rest] + h[rest]) / 4.0
+                hit = ((np.abs(x[f] - x[rest]) <= delta)
+                       & (np.abs(y[f] - y[rest]) <= delta)
+                       & (np.abs(w[f] - w[rest]) <= delta)
+                       & (np.abs(h[f] - h[rest]) <= delta)).any(axis=0)
+                grown.append(rest[hit])
+                rest = rest[~hit]
+            frontier = np.concatenate(grown)
+            members.append(frontier)
+        members = np.concatenate(members)
         k = len(members)
         if k < min_neighbors + 1:
             continue

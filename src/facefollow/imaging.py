@@ -205,7 +205,7 @@ def decode_pnm(data: bytes) -> GrayImage:
             if v > maxval:
                 raise PnmParseError(f"sample {v} exceeds maxval {maxval}", at)
             buf.append(v)
-        flat = np.frombuffer(buf, dtype=np.uint8).astype(np.int64)
+        flat = np.frombuffer(buf, dtype=np.uint8)
     else:
         # exactly one whitespace byte separates maxval from binary payload
         if not data[pos:pos + 1].isspace():
@@ -215,17 +215,18 @@ def decode_pnm(data: bytes) -> GrayImage:
             raise PnmParseError(
                 f"truncated payload: need {samples} bytes, have {len(data) - start}",
                 len(data))
-        raw = np.frombuffer(data, dtype=np.uint8, count=samples, offset=start)
-        if raw.max(initial=0) > maxval:
+        # a copy: the image must not share the caller's buffer
+        flat = np.frombuffer(data, dtype=np.uint8, count=samples, offset=start).copy()
+        if flat.max(initial=0) > maxval:
             raise PnmParseError(f"sample exceeds maxval {maxval}", start)
-        flat = raw.astype(np.int64)
 
     if color:
-        rgb = flat.reshape(height, width, 3)
+        # the largest sum, 255 * 1000 + 500, fits easily in uint32
+        rgb = flat.reshape(height, width, 3).astype(np.uint32)
         lum = (_LUMA_R * rgb[:, :, 0] + _LUMA_G * rgb[:, :, 1]
                + _LUMA_B * rgb[:, :, 2] + 500) // 1000
         return GrayImage(lum.astype(np.uint8))
-    return GrayImage(flat.reshape(height, width).astype(np.uint8))
+    return GrayImage(flat.reshape(height, width))
 
 
 def encode_pgm(img: GrayImage) -> bytes:

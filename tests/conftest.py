@@ -76,19 +76,20 @@ def rng():
     return random.Random(20240817)
 
 
-class WalkCounter:
-    """Counts the band walks of the scans, in place of ``cascade._walk_band``."""
+class CallCounter:
+    """Counts the calls of ``fn``, in place of it."""
 
-    def __init__(self, walk):
-        self.walk, self.count = walk, 0
+    def __init__(self, fn):
+        self.fn, self.count = fn, 0
 
     def __call__(self, *args):
         self.count += 1
-        return self.walk(*args)
+        return self.fn(*args)
 
 
 @pytest.fixture
 def band_walks(monkeypatch):
-    counter = WalkCounter(cascade._walk_band)
+    """Counts the band walks of the scans."""
+    counter = CallCounter(cascade._walk_band)
     monkeypatch.setattr(cascade, "_walk_band", counter)
     return counter

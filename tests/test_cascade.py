@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -20,7 +21,7 @@ from facefollow.imaging import GrayImage, Rect, integral, rect_sum
 from facefollow.synthetic import (build_body_cascade, build_face_cascade,
                                   synthetic_gate_params)
 
-from conftest import (accept_all_cascade, fixture_text, random_cascade,
+from conftest import (CallCounter, accept_all_cascade, fixture_text, random_cascade,
                       random_image, reject_all_cascade)
 
 MINIMAL_DOC = json.dumps({
@@ -801,6 +802,47 @@ class TestSignCut:
         assert got == per_window_eval(c, img, p)[0]
 
 
+class TestWalkReads:
+    """Stage 0 reads a band as strided slices and every later stage gathers:
+    ``_grid_sum`` runs once per band with a sign cut (the cut feature) and
+    2 + len(stage 0) times without one (s1, s2, then each feature)."""
+
+    def reads(self, monkeypatch, c, img):
+        reads = CallCounter(cascade._grid_sum)
+        monkeypatch.setattr(cascade, "_grid_sum", reads)
+        p = ScanParams(scale_factor=1.25, step_divisor=4)
+        got = {(d.box.x, d.box.y, d.box.w, d.box.h): d.score
+               for d in detect_multiscale(c, img, p)}
+        want, grids = per_window_eval(c, img, p)
+        assert got == want
+        return reads.count, want, sum(nx * ny for *_, nx, ny in grids)
+
+    @pytest.mark.parametrize("split", [False, True], ids=["whole", "split-bands"])
+    def test_without_a_cut_when_stage_0_keeps_every_window(self, rng, monkeypatch,
+                                                          band_walks, split):
+        """Later stages reject some windows, and still read no strided slice."""
+        if split:
+            monkeypatch.setattr(cascade, "_BAND_WINDOWS", 5)
+        halves = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(Rect(0, 0, 4, 8), 1.0),
+                                                    FeaturePart(Rect(4, 0, 4, 8), -1.0)))
+        rows = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(Rect(0, 0, 8, 4), 1.0),
+                                                  FeaturePart(Rect(0, 4, 8, 4), -1.0)))
+        keep_all = Stage(tuple(WeakClassifier(i, 0.0, 0.0, 0.0) for i in (0, 1, 0)), -1.0)
+        # each keeps the windows where its feature's sum is not negative
+        signs = tuple(Stage((WeakClassifier(i, 0.0, -1.0, 1.0),), 0.0) for i in (0, 1))
+        c = Cascade(8, 8, (halves, rows), (keep_all,) + signs)
+        reads, accepted, windows = self.reads(monkeypatch, c, random_image(rng, 41, 50))
+        assert reads == band_walks.count * (2 + 3)
+        assert 0 < len(accepted) < windows
+
+    @pytest.mark.parametrize("image", ["random", "ramp"])
+    def test_with_a_cut(self, rng, monkeypatch, band_walks, image):
+        """On "ramp" the cut keeps every window, and its survivors gather too."""
+        c = sign_cut_cascade(rng, "left-lower")
+        reads, _, _ = self.reads(monkeypatch, c, sign_cut_image(rng, image))
+        assert reads == band_walks.count
+
+
 # parts of a same-sign feature whose int32 bound is 2 * 2**16 * 255 * area:
 # area 64 stays below 2**31 (by 0.4%), area 65 reaches it (by 1.2%)
 INT32_BOUND_SIDES = {"below": (16, 8, Rect(0, 0, 8, 8), Rect(8, 0, 8, 8)),
@@ -1050,6 +1092,23 @@ class TestGrouping:
                 assert g.box.y >= min(b.y for b in members)
                 assert g.box.right <= max(b.right for b in members)
                 assert g.box.bottom <= max(b.bottom for b in members)
+
+    def test_memory_grows_with_the_boxes_not_their_square(self):
+        """11,738 windows of a dense 320x240 scan, one chained cluster: an n x n
+        similarity matrix alone would take 131 MiB."""
+        boxes = [Rect(x, y, w, w) for w in (24, 29, 35)
+                 for y in range(0, 240 - w + 1, 4) for x in range(0, 320 - w + 1, 4)]
+        dets = [Detection(b, float(i % 7)) for i, b in enumerate(boxes)]
+        tracemalloc.start()
+        try:
+            out = group_detections(dets, min_neighbors=3, eps=0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        x, y, r, b = (math.floor(sum(v) / len(boxes) + 0.5) for v in zip(
+            *((b.x, b.y, b.right, b.bottom) for b in boxes)))
+        assert out == [Detection(Rect(x, y, r - x, b - y), 6.0, neighbors=len(boxes))]
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):
