@@ -9,9 +9,9 @@ compiles once into a size plan, which the ``Cascade`` keeps in its private
 ``_plans`` dict, outside the model's fields: every feature's scaled parts
 become corner taps ``(dy, dx, k)``, summed per distinct corner so shared
 corners merge or cancel.  The grid is cut into row bands of at most
-``_BAND_WINDOWS`` windows so a band's scratch buffers stay in cache, and
-the calling thread walks the bands in scan order; ``_walk_band`` describes
-how a band is read.  The scalar and vectorized paths give bit-identical
+``_BAND_WINDOWS`` windows, which the calling thread reads in scan order;
+their candidate windows are then classified in batches across sizes and
+bands, as ``_walk_batch`` describes.  The scalar and vectorized paths give bit-identical
 results, so one can be checked against the other: part weights are
 integers (a ``Cascade`` rule), so a feature's sum is the same exact integer
 in the scan's int64 (or the cut's int32) and in ``eval_window``'s float64,
@@ -233,43 +233,52 @@ def _corner_taps(parts) -> _Taps:
 
 class _Gather(NamedTuple):
     """Tap lists to be read at scattered window origins, padded with zero
-    taps to one length: list i's corners and its coefficient on each."""
+    taps to one length: list i's table (0 for ``ii``, 1 for ``sq``), its
+    corners and its coefficient on each."""
+    plane: np.ndarray   # int64, lists x 1
     dy: np.ndarray      # int64, lists x taps
     dx: np.ndarray
     coef: np.ndarray    # 0 on the padding
 
 
-def _gather(tap_lists: list[_Taps]) -> _Gather:
+def _gather(tap_lists: list[_Taps], planes: tuple[int, ...] = ()) -> _Gather:
+    """List i reads the table ``planes[i]``, and ``ii`` past their end."""
     longest = max(map(len, tap_lists))
-    return _Gather(*np.array([t + ((0, 0, 0),) * (longest - len(t)) for t in tap_lists],
-                             dtype=np.int64).transpose(2, 0, 1))
+    plane = np.zeros((len(tap_lists), 1), dtype=np.int64)
+    plane[:len(planes), 0] = planes
+    return _Gather(plane, *np.array([t + ((0, 0, 0),) * (longest - len(t)) for t in tap_lists],
+                                    dtype=np.int64).transpose(2, 0, 1))
 
 
-def _gather_sums(g: _Gather, base: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Row i: tap list i's int64 sums at the flat offsets ``base`` into
-    ``table``.  One ``take`` reads every tap at every origin, and one
-    product with the coefficient matrix sums each list over its own taps,
-    so the cost grows with the taps, not with lists times taps.  The
-    products and sums are exact integers, far below 2**63 in magnitude."""
-    idx = (g.dy * table.shape[1] + g.dx)[:, :, None] + base
-    return np.einsum("lt,ltn->ln", g.coef, table.ravel().take(idx))
+def _gather_sums(g: _Gather, base: np.ndarray, tables: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Row i: tap list i's int64 sums at the flat offsets ``base`` into a
+    plane of ``tables``, the (2, rows, cols) block of ``ii`` and ``sq``,
+    written to ``out`` when given.  One ``take`` reads every tap at every
+    origin, and one product with the coefficient matrix sums each list over
+    its own taps, so the cost grows with the taps, not with lists times
+    taps.  The products and sums are exact integers, far below 2**63 in
+    magnitude."""
+    _, rows, cols = tables.shape
+    idx = ((g.plane * rows + g.dy) * cols + g.dx)[:, :, None] + base
+    return np.einsum("lt,ltn->ln", g.coef, tables.ravel().take(idx), out=out)
 
 
 class _StagePlan(NamedTuple):
     weak: tuple[tuple[_Taps, float, float, float], ...]  # taps, threshold, left, right
     threshold: float
     gather: _Gather | None  # every weak classifier's taps, in weak order; None
-                            # on stage 0, which _walk_band never gathers
+                            # on stage 0, which is read per band (_walk_band)
 
 
 class _SizePlan(NamedTuple):
     win: Rect
     window_taps: _Taps  # the window's own corners, for s1 and s2
-    window: _Gather     # the same corners, for scattered windows
     stages: tuple[_StagePlan, ...]
     keep_sign: int      # the sign cut of stage 0, see _sign_cut
-    first: _Gather      # the window's corners, then stage 0's weak classifiers
-                        # after the first: a cut's survivors read ii through it
+    first: _Gather | None  # with a cut, what its survivors gather: the window's
+                           # corners in ii (s1) and in sq (s2), then stage 0's
+                           # weak classifiers after the first; None without one
 
 
 # a cut feature's sum(|weight| * 255 * area) stays below this, so that its
@@ -325,9 +334,10 @@ def _compile_size(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
     win = Rect(0, 0, win_w, win_h)
     window_taps = _corner_taps([(win, 1)])
     stage0 = c.stages[0]
-    return _SizePlan(win, window_taps, _gather([window_taps]), tuple(stages),
-                     _sign_cut(stage0, parts[stage0.weak[0].feature_index]),
-                     _gather([window_taps] + [w[0] for w in stages[0].weak[1:]]))
+    keep_sign = _sign_cut(stage0, parts[stage0.weak[0].feature_index])
+    first = (_gather([window_taps, window_taps] + [w[0] for w in stages[0].weak[1:]], (0, 1))
+             if keep_sign else None)
+    return _SizePlan(win, window_taps, tuple(stages), keep_sign, first)
 
 
 def _size_plan(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
@@ -341,9 +351,9 @@ def _size_plan(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
     return plan
 
 
-# windows per row band of one size's grid: the band's scratch buffers are
-# 256 KiB apiece, so a stage walk stays in cache instead of faulting in fresh
-# pages for whole-grid arrays
+# windows per row band of one size's grid, and candidates per batch of
+# bands: scratch buffers of 256 KiB apiece stay in cache instead of faulting
+# in fresh pages for whole-grid arrays
 _BAND_WINDOWS = 32768
 
 
@@ -390,57 +400,106 @@ def _votes(st: _StagePlan, raw, denom: np.ndarray) -> np.ndarray:
     return score
 
 
-def _walk_band(plan: _SizePlan, ii: np.ndarray, sq: np.ndarray, ii32: np.ndarray,
-               ny: int, nx: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """The stage walk over an ``ny`` x ``nx`` band of origins.
+class _Band(NamedTuple):
+    """A band's candidates, read through its size plan for ``_walk_batch``."""
+    plan: _SizePlan
+    base: np.ndarray  # flat offsets of the candidates' origins in a table plane
+    sums: np.ndarray  # int64, (2 + len(stage 0)) x candidates: stage 0's first
+                      # weak classifier, s1, s2, then its other weak classifiers
 
-    ``ii``, ``sq`` and ``ii32`` (``ii`` modulo 2**32, as int32) are the
-    integral tables cut to start at the band's first row of origins.
-    Returns the accepted windows' flat row-major indices within the band
-    and their last-stage scores.
 
-    Stage 0 reads the band in one of two ways.  With a sign cut, the cut
-    feature's taps are summed first, as strided slices of ``ii32`` into
-    int32 scratch, and the windows whose sum has the vetoing sign are
-    dropped; the survivors keep their cut sums, one gather of ``ii`` reads
-    their window corners and stage 0's other features, and one gather of
-    ``sq`` their window corners.  Without a cut, sigma and every stage 0
-    feature are summed for every window as strided slices of ``ii`` and
-    ``sq`` into int64 scratch.  Every later stage gathers its merged corners
-    for the windows still alive.  Strided and gathered reads give the same
-    integers, and ``_votes`` scores every stage from them, so a window's
-    result does not depend on how it was read.
+def _walk_band(plan: _SizePlan, tables: np.ndarray, ii32: np.ndarray,
+               y0: int, ny: int, nx: int, stride: int) -> _Band:
+    """The per-band part of the stage walk (see ``_walk_batch``) over an
+    ``ny`` x ``nx`` band of origins whose first row is table row ``y0``.
+
+    ``tables`` is the (2, rows, cols) block of ``ii`` and ``sq``, and
+    ``ii32`` is ``ii`` modulo 2**32, as int32.  With a sign cut, the cut
+    feature's taps are summed as strided slices of ``ii32`` into int32
+    scratch, the windows whose sum has the vetoing sign are dropped, and
+    one gather of ``tables`` reads the survivors' s1, s2 and stage 0's
+    other features.  Without a cut, every window is a candidate, and s1,
+    s2 and each stage 0 feature are summed as strided slices of ``ii`` and
+    ``sq`` into int64 scratch.
     """
-    def origins(alive):
-        return alive // nx * (stride * ii.shape[1]) + alive % nx * stride
-
+    cols = tables.shape[2]
     st = plan.stages[0]
     if plan.keep_sign:
         cut, tmp = np.empty((2, ny, nx), dtype=np.int32)
-        cut = _grid_sum(cut, tmp, ii32, st.weak[0][0], stride)
+        cut = _grid_sum(cut, tmp, ii32[y0:], st.weak[0][0], stride)
         alive = np.flatnonzero(cut > 0 if plan.keep_sign > 0 else cut < 0)
-        base = origins(alive)
-        first = _gather_sums(plan.first, base, ii)
-        s2, = _gather_sums(plan.window, base, sq)
-        s1, raw = first[0], [cut[alive], *first[1:]]
-    else:
-        alive = np.arange(ny * nx)
-        base = origins(alive)
-        s1, s2, acc, tmp = np.empty((4, ny, nx), dtype=np.int64)
-        s1 = _grid_sum(s1, tmp, ii, plan.window_taps, stride)
-        s2 = _grid_sum(s2, tmp, sq, plan.window_taps, stride)
-        # _votes reads each sum before the next one overwrites acc
-        raw = (_grid_sum(acc, tmp, ii, taps, stride) for taps, *_ in st.weak)
-    denom = _sigma_area(s1, s2, float(plan.win.area))
-    score = _votes(st, raw, denom)
-    keep = score >= st.threshold
-    for st in plan.stages[1:]:
+        iy, ix = np.divmod(alive, nx)
+        base = (iy * stride + y0) * cols + ix * stride
+        sums = np.empty((1 + len(plan.first.dy), len(alive)), dtype=np.int64)
+        sums[0] = cut[alive]
+        _gather_sums(plan.first, base, tables, out=sums[1:])
+        return _Band(plan, base, sums)
+    base = (np.arange(y0, y0 + ny * stride, stride)[:, None] * cols
+            + np.arange(0, nx * stride, stride)).reshape(-1)
+    ii, sq = tables[:, y0:]
+    reads = [(ii, st.weak[0][0]), (ii, plan.window_taps), (sq, plan.window_taps)]
+    reads += [(ii, taps) for taps, *_ in st.weak[1:]]
+    sums = np.empty((len(reads), ny, nx), dtype=np.int64)
+    tmp = np.empty((ny, nx), dtype=np.int64)
+    for acc, (table, taps) in zip(sums, reads):
+        _grid_sum(acc, tmp, table, taps, stride)
+    return _Band(plan, base, sums.reshape(len(reads), -1))
+
+
+def _joined(arrays: list[np.ndarray], axis: int = 0) -> np.ndarray:
+    """``arrays`` concatenated along ``axis``; a lone array is not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
+
+
+def _walk_batch(bands: list[_Band], tables: np.ndarray) -> list[Detection]:
+    """The stage walk over a batch of bands of one scan, in scan order;
+    their accepted windows, in that order (scale, then y, then x).
+
+    The walk has two parts.  ``_walk_band`` reads each band through its
+    size plan: it keeps the band's candidates, all of its windows or the
+    survivors of its sign cut, as flat table offsets, with the integer sums
+    of their window (s1), squared window (s2) and stage 0's features.
+    ``detect_multiscale`` collects the bands in scan order into batches of
+    at most ``_BAND_WINDOWS`` candidates (a band is never split), whatever
+    their sizes.  This batch part classifies a batch's candidates at once:
+    one ``_sigma_area`` with a per-window area, then per stage one
+    ``_votes`` and one threshold test.  Stage 0 votes on the bands' sums;
+    each later stage gathers its merged corners once per band that still
+    has windows, and joins those sums before its one vote.  The bands'
+    plans are of one cascade, so they share every leaf and threshold.
+    Strided and gathered reads give the same integers, and every window is
+    scored on its own, so a window's result depends neither on how it was
+    read nor on the batch it was in.  One ``np.divmod`` turns the accepted
+    offsets into origins.
+    """
+    stages = bands[0].plan.stages
+    counts = [len(b.base) for b in bands]
+    ends = np.cumsum(counts)
+    base = _joined([b.base for b in bands])
+    sums = _joined([b.sums for b in bands], axis=1)
+    denom = _sigma_area(sums[1], sums[2],
+                        np.repeat([float(b.plan.win.area) for b in bands], counts))
+    score = _votes(stages[0], (sums[0], *sums[3:]), denom)
+    keep = score >= stages[0].threshold
+    alive = np.arange(len(base))
+    for si in range(1, len(stages)):
         if not keep.any():
             break
         alive, base, denom = alive[keep], base[keep], denom[keep]
-        score = _votes(st, _gather_sums(st.gather, base, ii), denom)
-        keep = score >= st.threshold
-    return alive[keep], score[keep]
+        cuts = np.searchsorted(alive, ends).tolist()
+        raw = _joined([_gather_sums(b.plan.stages[si].gather, base[lo:hi], tables)
+                       for b, lo, hi in zip(bands, [0] + cuts, cuts) if hi > lo], axis=1)
+        score = _votes(stages[si], raw, denom)
+        keep = score >= stages[si].threshold
+    ys, xs = (v.tolist() for v in np.divmod(base[keep], tables.shape[2]))
+    scores = score[keep].tolist()
+    cuts = np.searchsorted(alive[keep], ends).tolist()
+    out = []
+    for b, lo, hi in zip(bands, [0] + cuts, cuts):
+        w, h = b.plan.win.w, b.plan.win.h
+        out += [Detection(Rect(x, y, w, h), sc)
+                for x, y, sc in zip(xs[lo:hi], ys[lo:hi], scores[lo:hi])]
+    return out
 
 
 def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detection]:
@@ -454,14 +513,17 @@ def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detecti
     Every size of the ladder takes its cached size plan, compiled on first
     use.  Each size's windows form an ``ny`` x ``nx`` grid of origins at the
     stride, cut into row bands of at most ``_BAND_WINDOWS`` windows (at
-    least one row), which the calling thread walks in turn from the top
-    with ``_walk_band``; ``ii32`` is the scan's one int32 view of the table
-    for the sign cut.  Every window is classified on its own, so the bands
-    cannot change a result.
+    least one row), which the calling thread reads in turn from the top;
+    ``ii32`` is the scan's one int32 view of the table for the sign cut.
+    The bands' candidates are classified in batches across sizes, as
+    ``_walk_batch`` describes; neither the bands nor the batches can change
+    a result.
     """
     ip = integral(img)
     ii32 = ip.ii.astype(np.uint32).view(np.int32)  # modulo 2**32, whatever the byte order
     out: list[Detection] = []
+    bands: list[_Band] = []
+    held = 0
     for win_w, win_h in _scan_sizes(c, img.width, img.height, p):
         plan = _size_plan(c, win_w, win_h)
         stride = max(1, _round_half_up(win_w / p.step_divisor))
@@ -469,11 +531,14 @@ def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detecti
         ny = (img.height - win_h) // stride + 1
         rows = max(1, _BAND_WINDOWS // nx)
         for r0 in range(0, ny, rows):
-            alive, score = _walk_band(plan, ip.ii[r0 * stride:], ip.sq[r0 * stride:],
-                                      ii32[r0 * stride:], min(rows, ny - r0), nx, stride)
-            for idx, sc in zip(alive.tolist(), score.tolist()):
-                out.append(Detection(Rect(idx % nx * stride, (r0 + idx // nx) * stride,
-                                          win_w, win_h), sc))
+            band = _walk_band(plan, ip.tables, ii32, r0 * stride, min(rows, ny - r0), nx, stride)
+            if held and held + len(band.base) > _BAND_WINDOWS:
+                out += _walk_batch(bands, ip.tables)
+                bands, held = [], 0
+            bands.append(band)
+            held += len(band.base)
+    if held:
+        out += _walk_batch(bands, ip.tables)
     return out
 
 

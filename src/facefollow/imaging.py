@@ -109,19 +109,30 @@ class IntegralPair:
     <= x; ``sq`` is the same over squared pixels.  The border row/column of
     zeros stands in for the s(x,-1) = 0 / ii(-1,y) = 0 conventions of the
     usual cumulative-sum recurrences and keeps the 4-tap lookup branch-free.
+    ``tables`` is the (2, height+1, width+1) block whose planes are ``ii``
+    and ``sq``, so one flat offset reaches either table; tables passed as
+    separate arrays are copied into such a block.
     """
 
-    __slots__ = ("width", "height", "ii", "sq")
+    __slots__ = ("width", "height", "ii", "sq", "tables")
 
     def __init__(self, width: int, height: int, ii: np.ndarray, sq: np.ndarray):
         for name, t in (("ii", ii), ("sq", sq)):
             if t.shape != (height + 1, width + 1) or t.dtype != np.int64:
                 raise ValueError(f"{name} table must be int64 ({height + 1},{width + 1})")
+        tables = ii.base
+        if not (tables is not None and tables is sq.base and tables.flags.c_contiguous
+                and tables.shape == (2, height + 1, width + 1)
+                and ii.ctypes.data == tables.ctypes.data
+                and sq.ctypes.data == tables[1].ctypes.data):
+            tables = np.stack((ii, sq))
+        for t in (tables, ii, sq):
             t.setflags(write=False)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "height", height)
-        object.__setattr__(self, "ii", ii)
-        object.__setattr__(self, "sq", sq)
+        object.__setattr__(self, "ii", tables[0])
+        object.__setattr__(self, "sq", tables[1])
+        object.__setattr__(self, "tables", tables)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntegralPair is immutable")
@@ -130,21 +141,20 @@ class IntegralPair:
 def integral(img: GrayImage) -> IntegralPair:
     """Build both integral tables in one cumulative sweep per axis.
 
-    The pixels and their squares are widened into the tables' interiors,
-    then summed in place down the columns and then along the rows: the
-    vectorized form of s(x,y) = s(x,y-1) + i(x,y); ii(x,y) = ii(x-1,y) +
-    s(x,y).  No temporary copy of the pixels is made.
+    The pixels and their squares are widened into the interiors of the two
+    planes of one int64 block, then summed in place down the columns and
+    then along the rows: the vectorized form of s(x,y) = s(x,y-1) + i(x,y);
+    ii(x,y) = ii(x-1,y) + s(x,y).  No temporary copy of the pixels is made.
     """
     h, w = img.height, img.width
-    ii = np.zeros((h + 1, w + 1), dtype=np.int64)
-    sq = np.zeros((h + 1, w + 1), dtype=np.int64)
-    px, px2 = ii[1:, 1:], sq[1:, 1:]
+    tables = np.zeros((2, h + 1, w + 1), dtype=np.int64)
+    px, px2 = tables[:, 1:, 1:]
     np.copyto(px, img.data)
     np.multiply(px, px, out=px2)
     for t in (px, px2):
         np.cumsum(t, axis=0, out=t)
         np.cumsum(t, axis=1, out=t)
-    return IntegralPair(w, h, ii, sq)
+    return IntegralPair(w, h, tables[0], tables[1])
 
 
 def rect_sum(ip: IntegralPair, r: Rect, squared: bool = False) -> int:
@@ -175,8 +185,10 @@ def _next_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
 def decode_pnm(data: bytes) -> GrayImage:
     """Decode P2/P3/P5/P6 netpbm bytes (maxval <= 255) into a GrayImage.
 
-    Color input is reduced to luminance with integer BT.601 weights,
-    rounding half up, so fixtures decode identically everywhere.
+    Samples are first scaled from 0..maxval to 0..255 as ``(v * 255 +
+    maxval // 2) // maxval``.  Color input is then reduced to luminance with
+    integer BT.601 weights, rounding half up, so fixtures decode identically
+    everywhere.
     """
     if len(data) < 2:
         raise PnmParseError("malformed header: too short for magic", 0)
@@ -220,6 +232,9 @@ def decode_pnm(data: bytes) -> GrayImage:
         if flat.max(initial=0) > maxval:
             raise PnmParseError(f"sample exceeds maxval {maxval}", start)
 
+    if maxval != 255:
+        # samples in 0..maxval become 0..255, rounded half up
+        flat = ((flat.astype(np.uint32) * 255 + maxval // 2) // maxval).astype(np.uint8)
     if color:
         # the largest sum, 255 * 1000 + 500, fits easily in uint32
         rgb = flat.reshape(height, width, 3).astype(np.uint32)

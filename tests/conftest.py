@@ -89,7 +89,24 @@ class CallCounter:
 
 @pytest.fixture
 def band_walks(monkeypatch):
-    """Counts the band walks of the scans."""
+    """Counts the per-band reads (``_walk_band``) of the scans."""
     counter = CallCounter(cascade._walk_band)
     monkeypatch.setattr(cascade, "_walk_band", counter)
     return counter
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """Records the batches of the scans: per batch, each band's (win_w,
+    win_h, candidates, keep_sign), and the batch's accepted windows."""
+    seen = []
+    walk = cascade._walk_batch
+
+    def record(bands, tables):
+        out = walk(bands, tables)
+        seen.append(([(b.plan.win.w, b.plan.win.h, len(b.base), b.plan.keep_sign)
+                      for b in bands], out))
+        return out
+
+    monkeypatch.setattr(cascade, "_walk_batch", record)
+    return seen

@@ -948,46 +948,137 @@ class TestInt32Cut:
             assert sizes and all(cascade._size_plan(c, w, h).keep_sign == 1 for w, h in sizes)
 
 
+def scan_in_batches(c, img, p):
+    """The scan's windows, asserted equal to eval_window's in order; their
+    (w, y, x) keys, asserted strictly ascending: scale, then y, then x."""
+    got = [(d.box, d.score) for d in detect_multiscale(c, img, p)]
+    want, grids = per_window_eval(c, img, p)
+    assert got == [(Rect(*k), sc) for k, sc in want.items()]
+    keys = [(r.w, r.y, r.x) for r, _ in got]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    return got, grids
+
+
+class TestBatches:
+    """The bands' candidates are classified in batches of at most
+    ``_BAND_WINDOWS``, across sizes; a band is never split."""
+
+    @pytest.mark.parametrize("limit", [7, 60, 10 ** 9], ids=["small", "mid", "whole-scan"])
+    @pytest.mark.parametrize("first", ["random", "accept-all"])
+    def test_match_per_window_eval(self, rng, monkeypatch, band_walks, batches, limit, first):
+        monkeypatch.setattr(cascade, "_BAND_WINDOWS", limit)
+        p = ScanParams(scale_factor=1.3, step_divisor=3)
+        scans = windows = 0
+        for _ in range(4):
+            c = first_stage(random_cascade(rng, base_w=8, base_h=5, n_stages=3), first)
+            _, grids = scan_in_batches(c, random_image(rng, 38, 47), p)
+            scans += 1
+            windows += sum(nx * ny for *_, nx, ny in grids)
+        held = [sum(n for _, _, n, _ in bands) for bands, _ in batches]
+        assert all(n <= limit or len(bands) == 1 for n, (bands, _) in zip(held, batches))
+        assert sum(len(bands) for bands, _ in batches) <= band_walks.count
+        if first == "accept-all":  # no cut: every window is a candidate
+            assert sum(held) == windows
+        if limit == 10 ** 9:
+            assert len(batches) == scans
+            return
+        sizes = [[(w, h) for w, h, _, _ in bands] for bands, _ in batches]
+        # a batch that holds bands of two sizes, and one that closes mid-size
+        assert any(len(set(s)) > 1 for s in sizes)
+        assert any(a[-1] == b[0] for a, b in zip(sizes, sizes[1:]))
+
+    def test_later_stages_keep_windows_at_several_sizes_in_one_batch(self, rng, batches):
+        """Three stages past an accept-all first stage, the scan one batch:
+        the windows that pass all of them come from several sizes."""
+        p = ScanParams(scale_factor=1.3, step_divisor=3)
+        for _ in range(6):
+            c = first_stage(random_cascade(rng, base_w=8, base_h=5, n_stages=3), "accept-all")
+            scan_in_batches(c, random_image(rng, 38, 47), p)
+        assert len(batches) == 6
+        assert any(len({d.box.w for d in out}) > 2 for _, out in batches)
+
+    @pytest.mark.parametrize("limit", [40, 10 ** 9], ids=["split", "whole-scan"])
+    def test_one_batch_mixes_cut_and_uncut_plans(self, rng, monkeypatch, batches, limit):
+        """The 2**16-weight cascade has a cut at its base size and none at
+        twice it, where the int32 bound fails."""
+        monkeypatch.setattr(cascade, "_BAND_WINDOWS", limit)
+        c = heavy_cascade("below")
+        p = ScanParams(scale_factor=2.0, max_size=2 * c.base_w, step_divisor=4)
+        data = random_image(rng, 48, 40).data.copy()
+        data[:20, :20] = 0
+        got, grids = scan_in_batches(c, GrayImage(data), p)
+        assert {w for w, *_ in grids} == {c.base_w, 2 * c.base_w}
+        assert len({r.w for r, _ in got}) == 2
+        assert any({keep for *_, keep in bands} == {0, 1} for bands, _ in batches)
+
+
 class TestGather:
-    """One ``take`` of every tap, then one product with the coefficient
-    matrix, gives each tap list's strided-slice sums."""
+    """One ``take`` of every tap, from the plane of the table block that
+    each list names, then one product with the coefficient matrix, gives
+    each tap list's strided-slice sums."""
 
     def check(self, rng, tap_lists, g):
-        ip = integral(random_image(rng, 48, 48))
+        tables = integral(random_image(rng, 48, 48)).tables
         stride, ny, nx = 3, 6, 7  # origins up to (15, 18); taps reach 24 further
         alive = np.array(sorted(rng.sample(range(ny * nx), 20)))
-        for table in (ip.ii, ip.sq):
-            base = alive // nx * (stride * table.shape[1]) + alive % nx * stride
-            got = cascade._gather_sums(g, base, table)
-            assert got.shape == (len(tap_lists), len(alive)) and got.dtype == np.int64
-            for i, taps in enumerate(tap_lists):
-                acc, tmp = np.empty((2, ny, nx), dtype=np.int64)
-                cascade._grid_sum(acc, tmp, table, taps, stride)
-                assert np.array_equal(got[i], acc.reshape(-1)[alive])
+        base = alive // nx * (stride * tables.shape[2]) + alive % nx * stride
+        got = cascade._gather_sums(g, base, tables)
+        assert got.shape == (len(tap_lists), len(alive)) and got.dtype == np.int64
+        for i, taps in enumerate(tap_lists):
+            acc, tmp = np.empty((2, ny, nx), dtype=np.int64)
+            cascade._grid_sum(acc, tmp, tables[g.plane[i, 0]], taps, stride)
+            assert np.array_equal(got[i], acc.reshape(-1)[alive])
 
     def test_unequal_lists_and_one_whose_corners_all_cancel(self, rng):
         plan = cascade._size_plan(cancelling_cascade(rng), 15, 23)
         tap_lists = [taps for st in plan.stages for taps, *_ in st.weak]
         assert ((0, 0, 0),) in tap_lists and len({len(t) for t in tap_lists}) > 1
         g = cascade._gather(tap_lists)
-        # one row per list, padded with zero taps to the longest
+        # one row per list, padded with zero taps to the longest, all in ii
         assert g.coef.shape == g.dy.shape == g.dx.shape == \
             (len(tap_lists), max(map(len, tap_lists)))
-        for row, taps in zip(np.stack(g, axis=-1).tolist(), tap_lists):
+        for row, taps in zip(np.stack(g[1:], axis=-1).tolist(), tap_lists):
             assert row == [list(t) for t in taps] + [[0, 0, 0]] * (len(row) - len(taps))
+        assert g.plane.tolist() == [[0]] * len(tap_lists)
+        self.check(rng, tap_lists, g)
+
+    def test_lists_read_the_planes_they_name(self, rng):
+        """Lists past the named planes read ii."""
+        plan = cascade._size_plan(cancelling_cascade(rng), 15, 23)
+        tap_lists = [taps for st in plan.stages for taps, *_ in st.weak]
+        g = cascade._gather(tap_lists, (1, 0, 1))
+        assert g.plane[:, 0].tolist() == [1, 0, 1] + [0] * (len(tap_lists) - 3)
         self.check(rng, tap_lists, g)
 
     @pytest.mark.parametrize("build", [build_body_cascade, build_face_cascade])
     def test_cut_gather_reads_the_window_first(self, rng, build):
-        """The survivors' one gather of ii: row 0 the window's sum (s1),
-        then stage 0's weak classifiers after the cut one."""
+        """The survivors' one gather of the table block: the window's sum in
+        ii (s1) and in sq (s2), then stage 0's weak classifiers after the
+        cut one, in ii."""
         c = build()
         plan = cascade._size_plan(c, c.base_w + 3, c.base_h + 3)
-        tap_lists = [plan.window_taps] + [taps for taps, *_ in plan.stages[0].weak[1:]]
-        assert all(map(np.array_equal, plan.first, cascade._gather(tap_lists)))
-        assert np.stack(plan.first, axis=-1)[0, :4].tolist() == \
-            [list(t) for t in plan.window_taps]
+        tap_lists = [plan.window_taps] * 2 + [taps for taps, *_ in plan.stages[0].weak[1:]]
+        assert all(map(np.array_equal, plan.first, cascade._gather(tap_lists, (0, 1))))
+        assert plan.first.plane[:, 0].tolist() == [0, 1] + [0] * (len(tap_lists) - 2)
+        assert np.stack(plan.first[1:], axis=-1)[:2, :4].tolist() == \
+            [[list(t) for t in plan.window_taps]] * 2
         self.check(rng, tap_lists, plan.first)
+
+    def test_only_a_cut_plan_gathers_stage_0(self, rng):
+        """Stage 0 is gathered only by a cut's survivors: a plan without a
+        cut, such as every 320x240 size of the imported fixtures, has no
+        ``first`` gather, and no plan has a stage 0 gather."""
+        plans = [cascade._size_plan(sign_cut_cascade(rng, kind), w, w)
+                 for kind in ("left-lower", "reachable") for w in (8, 10, 13)]
+        for name in ("upperbody_20x20.xml", "face_24x24.xml"):
+            c = import_legacy_xml(fixture_text(name))
+            plans += [cascade._size_plan(c, w, h)
+                      for w, h in cascade._scan_sizes(c, 320, 240, ScanParams())]
+        assert {p.keep_sign for p in plans} == {0, 1} and len(plans) > 20
+        for plan in plans:
+            assert (plan.first is None) == (plan.keep_sign == 0)
+            assert plan.stages[0].gather is None
+            assert all(st.gather is not None for st in plan.stages[1:])
 
 
 def brute_force_groups(boxes, eps):

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from facefollow.imaging import (GrayImage, PnmParseError, Rect, _round_half_up,
-                                decode_pnm, draw_box, encode_pgm, encode_ppm, integral,
+from facefollow.imaging import (GrayImage, IntegralPair, PnmParseError, Rect,
+                                _round_half_up, decode_pnm, draw_box, encode_pgm, encode_ppm, integral,
                                 rect_sum, to_rgb)
 
 from conftest import random_image
@@ -50,6 +50,31 @@ class TestDecodePnm:
                 r, g, b = rgb[y][x]
                 expect = (299 * r + 587 * g + 114 * b + 500) // 1000
                 assert img.data[y, x] == expect
+
+    def test_p2_samples_scale_to_255(self):
+        assert decode_pnm(b"P2 2 1 15 15 0").data.tolist() == [[255, 0]]
+        # 25.5 and 76.5 round half up
+        assert decode_pnm(b"P2 4 1 10 1 3 5 10").data.tolist() == [[26, 77, 128, 255]]
+
+    def test_p5_maxval_1(self):
+        img = decode_pnm(b"P5 2 2 1 " + bytes([0, 1, 1, 0]))
+        assert img.data.tolist() == [[0, 255], [255, 0]]
+
+    def test_p6_maxval_100_scales_before_luma(self, rng):
+        w, h = 7, 3
+        payload = bytes(rng.randrange(101) for _ in range(w * h * 3))
+        img = decode_pnm(b"P6 %d %d 100\n" % (w, h) + payload)
+        for i in range(w * h):
+            r, g, b = ((v * 255 + 50) // 100 for v in payload[3 * i:3 * i + 3])
+            assert img.data[i // w, i % w] == (299 * r + 587 * g + 114 * b + 500) // 1000
+        white = decode_pnm(b"P6 1 1 100\n" + bytes([100] * 3))
+        assert white.data.tolist() == [[255]]
+
+    def test_maxval_255_bytes_decode_unchanged(self):
+        payload = bytes(range(256))
+        assert decode_pnm(b"P5 16 16 255\n" + payload).data.tobytes() == payload
+        ascii_form = b"P2 16 16 255 " + b" ".join(b"%d" % v for v in payload)
+        assert decode_pnm(ascii_form).data.tobytes() == payload
 
     def test_p2_with_comments(self):
         text = b"P2 # comment\n2 1 # another\n255\n7 9\n"
@@ -154,6 +179,23 @@ class TestIntegral:
         ip = integral(random_image(rng, 3, 3))
         with pytest.raises(ValueError):
             ip.ii[0, 0] = 1
+
+    def test_tables_are_the_planes_of_one_block(self, rng):
+        ip = integral(random_image(rng, 5, 7))
+        assert ip.tables.shape == (2, 8, 6) and ip.tables.dtype == np.int64
+        assert ip.ii.base is ip.tables and ip.sq.base is ip.tables
+        assert np.array_equal(ip.tables[0], ip.ii) and np.array_equal(ip.tables[1], ip.sq)
+        with pytest.raises(ValueError):
+            ip.tables[1, 1, 1] = 1
+
+    def test_separate_tables_are_copied_into_one_block(self, rng):
+        ip = integral(random_image(rng, 5, 7))
+        # separate arrays, and the planes of one block in the wrong order
+        for ii, sq in ((ip.ii.copy(), ip.sq.copy()), (ip.sq, ip.ii)):
+            pair = IntegralPair(5, 7, ii, sq)
+            assert pair.tables.shape == (2, 8, 6) and pair.tables is not ip.tables
+            assert np.array_equal(pair.ii, ii) and np.array_equal(pair.sq, sq)
+            assert pair.ii.base is pair.tables and pair.sq.base is pair.tables
 
 
 class TestRectSum:
