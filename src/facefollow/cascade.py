@@ -8,16 +8,21 @@ vectorized over each scale's window grid.  Each (cascade, window size)
 compiles once into a size plan, which the ``Cascade`` keeps in its private
 ``_plans`` dict, outside the model's fields: every feature's scaled parts
 become corner taps ``(dy, dx, k)``, summed per distinct corner so shared
-corners merge or cancel.  The grid is cut into row bands of at most
-``_BAND_WINDOWS`` windows, which the calling thread reads in scan order;
-their candidate windows are then classified in batches across sizes and
-bands, as ``_walk_batch`` describes.  The scalar and vectorized paths give bit-identical
-results, so one can be checked against the other: part weights are
-integers (a ``Cascade`` rule), so a feature's sum is the same exact integer
-in the scan's int64 (or the cut's int32) and in ``eval_window``'s float64,
-and every float64 operation after it runs in the same order on both paths.
-Both scale part rects only through ``haar._scaled_parts``, the one home of
-that rule and of its clip to the window.
+corners merge or cancel.  The tap lists that a band reads as strided
+slices, stage 0's features and the window's corners, are also grouped into
+row x column terms (``_terms``): a Haar rectangle is a difference of table
+rows times a difference of its columns, so ``_grid_sum`` can sum a term's
+rows first and then read its columns from that sum.  The grid is cut into
+row bands of at most ``_BAND_WINDOWS`` windows, which the calling thread
+reads in scan order; their candidate windows are then classified in
+batches across sizes and bands, as ``_walk_batch`` describes.  The scalar
+and vectorized paths give bit-identical results, so one can be checked
+against the other: part weights are integers (a ``Cascade`` rule), so a
+feature's sum is the same exact integer in the scan's int64 (or the cut's
+int32) and in ``eval_window``'s float64, and every float64 operation after
+it runs in the same order on both paths.  Both scale part rects only
+through ``haar._scaled_parts``, the one home of that rule and of its clip
+to the window.
 ``group_detections`` clusters the accepted windows by growing each cluster
 over the boxes not yet clustered.
 """
@@ -231,6 +236,30 @@ def _corner_taps(parts) -> _Taps:
     return tuple((dy, dx, k) for (dy, dx), k in sorted(coef.items()) if k) or ((0, 0, 0),)
 
 
+# a tap list grouped into row x column terms, (rows, columns) each: term
+# (((dy, a), ...), ((dx, b), ...)) is the taps (dy, dx, a * b)
+_Terms = tuple[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]], ...]
+
+
+def _terms(taps: _Taps) -> _Terms:
+    """The taps as row x column terms.  Each row's taps, as coefficients
+    over its columns, are an integer multiple of one column vector whose
+    entries have no common factor and whose first entry is positive; rows
+    with the same vector share a term, the multiples being their
+    coefficients.  A Haar rectangle is a difference of table rows times a
+    difference of its columns, so a template feature whose scaled parts
+    keep their proportions is one term."""
+    by_row: dict[int, list[tuple[int, int]]] = {}
+    for dy, dx, k in taps:  # sorted by (dy, dx): _corner_taps
+        by_row.setdefault(dy, []).append((dx, k))
+    terms: dict[tuple[tuple[int, int], ...], list[tuple[int, int]]] = {}
+    for dy, cols in by_row.items():
+        g = math.gcd(*(k for _, k in cols)) or 1  # 0 only for the zero tap
+        g = -g if cols[0][1] < 0 else g
+        terms.setdefault(tuple((dx, k // g) for dx, k in cols), []).append((dy, g))
+    return tuple((tuple(rows), cols) for cols, rows in terms.items())
+
+
 class _Gather(NamedTuple):
     """Tap lists to be read at scattered window origins, padded with zero
     taps to one length: list i's table (0 for ``ii``, 1 for ``sq``), its
@@ -273,12 +302,15 @@ class _StagePlan(NamedTuple):
 
 class _SizePlan(NamedTuple):
     win: Rect
-    window_taps: _Taps  # the window's own corners, for s1 and s2
     stages: tuple[_StagePlan, ...]
     keep_sign: int      # the sign cut of stage 0, see _sign_cut
     first: _Gather | None  # with a cut, what its survivors gather: the window's
                            # corners in ii (s1) and in sq (s2), then stage 0's
                            # weak classifiers after the first; None without one
+    strided: tuple[tuple[int, _Terms], ...]  # what a band reads as strided
+                           # slices, as (plane, terms): stage 0's first weak
+                           # classifier, then, without a cut, the window in ii
+                           # (s1) and in sq (s2) and its other weak classifiers
 
 
 # a cut feature's sum(|weight| * 255 * area) stays below this, so that its
@@ -321,7 +353,8 @@ def _sign_cut(st: Stage, parts: list[tuple[Rect, float]]) -> int:
 
 def _compile_size(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
     """Scale every feature to a ``win_w`` x ``win_h`` window, clipped to it,
-    and turn the parts into corner taps."""
+    and turn the parts into corner taps; what a band reads as strided
+    slices is also grouped into terms."""
     scale = win_w / c.base_w
     parts = [_scaled_parts(f, scale, win_w, win_h, fi) for fi, f in enumerate(c.features)]
     feats = [_corner_taps(p) for p in parts]
@@ -337,7 +370,11 @@ def _compile_size(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
     keep_sign = _sign_cut(stage0, parts[stage0.weak[0].feature_index])
     first = (_gather([window_taps, window_taps] + [w[0] for w in stages[0].weak[1:]], (0, 1))
              if keep_sign else None)
-    return _SizePlan(win, window_taps, tuple(stages), keep_sign, first)
+    reads = [(0, stages[0].weak[0][0])]
+    if not keep_sign:
+        reads += [(0, window_taps), (1, window_taps)] + [(0, w[0]) for w in stages[0].weak[1:]]
+    strided = tuple((plane, _terms(taps)) for plane, taps in reads)
+    return _SizePlan(win, tuple(stages), keep_sign, first, strided)
 
 
 def _size_plan(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
@@ -357,24 +394,58 @@ def _size_plan(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
 _BAND_WINDOWS = 32768
 
 
-def _grid_sum(acc: np.ndarray, tmp: np.ndarray, table: np.ndarray, taps: _Taps,
-              stride: int) -> np.ndarray:
-    """``acc`` = the taps' weighted sum at every origin of the ``acc.shape``
-    grid at ``stride``, each tap read as a strided slice of the table;
-    returns ``acc`` flattened."""
+def _fold(out: np.ndarray, reads: list[tuple[np.ndarray, int]], fresh: bool) -> None:
+    """``out`` += (or, when ``fresh``, =) the sum of k * v over the (v, k)
+    ``reads``, in ``out``'s dtype: exact integers, modulo 2**32 in int32.
+    Integer sums do not depend on their order, so coefficients other than
+    +-1 come first, where a fresh ``out`` takes one without a temporary,
+    and a fresh +1 takes the next +-1 in the same pass."""
+    reads = sorted(reads, key=lambda r: (abs(r[1]) == 1, -r[1]))
+    if fresh:
+        (v, k), *reads = reads
+        if k == 1 and reads and abs(reads[0][1]) == 1:
+            (w, j), *reads = reads
+            (np.add if j == 1 else np.subtract)(v, w, out=out)
+        else:
+            np.multiply(v, k, out=out)
+    tmp = None
+    for v, k in reads:
+        if k == 1:
+            np.add(out, v, out=out)
+        elif k == -1:
+            np.subtract(out, v, out=out)
+        else:
+            if tmp is None:
+                tmp = np.empty_like(out)
+            np.multiply(v, k, out=tmp)
+            np.add(out, tmp, out=out)
+
+
+def _grid_sum(acc: np.ndarray, table: np.ndarray, terms: _Terms, stride: int) -> np.ndarray:
+    """``acc`` = the terms' sum at every origin of the ``acc.shape`` grid at
+    ``stride``, read as strided slices of ``table``, in ``acc``'s dtype;
+    returns ``acc`` flattened.
+
+    A term with fewer rows plus columns than taps is read in two passes:
+    its rows, summed at the stride over every column of the span that its
+    columns reach, into one scratch of the band's rows x that span, then
+    its columns, read from the scratch at the stride.  Any other term (a
+    window's 2 x 2 corners, a lone row) is read tap by tap.  In int32 a
+    row sum may wrap while the total stays exact modulo 2**32.
+    """
     ny, nx = acc.shape
     sy, sx = (ny - 1) * stride + 1, (nx - 1) * stride + 1
-    for i, (dy, dx, k) in enumerate(taps):
-        v = table[dy:dy + sy:stride, dx:dx + sx:stride]
-        if i == 0:
-            np.multiply(v, k, out=acc)
-        elif k == 1:
-            np.add(acc, v, out=acc)
-        elif k == -1:
-            np.subtract(acc, v, out=acc)
+    for i, (rows, cols) in enumerate(terms):
+        if len(rows) + len(cols) < len(rows) * len(cols):
+            lo = cols[0][0]
+            span = sx + cols[-1][0] - lo
+            part = np.empty((ny, span), dtype=acc.dtype)
+            _fold(part, [(table[dy:dy + sy:stride, lo:lo + span], a) for dy, a in rows], True)
+            reads = [(part[:, dx - lo:dx - lo + sx:stride], b) for dx, b in cols]
         else:
-            np.multiply(v, k, out=tmp)
-            np.add(acc, tmp, out=acc)
+            reads = [(table[dy:dy + sy:stride, dx:dx + sx:stride], a * b)
+                     for dy, a in rows for dx, b in cols]
+        _fold(acc, reads, i == 0)
     return acc.reshape(-1)
 
 
@@ -414,19 +485,18 @@ def _walk_band(plan: _SizePlan, tables: np.ndarray, ii32: np.ndarray,
     ``ny`` x ``nx`` band of origins whose first row is table row ``y0``.
 
     ``tables`` is the (2, rows, cols) block of ``ii`` and ``sq``, and
-    ``ii32`` is ``ii`` modulo 2**32, as int32.  With a sign cut, the cut
-    feature's taps are summed as strided slices of ``ii32`` into int32
-    scratch, the windows whose sum has the vetoing sign are dropped, and
-    one gather of ``tables`` reads the survivors' s1, s2 and stage 0's
-    other features.  Without a cut, every window is a candidate, and s1,
-    s2 and each stage 0 feature are summed as strided slices of ``ii`` and
-    ``sq`` into int64 scratch.
+    ``ii32`` is ``ii`` modulo 2**32, as int32.  Both read ``plan.strided``
+    through ``_grid_sum``.  With a sign cut, the cut feature is summed over
+    ``ii32`` into int32, the windows whose sum has the vetoing sign are
+    dropped, and one gather of ``tables`` reads the survivors' s1, s2 and
+    stage 0's other features.  Without a cut, every window is a candidate,
+    and stage 0's first feature, s1, s2 and its other features are summed
+    over ``ii`` and ``sq`` into int64.
     """
     cols = tables.shape[2]
-    st = plan.stages[0]
     if plan.keep_sign:
-        cut, tmp = np.empty((2, ny, nx), dtype=np.int32)
-        cut = _grid_sum(cut, tmp, ii32[y0:], st.weak[0][0], stride)
+        cut = _grid_sum(np.empty((ny, nx), dtype=np.int32), ii32[y0:], plan.strided[0][1],
+                        stride)
         alive = np.flatnonzero(cut > 0 if plan.keep_sign > 0 else cut < 0)
         iy, ix = np.divmod(alive, nx)
         base = (iy * stride + y0) * cols + ix * stride
@@ -436,14 +506,10 @@ def _walk_band(plan: _SizePlan, tables: np.ndarray, ii32: np.ndarray,
         return _Band(plan, base, sums)
     base = (np.arange(y0, y0 + ny * stride, stride)[:, None] * cols
             + np.arange(0, nx * stride, stride)).reshape(-1)
-    ii, sq = tables[:, y0:]
-    reads = [(ii, st.weak[0][0]), (ii, plan.window_taps), (sq, plan.window_taps)]
-    reads += [(ii, taps) for taps, *_ in st.weak[1:]]
-    sums = np.empty((len(reads), ny, nx), dtype=np.int64)
-    tmp = np.empty((ny, nx), dtype=np.int64)
-    for acc, (table, taps) in zip(sums, reads):
-        _grid_sum(acc, tmp, table, taps, stride)
-    return _Band(plan, base, sums.reshape(len(reads), -1))
+    sums = np.empty((len(plan.strided), ny, nx), dtype=np.int64)
+    for acc, (plane, terms) in zip(sums, plan.strided):
+        _grid_sum(acc, tables[plane, y0:], terms, stride)
+    return _Band(plan, base, sums.reshape(len(sums), -1))
 
 
 def _joined(arrays: list[np.ndarray], axis: int = 0) -> np.ndarray:

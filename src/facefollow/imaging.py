@@ -141,16 +141,19 @@ class IntegralPair:
 def integral(img: GrayImage) -> IntegralPair:
     """Build both integral tables in one cumulative sweep per axis.
 
-    The pixels and their squares are widened into the interiors of the two
-    planes of one int64 block, then summed in place down the columns and
-    then along the rows: the vectorized form of s(x,y) = s(x,y-1) + i(x,y);
-    ii(x,y) = ii(x-1,y) + s(x,y).  No temporary copy of the pixels is made.
+    The pixels and their squares, taken in uint16 (255**2 fits), are
+    widened into the interiors of the two planes of one int64 block, whose
+    border row and column alone are zeroed; each plane is then summed in
+    place down the columns and then along the rows: the vectorized form of
+    s(x,y) = s(x,y-1) + i(x,y); ii(x,y) = ii(x-1,y) + s(x,y).
     """
     h, w = img.height, img.width
-    tables = np.zeros((2, h + 1, w + 1), dtype=np.int64)
+    tables = np.empty((2, h + 1, w + 1), dtype=np.int64)
+    tables[:, 0] = 0
+    tables[:, 1:, 0] = 0
     px, px2 = tables[:, 1:, 1:]
     np.copyto(px, img.data)
-    np.multiply(px, px, out=px2)
+    np.copyto(px2, np.multiply(img.data, img.data, dtype=np.uint16))
     for t in (px, px2):
         np.cumsum(t, axis=0, out=t)
         np.cumsum(t, axis=1, out=t)
@@ -236,10 +239,14 @@ def decode_pnm(data: bytes) -> GrayImage:
         # samples in 0..maxval become 0..255, rounded half up
         flat = ((flat.astype(np.uint32) * 255 + maxval // 2) // maxval).astype(np.uint8)
     if color:
-        # the largest sum, 255 * 1000 + 500, fits easily in uint32
-        rgb = flat.reshape(height, width, 3).astype(np.uint32)
-        lum = (_LUMA_R * rgb[:, :, 0] + _LUMA_G * rgb[:, :, 1]
-               + _LUMA_B * rgb[:, :, 2] + 500) // 1000
+        # the largest sum, 255 * 1000 + 500, fits easily in uint32; the
+        # explicit dtype keeps numpy 1.x from taking uint8 * 299 in uint16
+        rgb = flat.reshape(height, width, 3)
+        lum = np.multiply(rgb[:, :, 0], _LUMA_R, dtype=np.uint32)
+        lum += np.multiply(rgb[:, :, 1], _LUMA_G, dtype=np.uint32)
+        lum += np.multiply(rgb[:, :, 2], _LUMA_B, dtype=np.uint32)
+        lum += 500
+        lum //= 1000
         return GrayImage(lum.astype(np.uint8))
     return GrayImage(flat.reshape(height, width))
 
@@ -258,8 +265,9 @@ def encode_ppm(rgb: np.ndarray) -> bytes:
 
 
 def to_rgb(img: GrayImage) -> np.ndarray:
-    """Writable (h, w, 3) copy of a gray image, for annotation."""
-    return np.repeat(img.data[:, :, None], 3, axis=2).copy()
+    """Writable (h, w, 3) copy of a gray image, for annotation; ``np.repeat``
+    returns a new array that owns its data."""
+    return np.repeat(img.data[:, :, None], 3, axis=2)
 
 
 def draw_box(rgb: np.ndarray, r: Rect, color: tuple[int, int, int],

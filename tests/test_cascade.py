@@ -10,13 +10,13 @@ import weakref
 import numpy as np
 import pytest
 
-from facefollow import cascade
+from facefollow import cascade, haar
 from facefollow.cascade import (Cascade, CascadeFormatError, Detection, ScanParams,
                                 Stage, UnsupportedCascadeError, WeakClassifier,
                                 detect_multiscale, eval_window, group_detections,
                                 import_legacy_xml, parse_cascade, serialize_cascade)
-from facefollow.haar import (FeatureKind, FeaturePart, HaarFeature, enumerate_base_features,
-                             feature_value, scale_rect)
+from facefollow.haar import (FeatureKind, FeaturePart, HaarFeature, _scaled_parts,
+                             enumerate_base_features, feature_value, scale_rect)
 from facefollow.imaging import GrayImage, Rect, integral, rect_sum
 from facefollow.synthetic import (build_body_cascade, build_face_cascade,
                                   synthetic_gate_params)
@@ -581,8 +581,11 @@ class TestSizePlans:
             # 2-part features: 8 corners, 2 shared; 3-part: 12 corners, 2 cancel
             # and 4 shared
             assert [len(taps) for st in plan.stages for taps, *_ in st.weak] == [6] * 4
-            assert plan.window_taps == ((0, 0, 1), (0, win_w, -1),
-                                        (win_h, 0, -1), (win_h, win_w, 1))
+            # the cut feature, the only strided read, is one term: three rows
+            # by the window's two edge columns
+            (plane, ((rows, cols),)), = plan.strided
+            assert plane == 0 and [a for _, a in rows] == [1, -2, 1]
+            assert cols == ((0, 1), (win_w, -1))
 
     def test_feature_whose_corners_all_cancel_reads_one_zero_tap(self, rng):
         plan = cascade._size_plan(cancelling_cascade(rng), 15, 23)
@@ -941,6 +944,38 @@ class TestInt32Cut:
                                   Rect(0, 0, c.base_w, c.base_h))
         assert (heavy_sum < 2 ** 31) == (side == "below")
 
+    def test_row_sums_that_wrap_while_the_cut_sum_fits(self):
+        """A cut feature of 2**16 times the top three rows of a 16x6 window
+        minus the three below them is one 3 x 2 term, read in two passes.
+        On 255/0 stripes three rows high its row sums, 2**16 times a
+        difference of three-row prefixes as wide as the frame, pass 2**31,
+        while every window's sum, at most 2**16 * 255 * 48, fits: the scan
+        is still eval_window's."""
+        top, below = Rect(0, 0, 16, 3), Rect(0, 3, 16, 3)
+        heavy = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(top, 2.0 ** 16),
+                                                   FeaturePart(below, -2.0 ** 16)))
+        edge = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(Rect(0, 0, 8, 6), 1.0),
+                                                  FeaturePart(Rect(8, 0, 8, 6), -1.0)))
+        c = Cascade(16, 6, (heavy, edge),
+                    (Stage((WeakClassifier(0, 0.05, -1.0, 1.0),), 0.0),
+                     Stage((WeakClassifier(1, 0.0, -1.0, 1.0),), 0.0)))
+        plan = cascade._size_plan(c, 16, 6)
+        (plane, (term,)) = plan.strided[0]
+        assert plan.keep_sign == 1 and plane == 0 and two_pass(term)
+        data = np.where(np.arange(30)[:, None] // 3 % 2 == 0, 255, 0).repeat(200, axis=1)
+        data[:, 100:] = np.random.default_rng(4).integers(0, 256, (30, 100))
+        img = GrayImage(data.astype(np.uint8))
+        p = ScanParams(min_size=16, max_size=16, step_divisor=16)
+        got = {(d.box.x, d.box.y, d.box.w, d.box.h): d.score
+               for d in detect_multiscale(c, img, p)}
+        want, ((_, _, _, nx, ny),) = per_window_eval(c, img, p)
+        assert got == want and 0 < len(want) < nx * ny
+        # the rows' sums over every column, exact in int64
+        ii = integral(img).ii
+        (rows, _) = term
+        row_sums = sum(a * ii[dy:dy + ny] for dy, a in rows)
+        assert np.abs(row_sums).max() >= 2 ** 31
+
     def test_synthetic_cascades_cut_at_every_640_size(self):
         for c, p in zip((build_body_cascade(), build_face_cascade()),
                         (ScanParams(), synthetic_gate_params(640).face_scan)):
@@ -1025,8 +1060,8 @@ class TestGather:
         got = cascade._gather_sums(g, base, tables)
         assert got.shape == (len(tap_lists), len(alive)) and got.dtype == np.int64
         for i, taps in enumerate(tap_lists):
-            acc, tmp = np.empty((2, ny, nx), dtype=np.int64)
-            cascade._grid_sum(acc, tmp, tables[g.plane[i, 0]], taps, stride)
+            acc = np.empty((ny, nx), dtype=np.int64)
+            cascade._grid_sum(acc, tables[g.plane[i, 0]], cascade._terms(taps), stride)
             assert np.array_equal(got[i], acc.reshape(-1)[alive])
 
     def test_unequal_lists_and_one_whose_corners_all_cancel(self, rng):
@@ -1057,11 +1092,12 @@ class TestGather:
         cut one, in ii."""
         c = build()
         plan = cascade._size_plan(c, c.base_w + 3, c.base_h + 3)
-        tap_lists = [plan.window_taps] * 2 + [taps for taps, *_ in plan.stages[0].weak[1:]]
+        window_taps = cascade._corner_taps([(plan.win, 1)])
+        tap_lists = [window_taps] * 2 + [taps for taps, *_ in plan.stages[0].weak[1:]]
         assert all(map(np.array_equal, plan.first, cascade._gather(tap_lists, (0, 1))))
         assert plan.first.plane[:, 0].tolist() == [0, 1] + [0] * (len(tap_lists) - 2)
         assert np.stack(plan.first[1:], axis=-1)[:2, :4].tolist() == \
-            [[list(t) for t in plan.window_taps]] * 2
+            [[list(t) for t in window_taps]] * 2
         self.check(rng, tap_lists, plan.first)
 
     def test_only_a_cut_plan_gathers_stage_0(self, rng):
@@ -1079,6 +1115,127 @@ class TestGather:
             assert (plan.first is None) == (plan.keep_sign == 0)
             assert plan.stages[0].gather is None
             assert all(st.gather is not None for st in plan.stages[1:])
+
+
+def term_taps(terms):
+    """The taps that ``terms`` read, merged per corner as ``_corner_taps``
+    merges them."""
+    coef: dict[tuple[int, int], int] = {}
+    for rows, cols in terms:
+        for dy, a in rows:
+            for dx, b in cols:
+                coef[dy, dx] = coef.get((dy, dx), 0) + a * b
+    return tuple((dy, dx, k) for (dy, dx), k in sorted(coef.items()) if k) or ((0, 0, 0),)
+
+
+def two_pass(term) -> bool:
+    rows, cols = term
+    return len(rows) + len(cols) < len(rows) * len(cols)
+
+
+def random_tap_lists(rng, n: int, reach: int = 24):
+    """Tap lists whose corners lie within ``reach``: outer products of random
+    rows and columns with |k| up to 2**16, sums of random weighted rects
+    (cancelling corners merge), and random taps that rarely factor."""
+    lists = []
+    for i in range(n):
+        if i % 3 == 0:
+            rows = rng.sample(range(reach + 1), rng.randrange(1, 5))
+            cols = rng.sample(range(reach + 1), rng.randrange(1, 5))
+            a = [rng.choice([-3, -2, -1, 1, 2, 5, 2 ** 16]) for _ in rows]
+            b = [rng.choice([-2, -1, 1, 3]) for _ in cols]
+            coef = {(dy, dx): ka * kb for dy, ka in zip(rows, a) for dx, kb in zip(cols, b)}
+            lists.append(tuple((dy, dx, k) for (dy, dx), k in sorted(coef.items())))
+        elif i % 3 == 1:
+            parts = []
+            for _ in range(rng.randrange(2, 5)):
+                x, y = rng.randrange(reach), rng.randrange(reach)
+                parts.append((Rect(x, y, rng.randrange(1, reach - x + 1),
+                                   rng.randrange(1, reach - y + 1)),
+                              rng.choice([-2.0, -1.0, 1.0, 3.0, 2.0 ** 16])))
+            lists.append(cascade._corner_taps(parts))
+        else:
+            corners = {(rng.randrange(reach + 1), rng.randrange(reach + 1))
+                       for _ in range(rng.randrange(1, 9))}
+            lists.append(tuple((dy, dx, rng.choice([-7, -1, 1, 2, 2 ** 16 + 1]))
+                               for dy, dx in sorted(corners)))
+    return lists
+
+
+class TestTerms:
+    """Tap lists read as strided slices are grouped into row x column terms."""
+
+    def test_terms_sum_back_to_their_taps(self):
+        """Every feature of the synthetic cascades and the imported fixtures
+        at every size of the default 640x480 ladder; the face fixture has
+        features that do not factor into one term at some sizes."""
+        cascades = [build_body_cascade(), build_face_cascade()]
+        cascades += [import_legacy_xml(fixture_text(name))
+                     for name in ("upperbody_20x20.xml", "face_24x24.xml")]
+        lists, kinds = [], set()
+        for c in cascades:
+            for w, h in cascade._scan_sizes(c, 640, 480, ScanParams()):
+                lists += [cascade._corner_taps(_scaled_parts(f, w / c.base_w, w, h))
+                          for f in c.features]
+                # a cut plan reads its cut feature, a plan without one also
+                # the window, in ii and in sq, and stage 0's other features
+                plan = cascade._size_plan(c, w, h)
+                kinds.add(plan.keep_sign)
+                taps0 = [taps for taps, *_ in plan.stages[0].weak]
+                window = cascade._corner_taps([(plan.win, 1)])
+                reads = taps0[:1] if plan.keep_sign else taps0[:1] + [window] * 2 + taps0[1:]
+                planes = [0] if plan.keep_sign else [0, 0, 1] + [0] * (len(taps0) - 1)
+                assert [plane for plane, _ in plan.strided] == planes
+                assert [term_taps(terms) for _, terms in plan.strided] == reads
+                if not plan.keep_sign:
+                    assert plan.strided[1][1] == (
+                        (((0, 1), (h, -1)), ((0, 1), (w, -1))),)
+        terms = [cascade._terms(taps) for taps in lists]
+        assert [term_taps(t) for t in terms] == lists
+        assert any(len(t) > 1 for t in terms) and any(map(two_pass, sum(terms, ())))
+        assert kinds == {0, 1}
+
+    def test_base_features_are_one_term(self):
+        """1000 features drawn as ``enumerate_base_features(24, 24)`` builds
+        them (a template, a cell size, a placement), at every size of a
+        640x480 ladder: each scales to one term."""
+        pick = random.Random(11)
+        feats = []
+        for _ in range(1000):
+            kind, u, v, weights = pick.choice(haar._TEMPLATES)
+            sw, sh = pick.randrange(1, 24 // u + 1), pick.randrange(1, 24 // v + 1)
+            feats.append(haar._template_feature(kind, u, v, weights, pick.randrange(25 - u * sw),
+                                                pick.randrange(25 - v * sh), sw, sh))
+        sizes = cascade._scan_sizes(accept_all_cascade(), 640, 480, ScanParams())
+        assert len(sizes) == 17
+        for w, h in sizes:
+            for f in feats:
+                assert len(cascade._terms(cascade._corner_taps(
+                    _scaled_parts(f, w / 24, w, h)))) == 1
+
+    def test_zero_tap_is_one_term(self):
+        assert cascade._terms(((0, 0, 0),)) == ((((0, 1),), ((0, 0),)),)
+
+    @pytest.mark.parametrize("stride", range(1, 14))
+    def test_grid_sum_matches_a_tap_by_tap_read(self, rng, stride):
+        """Random tap lists at every origin of a grid, in int64 and, modulo
+        2**32, over the int32 view of the table."""
+        ip = integral(random_image(rng, 90, 100))
+        ii32 = ip.ii.astype(np.uint32).view(np.int32)
+        ny, nx = (100 - 24 - 1) // stride + 1, (90 - 24 - 1) // stride + 1
+        lists = random_tap_lists(rng, 30)
+        terms = [cascade._terms(taps) for taps in lists]
+        assert any(len(t) > 1 for t in terms)
+        assert any(map(two_pass, sum(terms, ())))
+        assert any(not two_pass(term) for t in terms for term in t)
+        for taps, t in zip(lists, terms):
+            want = np.zeros((ny, nx), dtype=np.int64)
+            for dy, dx, k in taps:
+                want += k * ip.ii[dy:dy + ny * stride:stride, dx:dx + nx * stride:stride][:ny, :nx]
+            got = cascade._grid_sum(np.empty((ny, nx), dtype=np.int64), ip.ii, t, stride)
+            assert np.array_equal(got, want.reshape(-1))
+            got = cascade._grid_sum(np.empty((ny, nx), dtype=np.int32), ii32, t, stride)
+            assert np.array_equal(got, want.reshape(-1).astype(np.uint32).view(np.int32))
 
 
 def brute_force_groups(boxes, eps):

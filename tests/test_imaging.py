@@ -51,6 +51,20 @@ class TestDecodePnm:
                 expect = (299 * r + 587 * g + 114 * b + 500) // 1000
                 assert img.data[y, x] == expect
 
+    @pytest.mark.parametrize("magic", [b"P6", b"P3"])
+    def test_color_luma_matches_the_integer_formula(self, rng, magic):
+        """Every value 0..255 of each channel alone, then random triples: a
+        uint8 sample times 299 or 587 taken in uint16 would overflow."""
+        triples = [tuple(v if c == ch else 0 for c in range(3))
+                   for ch in range(3) for v in range(256)]
+        triples += [tuple(rng.randrange(256) for _ in range(3)) for _ in range(256)]
+        flat = [v for t in triples for v in t]
+        payload = (bytes(flat) if magic == b"P6"
+                   else b" ".join(b"%d" % v for v in flat))
+        img = decode_pnm(magic + b" 32 32 255\n" + payload)
+        assert img.data.reshape(-1).tolist() == [
+            (299 * r + 587 * g + 114 * b + 500) // 1000 for r, g, b in triples]
+
     def test_p2_samples_scale_to_255(self):
         assert decode_pnm(b"P2 2 1 15 15 0").data.tolist() == [[255, 0]]
         # 25.5 and 76.5 round half up
@@ -168,6 +182,19 @@ class TestIntegral:
         assert not ip.ii[0, :].any() and not ip.ii[:, 0].any()
         assert not ip.sq[0, :].any() and not ip.sq[:, 0].any()
 
+    def test_border_is_zero_in_a_reused_block(self, rng):
+        """Only the border of the table block is zeroed: an all-255 frame's
+        block, freed, is likely the next same-sized call's block."""
+        for _ in range(3):
+            bright = integral(GrayImage(np.full((40, 50), 255, dtype=np.uint8)))
+            assert bright.ii[-1, -1] == 255 * 40 * 50
+            del bright
+            img = random_image(rng, 50, 40)
+            ip = integral(img)
+            assert not ip.tables[:, 0, :].any() and not ip.tables[:, :, 0].any()
+            assert np.array_equal(ip.ii, brute_integral(img))
+            assert np.array_equal(ip.sq, brute_integral(img, squared=True))
+
     def test_monotone_rows_and_columns(self, rng):
         for _ in range(10):
             ip = integral(random_image(rng, rng.randrange(1, 20),
@@ -265,6 +292,14 @@ class TestTypes:
         sub = img.crop(Rect(2, 3, 4, 2))
         assert (sub.width, sub.height) == (4, 2)
         assert np.array_equal(sub.data, img.data[3:5, 2:6])
+
+
+def test_to_rgb_is_a_writable_copy(rng):
+    img = random_image(rng, 7, 5)
+    rgb = to_rgb(img)
+    assert rgb.shape == (5, 7, 3) and rgb.dtype == np.uint8 and rgb.flags.writeable
+    assert not np.shares_memory(rgb, img.data)
+    assert all(np.array_equal(rgb[:, :, ch], img.data) for ch in range(3))
 
 
 def test_draw_box_paints_and_clips(rng):
