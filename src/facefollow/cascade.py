@@ -6,7 +6,9 @@ first stage whose score falls below its threshold, which is where the
 detector gets its speed.  ``detect_multiscale`` runs the same decision
 vectorized over each scale's window grid.  Each (cascade, window size)
 compiles once into a size plan, which the ``Cascade`` keeps in its private
-``_plans`` dict, outside the model's fields: every feature's scaled parts
+``_plans`` dict, outside the model's fields.  A plan holds only what the
+window size changes, its taps, terms and gathers; every threshold and leaf
+is read from the cascade's own stages.  Every feature's scaled parts
 become corner taps ``(dy, dx, k)``, summed per distinct corner so shared
 corners merge or cancel.  The tap lists that a band reads as strided
 slices, stage 0's features and the window's corners, are also grouped into
@@ -293,24 +295,18 @@ def _gather_sums(g: _Gather, base: np.ndarray, tables: np.ndarray,
     return np.einsum("lt,ltn->ln", g.coef, tables.ravel().take(idx), out=out)
 
 
-class _StagePlan(NamedTuple):
-    weak: tuple[tuple[_Taps, float, float, float], ...]  # taps, threshold, left, right
-    threshold: float
-    gather: _Gather | None  # every weak classifier's taps, in weak order; None
-                            # on stage 0, which is read per band (_walk_band)
-
-
 class _SizePlan(NamedTuple):
     win: Rect
-    stages: tuple[_StagePlan, ...]
+    stages: tuple[Stage, ...]  # the cascade's own, not a copy
     keep_sign: int      # the sign cut of stage 0, see _sign_cut
-    first: _Gather | None  # with a cut, what its survivors gather: the window's
-                           # corners in ii (s1) and in sq (s2), then stage 0's
-                           # weak classifiers after the first; None without one
     strided: tuple[tuple[int, _Terms], ...]  # what a band reads as strided
                            # slices, as (plane, terms): stage 0's first weak
                            # classifier, then, without a cut, the window in ii
                            # (s1) and in sq (s2) and its other weak classifiers
+    gathers: tuple[_Gather | None, ...]  # per stage, its weak classifiers'
+                           # taps; gathers[0], None without a cut, is what the
+                           # cut's survivors gather: the window in ii (s1) and
+                           # in sq (s2), then stage 0's other weak classifiers
 
 
 # a cut feature's sum(|weight| * 255 * area) stays below this, so that its
@@ -354,27 +350,23 @@ def _sign_cut(st: Stage, parts: list[tuple[Rect, float]]) -> int:
 def _compile_size(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
     """Scale every feature to a ``win_w`` x ``win_h`` window, clipped to it,
     and turn the parts into corner taps; what a band reads as strided
-    slices is also grouped into terms."""
+    slices is grouped into terms, and what it gathers into ``_Gather``s."""
     scale = win_w / c.base_w
     parts = [_scaled_parts(f, scale, win_w, win_h, fi) for fi, f in enumerate(c.features)]
     feats = [_corner_taps(p) for p in parts]
-    stages = []
-    for si, st in enumerate(c.stages):
-        weak = tuple((feats[wk.feature_index], wk.threshold, wk.left_value, wk.right_value)
-                     for wk in st.weak)
-        stages.append(_StagePlan(weak, st.stage_threshold,
-                                 _gather([w[0] for w in weak]) if si else None))
+    taps = [[feats[wk.feature_index] for wk in st.weak] for st in c.stages]
     win = Rect(0, 0, win_w, win_h)
     window_taps = _corner_taps([(win, 1)])
     stage0 = c.stages[0]
     keep_sign = _sign_cut(stage0, parts[stage0.weak[0].feature_index])
-    first = (_gather([window_taps, window_taps] + [w[0] for w in stages[0].weak[1:]], (0, 1))
-             if keep_sign else None)
-    reads = [(0, stages[0].weak[0][0])]
-    if not keep_sign:
-        reads += [(0, window_taps), (1, window_taps)] + [(0, w[0]) for w in stages[0].weak[1:]]
-    strided = tuple((plane, _terms(taps)) for plane, taps in reads)
-    return _SizePlan(win, tuple(stages), keep_sign, first, strided)
+    reads = [(0, taps[0][0])]
+    if keep_sign:
+        first = _gather([window_taps, window_taps] + taps[0][1:], (0, 1))
+    else:
+        first = None
+        reads += [(0, window_taps), (1, window_taps)] + [(0, t) for t in taps[0][1:]]
+    strided = tuple((plane, _terms(t)) for plane, t in reads)
+    return _SizePlan(win, c.stages, keep_sign, strided, (first, *map(_gather, taps[1:])))
 
 
 def _size_plan(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
@@ -461,13 +453,13 @@ def _sigma_area(s1: np.ndarray, s2: np.ndarray, area: float) -> np.ndarray:
     return sigma
 
 
-def _votes(st: _StagePlan, raw, denom: np.ndarray) -> np.ndarray:
+def _votes(st: Stage, raw, denom: np.ndarray) -> np.ndarray:
     """The stage's score per window from each weak classifier's integer
     sums in ``raw``, in weak order: one float64 addition per window and
     weak classifier, as in eval_window."""
     score = np.zeros(len(denom))
-    for sums, (_, threshold, left, right) in zip(raw, st.weak):
-        score += np.where(sums / denom < threshold, left, right)
+    for sums, wk in zip(raw, st.weak):
+        score += np.where(sums / denom < wk.threshold, wk.left_value, wk.right_value)
     return score
 
 
@@ -500,9 +492,10 @@ def _walk_band(plan: _SizePlan, tables: np.ndarray, ii32: np.ndarray,
         alive = np.flatnonzero(cut > 0 if plan.keep_sign > 0 else cut < 0)
         iy, ix = np.divmod(alive, nx)
         base = (iy * stride + y0) * cols + ix * stride
-        sums = np.empty((1 + len(plan.first.dy), len(alive)), dtype=np.int64)
+        first = plan.gathers[0]
+        sums = np.empty((1 + len(first.dy), len(alive)), dtype=np.int64)
         sums[0] = cut[alive]
-        _gather_sums(plan.first, base, tables, out=sums[1:])
+        _gather_sums(first, base, tables, out=sums[1:])
         return _Band(plan, base, sums)
     base = (np.arange(y0, y0 + ny * stride, stride)[:, None] * cols
             + np.arange(0, nx * stride, stride)).reshape(-1)
@@ -532,7 +525,8 @@ def _walk_batch(bands: list[_Band], tables: np.ndarray) -> list[Detection]:
     ``_votes`` and one threshold test.  Stage 0 votes on the bands' sums;
     each later stage gathers its merged corners once per band that still
     has windows, and joins those sums before its one vote.  The bands'
-    plans are of one cascade, so they share every leaf and threshold.
+    plans are of one cascade, so they share its stages, whose leaves and
+    thresholds every vote reads.
     Strided and gathered reads give the same integers, and every window is
     scored on its own, so a window's result depends neither on how it was
     read nor on the batch it was in.  One ``np.divmod`` turns the accepted
@@ -546,17 +540,17 @@ def _walk_batch(bands: list[_Band], tables: np.ndarray) -> list[Detection]:
     denom = _sigma_area(sums[1], sums[2],
                         np.repeat([float(b.plan.win.area) for b in bands], counts))
     score = _votes(stages[0], (sums[0], *sums[3:]), denom)
-    keep = score >= stages[0].threshold
+    keep = score >= stages[0].stage_threshold
     alive = np.arange(len(base))
     for si in range(1, len(stages)):
         if not keep.any():
             break
         alive, base, denom = alive[keep], base[keep], denom[keep]
         cuts = np.searchsorted(alive, ends).tolist()
-        raw = _joined([_gather_sums(b.plan.stages[si].gather, base[lo:hi], tables)
+        raw = _joined([_gather_sums(b.plan.gathers[si], base[lo:hi], tables)
                        for b, lo, hi in zip(bands, [0] + cuts, cuts) if hi > lo], axis=1)
         score = _votes(stages[si], raw, denom)
-        keep = score >= stages[si].threshold
+        keep = score >= stages[si].stage_threshold
     ys, xs = (v.tolist() for v in np.divmod(base[keep], tables.shape[2]))
     scores = score[keep].tolist()
     cuts = np.searchsorted(alive[keep], ends).tolist()

@@ -109,27 +109,22 @@ class IntegralPair:
     <= x; ``sq`` is the same over squared pixels.  The border row/column of
     zeros stands in for the s(x,-1) = 0 / ii(-1,y) = 0 conventions of the
     usual cumulative-sum recurrences and keeps the 4-tap lookup branch-free.
-    ``tables`` is the (2, height+1, width+1) block whose planes are ``ii``
-    and ``sq``, so one flat offset reaches either table; tables passed as
-    separate arrays are copied into such a block.
+    ``tables`` is the (2, height+1, width+1) int64 block whose planes are
+    ``ii`` and ``sq``, as ``integral`` builds it, so one flat offset reaches
+    either table; the pair makes it read-only and derives the other fields
+    from it.
     """
 
     __slots__ = ("width", "height", "ii", "sq", "tables")
 
-    def __init__(self, width: int, height: int, ii: np.ndarray, sq: np.ndarray):
-        for name, t in (("ii", ii), ("sq", sq)):
-            if t.shape != (height + 1, width + 1) or t.dtype != np.int64:
-                raise ValueError(f"{name} table must be int64 ({height + 1},{width + 1})")
-        tables = ii.base
-        if not (tables is not None and tables is sq.base and tables.flags.c_contiguous
-                and tables.shape == (2, height + 1, width + 1)
-                and ii.ctypes.data == tables.ctypes.data
-                and sq.ctypes.data == tables[1].ctypes.data):
-            tables = np.stack((ii, sq))
-        for t in (tables, ii, sq):
-            t.setflags(write=False)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "height", height)
+    def __init__(self, tables: np.ndarray):
+        if not (tables.ndim == 3 and tables.shape[0] == 2 and min(tables.shape[1:]) >= 2
+                and tables.dtype == np.int64):
+            raise ValueError(f"tables must be an int64 (2, height+1, width+1) block with "
+                             f"height, width >= 1, got {tables.dtype} {tables.shape}")
+        tables.setflags(write=False)
+        object.__setattr__(self, "width", tables.shape[2] - 1)
+        object.__setattr__(self, "height", tables.shape[1] - 1)
         object.__setattr__(self, "ii", tables[0])
         object.__setattr__(self, "sq", tables[1])
         object.__setattr__(self, "tables", tables)
@@ -157,7 +152,7 @@ def integral(img: GrayImage) -> IntegralPair:
     for t in (px, px2):
         np.cumsum(t, axis=0, out=t)
         np.cumsum(t, axis=1, out=t)
-    return IntegralPair(w, h, tables[0], tables[1])
+    return IntegralPair(tables)
 
 
 def rect_sum(ip: IntegralPair, r: Rect, squared: bool = False) -> int:

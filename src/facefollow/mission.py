@@ -88,6 +88,10 @@ def step_mission(s: MissionState, status: VehicleStatus, cfg: MissionConfig,
     the vision tracker is in charge (tracking/hover), otherwise the failsafe
     velocity override.  Directive magnitudes are capped so each leg stops
     inside its epsilon within one tick instead of oscillating across it.
+    A failsafe leg that reads a non-finite position component (no position
+    fix) lands in place at ``descend_speed``, as ArduPilot's EKF failsafe
+    does, and does not end until a finite altitude reaches the ground;
+    tracking and hover do not read the position.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -103,6 +107,11 @@ def step_mission(s: MissionState, status: VehicleStatus, cfg: MissionConfig,
             phase = (MissionPhase.TRACKING if status.target_visible
                      else MissionPhase.HOVER)
             return replace(s, phase=phase), None
+
+    pos = status.position
+    if phase in FAILSAFE_PHASES and not all(map(math.isfinite, (pos.n, pos.e, pos.d))):
+        return (replace(s, phase=MissionPhase.FAILSAFE_LAND),
+                VelocityCommand(0.0, 0.0, cfg.descend_speed))
 
     if phase is MissionPhase.FAILSAFE_ASCEND:
         # "position at takeoff + gain": approached from below or, if the

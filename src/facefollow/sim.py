@@ -18,7 +18,7 @@ from .cascade import (Cascade, Detection, _array, _bool, _build, _int, _load_jso
                       _obj, _real, _str)
 from .gated import (BODY_COLOR, FACE_COLOR, GatedDetection, GateParams, detect_gated,
                     select_target)
-from .imaging import GrayImage, Rect, _round_half_up, draw_box, encode_ppm, to_rgb
+from .imaging import MAX_DIM, GrayImage, Rect, _round_half_up, draw_box, encode_ppm, to_rgb
 from .mavlink import CommandSink, NullSink, build_velocity_message, open_sink
 from .mission import (MissionConfig, MissionPhase, MissionState, Ned,
                       VehicleStatus, step_mission)
@@ -36,8 +36,12 @@ class CameraModel:
     focal: float = 300.0
 
     def __post_init__(self):
-        if self.focal <= 0:
-            raise ValueError("focal length must be positive")
+        # "not <=" / "not >" so NaN is rejected too
+        for k in ("img_w", "img_h"):
+            if not 1 <= getattr(self, k) <= MAX_DIM:
+                raise ValueError(f"{k} must lie in 1..{MAX_DIM}, got {getattr(self, k)}")
+        if not (self.focal > 0 and math.isfinite(self.focal)):
+            raise ValueError(f"focal must be finite and positive, got {self.focal}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,8 @@ class TargetPath:
     def __post_init__(self):
         if not self.speed >= 0:
             raise ValueError(f"speed must be >= 0, got {self.speed}")
+        if not math.isfinite(self.speed):
+            raise ValueError(f"speed must be finite, got {self.speed}")
 
 
 @dataclass(frozen=True)
@@ -115,8 +121,8 @@ def project_target(s: SimState, cam: CameraModel) -> dict[str, Rect] | None:
 
 def step_sim(s: SimState, cmd: VelocityCommand, dt: float) -> SimState:
     """First-order Euler step of drone and target; pure function."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     c, sn = math.cos(s.drone_yaw), math.sin(s.drone_yaw)
     drone = Ned(s.drone_pos.n + (c * cmd.vx - sn * cmd.vy) * dt,
                 s.drone_pos.e + (sn * cmd.vx + c * cmd.vy) * dt,
@@ -213,6 +219,8 @@ class RunConfig:
             raise ValueError("rendered mode requires body and face cascades")
         if self.ticks < 1:
             raise ValueError("ticks must be positive")
+        if self.user_stop_tick is not None and not self.user_stop_tick >= 0:
+            raise ValueError(f"user_stop_tick must be None or >= 0, got {self.user_stop_tick}")
 
 
 def _oracle_detections(state: SimState, cam: CameraModel) -> list[GatedDetection]:

@@ -9,6 +9,7 @@ Speeds are discrete per band, not proportional.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .cascade import Detection
@@ -79,8 +80,14 @@ class TrackerConfig:
             raise ValueError(
                 f"need 0 < width_far < width_near < 1, got "
                 f"{self.width_far}, {self.width_near}")
-        if self.loop_dt <= 0:
-            raise ValueError("loop_dt must be positive")
+        # the orderings above pass an infinite fast speed
+        for k in ("roll_s", "roll_f", "th_s", "th_f", "fwd_speed", "loop_dt"):
+            if not math.isfinite(getattr(self, k)):
+                raise ValueError(f"{k} must be finite, got {getattr(self, k)}")
+        if not self.fwd_speed >= 0:
+            raise ValueError(f"fwd_speed must be >= 0, got {self.fwd_speed}")
+        if not self.loop_dt > 0:
+            raise ValueError(f"loop_dt must be positive, got {self.loop_dt}")
 
 
 def normalized_error(cx: float, cy: float, img_w: int, img_h: int) -> tuple[float, float]:

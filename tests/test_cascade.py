@@ -569,6 +569,29 @@ def edge_flush_cascade() -> Cascade:
                     Stage((WeakClassifier(1, 0.01, 0.0, 1.0),), 0.5)))
 
 
+def model_taps(c: Cascade, w: int, h: int) -> list[list]:
+    """Each stage's tap lists at a ``w`` x ``h`` window, in weak order, from
+    the model's features."""
+    feats = [cascade._corner_taps(_scaled_parts(f, w / c.base_w, w, h)) for f in c.features]
+    return [[feats[wk.feature_index] for wk in st.weak] for st in c.stages]
+
+
+def gather_lists(g) -> list:
+    """The tap lists of gather ``g``, its zero-tap padding dropped."""
+    return [tuple(tuple(t) for t in row if t[2]) or ((0, 0, 0),)
+            for row in np.stack(g[1:], axis=-1).tolist()]
+
+
+def plan_taps(plan) -> list[list]:
+    """Each stage's tap lists as ``plan`` reads them, in weak order: stage
+    0's first from its strided reads, its others from the strided reads
+    after the window's two or, with a cut, from the cut's gather after the
+    window's two, and every later stage's from its gather."""
+    strided = [term_taps(terms) for _, terms in plan.strided]
+    rest = gather_lists(plan.gathers[0])[2:] if plan.keep_sign else strided[3:]
+    return [strided[:1] + rest] + [gather_lists(g) for g in plan.gathers[1:]]
+
+
 class TestSizePlans:
     """Each (cascade, window size) compiles once to merged corner taps."""
 
@@ -580,7 +603,7 @@ class TestSizePlans:
             plan = cascade._size_plan(c, win_w, win_h)
             # 2-part features: 8 corners, 2 shared; 3-part: 12 corners, 2 cancel
             # and 4 shared
-            assert [len(taps) for st in plan.stages for taps, *_ in st.weak] == [6] * 4
+            assert [len(taps) for st in plan_taps(plan) for taps in st] == [6] * 4
             # the cut feature, the only strided read, is one term: three rows
             # by the window's two edge columns
             (plane, ((rows, cols),)), = plan.strided
@@ -589,7 +612,7 @@ class TestSizePlans:
 
     def test_feature_whose_corners_all_cancel_reads_one_zero_tap(self, rng):
         plan = cascade._size_plan(cancelling_cascade(rng), 15, 23)
-        assert plan.stages[0].weak[-1][0] == ((0, 0, 0),)
+        assert plan_taps(plan)[0][-1] == ((0, 0, 0),)
 
     def test_plan_is_cached_per_size(self, rng):
         c = random_cascade(rng)
@@ -597,6 +620,17 @@ class TestSizePlans:
         assert cascade._size_plan(c, 12, 12) is small
         assert small is not large
         assert (small.win, large.win) == (Rect(0, 0, 12, 12), Rect(0, 0, 15, 15))
+
+    def test_plans_keep_the_cascades_own_stages(self, rng):
+        """A plan holds only what the window size changes: at every size of
+        a scan its stages are the cascade's, not a copy, and it reads each
+        weak classifier's feature scaled to that size."""
+        for c in (build_body_cascade(), cancelling_cascade(rng)):
+            detect_multiscale(c, random_image(rng, 60, 60), ScanParams(scale_factor=1.25))
+            assert len(c._plans) > 3
+            for (w, h), plan in c._plans.items():
+                assert plan.stages is c.stages
+                assert plan_taps(plan) == model_taps(c, w, h)
 
     def test_equal_but_distinct_cascade_gets_its_own_plan(self, rng):
         c = random_cascade(rng)
@@ -642,8 +676,7 @@ class TestSizePlans:
             assert got == want and any(k[2] == 25 for k in want)
         assert set(c._plans) == {(12, 12), (25, 25)}
         clipped = [(Rect(0, 0, 13, 25), 1.0), (Rect(13, 0, 12, 25), -1.0)]
-        assert cascade._size_plan(c, 25, 25).stages[1].weak[0][0] == \
-            cascade._corner_taps(clipped)
+        assert plan_taps(cascade._size_plan(c, 25, 25))[1][0] == cascade._corner_taps(clipped)
 
     def test_fixture_cascade_at_every_size_of_the_640_ladder(self):
         """The imported upper-body fixture, whose parts touch the base
@@ -679,7 +712,7 @@ class TestSizePlans:
         for w, h in sizes:
             plan = cascade._size_plan(c, w, h)
             assert all(0 <= dy <= h and 0 <= dx <= w
-                       for st in plan.stages for taps, *_ in st.weak for dy, dx, _ in taps)
+                       for st in plan_taps(plan) for taps in st for dy, dx, _ in taps)
         assert any(scale_rect(part.rect, w / 22).right > w
                    for f in feats for part in f.parts for w, _ in sizes)
 
@@ -1066,7 +1099,7 @@ class TestGather:
 
     def test_unequal_lists_and_one_whose_corners_all_cancel(self, rng):
         plan = cascade._size_plan(cancelling_cascade(rng), 15, 23)
-        tap_lists = [taps for st in plan.stages for taps, *_ in st.weak]
+        tap_lists = sum(plan_taps(plan), [])
         assert ((0, 0, 0),) in tap_lists and len({len(t) for t in tap_lists}) > 1
         g = cascade._gather(tap_lists)
         # one row per list, padded with zero taps to the longest, all in ii
@@ -1080,7 +1113,7 @@ class TestGather:
     def test_lists_read_the_planes_they_name(self, rng):
         """Lists past the named planes read ii."""
         plan = cascade._size_plan(cancelling_cascade(rng), 15, 23)
-        tap_lists = [taps for st in plan.stages for taps, *_ in st.weak]
+        tap_lists = sum(plan_taps(plan), [])
         g = cascade._gather(tap_lists, (1, 0, 1))
         assert g.plane[:, 0].tolist() == [1, 0, 1] + [0] * (len(tap_lists) - 3)
         self.check(rng, tap_lists, g)
@@ -1091,19 +1124,22 @@ class TestGather:
         ii (s1) and in sq (s2), then stage 0's weak classifiers after the
         cut one, in ii."""
         c = build()
-        plan = cascade._size_plan(c, c.base_w + 3, c.base_h + 3)
+        w, h = c.base_w + 3, c.base_h + 3
+        plan = cascade._size_plan(c, w, h)
         window_taps = cascade._corner_taps([(plan.win, 1)])
-        tap_lists = [window_taps] * 2 + [taps for taps, *_ in plan.stages[0].weak[1:]]
-        assert all(map(np.array_equal, plan.first, cascade._gather(tap_lists, (0, 1))))
-        assert plan.first.plane[:, 0].tolist() == [0, 1] + [0] * (len(tap_lists) - 2)
-        assert np.stack(plan.first[1:], axis=-1)[:2, :4].tolist() == \
+        tap_lists = [window_taps] * 2 + model_taps(c, w, h)[0][1:]
+        first = plan.gathers[0]
+        assert all(map(np.array_equal, first, cascade._gather(tap_lists, (0, 1))))
+        assert first.plane[:, 0].tolist() == [0, 1] + [0] * (len(tap_lists) - 2)
+        assert np.stack(first[1:], axis=-1)[:2, :4].tolist() == \
             [[list(t) for t in window_taps]] * 2
-        self.check(rng, tap_lists, plan.first)
+        self.check(rng, tap_lists, first)
 
     def test_only_a_cut_plan_gathers_stage_0(self, rng):
         """Stage 0 is gathered only by a cut's survivors: a plan without a
         cut, such as every 320x240 size of the imported fixtures, has no
-        ``first`` gather, and no plan has a stage 0 gather."""
+        stage 0 gather, and a cut's gather reads the window twice and stage
+        0's weak classifiers after the cut one; every later stage has one."""
         plans = [cascade._size_plan(sign_cut_cascade(rng, kind), w, w)
                  for kind in ("left-lower", "reachable") for w in (8, 10, 13)]
         for name in ("upperbody_20x20.xml", "face_24x24.xml"):
@@ -1112,9 +1148,11 @@ class TestGather:
                       for w, h in cascade._scan_sizes(c, 320, 240, ScanParams())]
         assert {p.keep_sign for p in plans} == {0, 1} and len(plans) > 20
         for plan in plans:
-            assert (plan.first is None) == (plan.keep_sign == 0)
-            assert plan.stages[0].gather is None
-            assert all(st.gather is not None for st in plan.stages[1:])
+            assert (plan.gathers[0] is None) == (plan.keep_sign == 0)
+            if plan.keep_sign:
+                assert len(plan.gathers[0].dy) == len(plan.stages[0].weak) + 1
+            assert len(plan.gathers) == len(plan.stages)
+            assert all(g is not None for g in plan.gathers[1:])
 
 
 def term_taps(terms):
@@ -1181,7 +1219,7 @@ class TestTerms:
                 # the window, in ii and in sq, and stage 0's other features
                 plan = cascade._size_plan(c, w, h)
                 kinds.add(plan.keep_sign)
-                taps0 = [taps for taps, *_ in plan.stages[0].weak]
+                taps0 = model_taps(c, w, h)[0]
                 window = cascade._corner_taps([(plan.win, 1)])
                 reads = taps0[:1] if plan.keep_sign else taps0[:1] + [window] * 2 + taps0[1:]
                 planes = [0] if plan.keep_sign else [0, 0, 1] + [0] * (len(taps0) - 1)

@@ -202,6 +202,8 @@ class TestTrackSim:
         pytest.param('{"ticks": 3,', "$", id="syntax-error"),
         pytest.param('{"ticks": ' + "1" * 5000 + "}", "$", id="5000-digit-integer"),
         pytest.param("[" * 1000, "$", id="nested-1000-deep"),
+        ({"tracker": {"fwd_speed": -1.0}}, "$.tracker"),
+        ({"camera": {"img_w": 10000}}, "$.camera"),
     ])
     def test_bad_value_exits_1_naming_path(self, tmp_path, capsys, over, path):
         """``over`` is merged into a valid document, or is the raw text."""

@@ -215,14 +215,28 @@ class TestIntegral:
         with pytest.raises(ValueError):
             ip.tables[1, 1, 1] = 1
 
-    def test_separate_tables_are_copied_into_one_block(self, rng):
-        ip = integral(random_image(rng, 5, 7))
-        # separate arrays, and the planes of one block in the wrong order
-        for ii, sq in ((ip.ii.copy(), ip.sq.copy()), (ip.sq, ip.ii)):
-            pair = IntegralPair(5, 7, ii, sq)
-            assert pair.tables.shape == (2, 8, 6) and pair.tables is not ip.tables
-            assert np.array_equal(pair.ii, ii) and np.array_equal(pair.sq, sq)
-            assert pair.ii.base is pair.tables and pair.sq.base is pair.tables
+    @pytest.mark.parametrize("shape, dtype", [
+        ((8, 6), np.int64),        # one plane, no plane axis
+        ((3, 8, 6), np.int64),     # three planes
+        ((1, 2, 8, 6), np.int64),  # a fourth axis
+        ((2, 8, 6), np.int32),
+        ((2, 8, 6), np.float64),
+        ((2, 1, 6), np.int64),     # no pixel row
+        ((2, 8, 1), np.int64),     # no pixel column
+    ])
+    def test_pair_rejects_a_block_of_the_wrong_form(self, shape, dtype):
+        with pytest.raises(ValueError, match="int64 \\(2, height\\+1, width\\+1\\)"):
+            IntegralPair(np.zeros(shape, dtype=dtype))
+
+    def test_pair_reads_its_block_through_read_only_views(self, rng):
+        tables = integral(random_image(rng, 5, 7)).tables.copy()
+        pair = IntegralPair(tables)
+        assert pair.tables is tables and (pair.width, pair.height) == (5, 7)
+        assert pair.ii.base is tables and pair.sq.base is tables
+        assert np.array_equal(pair.ii, tables[0]) and np.array_equal(pair.sq, tables[1])
+        for t in (pair.tables, pair.ii, pair.sq):
+            with pytest.raises(ValueError):
+                t[1, 1] = 1
 
 
 class TestRectSum:

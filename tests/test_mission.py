@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import pytest
 
 from facefollow.mission import (FAILSAFE_PHASES, MissionConfig, MissionPhase,
                                 MissionState, Ned, VehicleStatus, step_mission)
+from facefollow.tracker import VelocityCommand
 
 CFG = MissionConfig()
 DT = 0.25
@@ -108,6 +110,38 @@ class TestTransitions:
     def test_non_positive_dt_rejected(self, dt):
         with pytest.raises(ValueError, match="dt"):
             step_mission(state(MissionPhase.FAILSAFE_ASCEND), status(), CFG, dt)
+
+
+class TestNonFinitePosition:
+    """A failsafe leg without a position fix lands in place."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", ["n", "e", "d"])
+    @pytest.mark.parametrize("phase", FAILSAFE_PHASES)
+    def test_failsafe_leg_lands_and_never_ends(self, phase, axis, value):
+        pos = dataclasses.replace(Ned(0.0, 0.0, -2.0), **{axis: value})
+        s = state(phase)
+        for _ in range(3):
+            s, d = step_mission(s, status(pos=pos), CFG, DT)
+            assert s.phase is MissionPhase.FAILSAFE_LAND
+            assert d == VelocityCommand(0.0, 0.0, CFG.descend_speed)
+
+    def test_failsafe_entered_without_a_fix_lands(self):
+        s, d = step_mission(state(), status(volts=20.0, pos=Ned(0.0, 0.0, math.nan)), CFG, DT)
+        assert s.phase is MissionPhase.FAILSAFE_LAND
+        assert d == VelocityCommand(0.0, 0.0, CFG.descend_speed)
+
+    @pytest.mark.parametrize("visible, phase", [(True, MissionPhase.TRACKING),
+                                                (False, MissionPhase.HOVER)])
+    def test_tracking_and_hover_ignore_the_position(self, visible, phase):
+        pos = Ned(math.nan, math.inf, -math.inf)
+        s, d = step_mission(state(), status(pos=pos, visible=visible), CFG, DT)
+        assert s.phase is phase and d is None
+
+    def test_ended_stays_ended(self):
+        s, _ = step_mission(state(MissionPhase.ENDED), status(pos=Ned(math.nan, 0.0, 0.0)),
+                            CFG, DT)
+        assert s.phase is MissionPhase.ENDED
 
 
 class TestFullRun:

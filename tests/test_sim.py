@@ -133,6 +133,10 @@ class TestStepSim:
         with pytest.raises(ValueError, match=re.escape("speed must be >= 0, got -0.5")):
             TargetPath((Ned(10.0, 5.0, -1.5),), speed=-0.5)
 
+    def test_infinite_target_speed_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("speed must be finite, got inf")):
+            TargetPath((Ned(10.0, 5.0, -1.5),), speed=math.inf)
+
     def test_zero_target_speed_stands_still(self):
         st = sim_state(Ned(5.0, 0.0, -1.5), path=TargetPath((Ned(10.0, 5.0, -1.5),), 0.0))
         for _ in range(4):
@@ -142,6 +146,29 @@ class TestStepSim:
     def test_bad_dt(self):
         with pytest.raises(ValueError):
             step_sim(sim_state(Ned(5, 0, -1.5)), VelocityCommand(0, 0, 0), 0.0)
+
+    def test_nan_dt_rejected(self):
+        with pytest.raises(ValueError, match="dt must be positive, got nan"):
+            step_sim(sim_state(Ned(5, 0, -1.5)), VelocityCommand(0, 0, 0), math.nan)
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("field, value", [
+        ("focal", math.nan), ("focal", math.inf), ("focal", 0.0),
+        ("img_w", 0), ("img_w", 8193), ("img_h", 0), ("img_h", 10000),
+    ])
+    def test_camera_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CameraModel(**{field: value})
+
+    def test_camera_bounds_are_the_image_bounds(self):
+        assert CameraModel(img_w=8192, img_h=1).img_w == 8192
+        assert CameraModel(img_w=1, img_h=8192).img_h == 8192
+
+    def test_user_stop_tick_below_0_rejected(self):
+        assert RunConfig(user_stop_tick=0).user_stop_tick == 0
+        with pytest.raises(ValueError, match="user_stop_tick"):
+            RunConfig(user_stop_tick=-1)
 
 
 class TestClosedLoopOracle:

@@ -162,5 +162,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrackerConfig(width_far=0.2, width_near=0.1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("loop_dt", math.nan), ("loop_dt", math.inf),
+        ("fwd_speed", math.nan), ("fwd_speed", -1.0), ("fwd_speed", math.inf),
+        ("roll_f", math.inf), ("th_f", math.inf),
+    ])
+    def test_speeds_and_loop_dt_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrackerConfig(**{field: value})
+
     def test_fwd_speed_zero_is_legal(self):
         TrackerConfig(fwd_speed=0.0)
