@@ -520,46 +520,39 @@ def _walk_batch(bands: list[_Band], tables: np.ndarray) -> list[Detection]:
     of their window (s1), squared window (s2) and stage 0's features.
     ``detect_multiscale`` collects the bands in scan order into batches of
     at most ``_BAND_WINDOWS`` candidates (a band is never split), whatever
-    their sizes.  This batch part classifies a batch's candidates at once:
-    one ``_sigma_area`` with a per-window area, then per stage one
-    ``_votes`` and one threshold test.  Stage 0 votes on the bands' sums;
-    each later stage gathers its merged corners once per band that still
-    has windows, and joins those sums before its one vote.  The bands'
-    plans are of one cascade, so they share its stages, whose leaves and
-    thresholds every vote reads.
+    their sizes.  This batch part classifies a batch's candidates at once,
+    each carrying the index of its band: one ``_sigma_area`` with a
+    per-window area, then one loop over every stage, whose ``_votes`` and
+    threshold test drop the candidates that fail it, until none is left.
+    Stage 0 votes on the bands' sums; each later stage gathers its merged
+    corners once per band that still has candidates.  The bands' plans are
+    of one cascade, so they share its stages, which every vote reads.
     Strided and gathered reads give the same integers, and every window is
     scored on its own, so a window's result depends neither on how it was
     read nor on the batch it was in.  One ``np.divmod`` turns the accepted
     offsets into origins.
     """
     stages = bands[0].plan.stages
-    counts = [len(b.base) for b in bands]
-    ends = np.cumsum(counts)
+    band = np.repeat(np.arange(len(bands)), [len(b.base) for b in bands])
     base = _joined([b.base for b in bands])
     sums = _joined([b.sums for b in bands], axis=1)
     denom = _sigma_area(sums[1], sums[2],
-                        np.repeat([float(b.plan.win.area) for b in bands], counts))
-    score = _votes(stages[0], (sums[0], *sums[3:]), denom)
-    keep = score >= stages[0].stage_threshold
-    alive = np.arange(len(base))
-    for si in range(1, len(stages)):
-        if not keep.any():
+                        np.array([float(b.plan.win.area) for b in bands])[band])
+    raw = (sums[0], *sums[3:])
+    for si, st in enumerate(stages):
+        if si:
+            cuts = np.searchsorted(band, np.arange(len(bands) + 1)).tolist()
+            raw = _joined([_gather_sums(b.plan.gathers[si], base[lo:hi], tables)
+                           for b, lo, hi in zip(bands, cuts, cuts[1:]) if hi > lo], axis=1)
+        score = _votes(st, raw, denom)
+        keep = score >= st.stage_threshold
+        band, base, denom, score = band[keep], base[keep], denom[keep], score[keep]
+        if not len(base):
             break
-        alive, base, denom = alive[keep], base[keep], denom[keep]
-        cuts = np.searchsorted(alive, ends).tolist()
-        raw = _joined([_gather_sums(b.plan.gathers[si], base[lo:hi], tables)
-                       for b, lo, hi in zip(bands, [0] + cuts, cuts) if hi > lo], axis=1)
-        score = _votes(stages[si], raw, denom)
-        keep = score >= stages[si].stage_threshold
-    ys, xs = (v.tolist() for v in np.divmod(base[keep], tables.shape[2]))
-    scores = score[keep].tolist()
-    cuts = np.searchsorted(alive[keep], ends).tolist()
-    out = []
-    for b, lo, hi in zip(bands, [0] + cuts, cuts):
-        w, h = b.plan.win.w, b.plan.win.h
-        out += [Detection(Rect(x, y, w, h), sc)
-                for x, y, sc in zip(xs[lo:hi], ys[lo:hi], scores[lo:hi])]
-    return out
+    ys, xs = np.divmod(base, tables.shape[2])
+    sizes = [(b.plan.win.w, b.plan.win.h) for b in bands]
+    return [Detection(Rect(x, y, *sizes[i]), sc)
+            for i, x, y, sc in zip(band.tolist(), xs.tolist(), ys.tolist(), score.tolist())]
 
 
 def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detection]:

@@ -223,19 +223,13 @@ class RunConfig:
             raise ValueError(f"user_stop_tick must be None or >= 0, got {self.user_stop_tick}")
 
 
-def _oracle_detections(state: SimState, cam: CameraModel) -> list[GatedDetection]:
-    boxes = project_target(state, cam)
-    if boxes is None:
-        return []
-    body = Detection(boxes["body"], score=1.0, neighbors=1)
-    face = Detection(boxes["face"], score=1.0, neighbors=1)
-    return [GatedDetection(body, face)]
-
-
 def run_closed_loop(cfg: RunConfig, sink: CommandSink | None = None,
                     frames_dir: str | None = None) -> Trace:
     """Run the sense-decide-act-integrate loop; returns the per-tick trace.
 
+    Each tick starts with one ``project_target`` of the person: the oracle
+    takes its boxes as the detection, and rendered mode draws the person
+    there before it runs ``detect_gated`` on the frame.
     One MAVLink frame goes to the sink per tick while the mission is in a
     vision-guided phase; failsafe legs hand control to the mission
     directives.  The loop stops at the tick budget or when the mission ends.
@@ -253,14 +247,14 @@ def run_closed_loop(cfg: RunConfig, sink: CommandSink | None = None,
 
     try:
         for tick in range(cfg.ticks):
+            boxes = project_target(state, cam)
+            face, body = (boxes["face"], boxes["body"]) if boxes else (None, None)
             if cfg.mode == "oracle":
-                dets = _oracle_detections(state, cam)
+                dets = [GatedDetection(Detection(body, 1.0, 1),
+                                       Detection(face, 1.0, 1))] if boxes else []
                 frame_img = None
             else:
-                boxes = project_target(state, cam)
-                frame_img = render_scene(cam.img_w, cam.img_h,
-                                         boxes["face"] if boxes else None,
-                                         boxes["body"] if boxes else None)
+                frame_img = render_scene(cam.img_w, cam.img_h, face, body)
                 dets = detect_gated(cfg.body_cascade, cfg.face_cascade,
                                     frame_img, gate)
             chosen = select_target(dets)
