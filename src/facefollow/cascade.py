@@ -17,7 +17,8 @@ rows times a difference of its columns, so ``_grid_sum`` can sum a term's
 rows first and then read its columns from that sum.  The grid is cut into
 row bands of at most ``_BAND_WINDOWS`` windows, which the calling thread
 reads in scan order; their candidate windows are then classified in
-batches across sizes and bands, as ``_walk_batch`` describes.  The scalar
+batches across sizes and bands, each candidate carrying the index of its
+band, by one loop over every stage, as ``_walk_batch`` describes.  The scalar
 and vectorized paths give bit-identical results, so one can be checked
 against the other: part weights are integers (a ``Cascade`` rule), so a
 feature's sum is the same exact integer in the scan's int64 (or the cut's
@@ -159,6 +160,22 @@ class ScanParams:
             raise ValueError(f"step_divisor must be an int, got {self.step_divisor!r}")
         if self.step_divisor < 1:
             raise ValueError("step_divisor must be at least 1")
+        if not 0.0 < self.eps < 1.0:  # NaN too
+            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
+        if not _is_int(self.min_neighbors, 0):
+            raise ValueError(f"min_neighbors must be an int of at least 0, "
+                             f"got {self.min_neighbors!r}")
+        # no min_size <= max_size rule: gated scans raise min_size per body,
+        # and a face ladder emptied that way finds nothing
+        for k in ("min_size", "max_size"):
+            v = getattr(self, k)
+            if v is not None and not _is_int(v, 1):
+                raise ValueError(f"{k} must be None or an int of at least 1, got {v!r}")
+
+
+def _is_int(v, minimum: int) -> bool:
+    """``v`` is an int, not a bool, of at least ``minimum``."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= minimum
 
 
 def _variance_denominator(ip: IntegralPair, window: Rect) -> float:

@@ -202,7 +202,10 @@ class UdpSink(CommandSink):
     """Sends each frame as one UDP datagram."""
 
     def __init__(self, host: str, port: int, **kw):
+        """A port outside 1..65535 raises SinkError, before the socket opens."""
         super().__init__(**kw)
+        if not 1 <= port <= 0xFFFF:
+            raise SinkError(f"bad udp destination {host}:{port}, want a port in 1..65535")
         self.dest = (host, port)
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
 

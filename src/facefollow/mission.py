@@ -73,11 +73,13 @@ class MissionConfig:
         # "not >" / "not >=" so NaN is rejected too
         for k in ("land_alt_eps", "pos_eps", "climb_speed", "return_speed",
                   "descend_speed"):
-            if not getattr(self, k) > 0:
-                raise ValueError(f"{k} must be positive, got {getattr(self, k)}")
+            v = getattr(self, k)
+            if not (v > 0 and math.isfinite(v)):
+                raise ValueError(f"{k} must be finite and positive, got {v}")
         for k in ("batt_min", "failsafe_alt_gain"):
-            if not getattr(self, k) >= 0:
-                raise ValueError(f"{k} must be non-negative, got {getattr(self, k)}")
+            v = getattr(self, k)
+            if not (v >= 0 and math.isfinite(v)):
+                raise ValueError(f"{k} must be finite and non-negative, got {v}")
 
 
 def step_mission(s: MissionState, status: VehicleStatus, cfg: MissionConfig,

@@ -44,6 +44,11 @@ class CameraModel:
             raise ValueError(f"focal must be finite and positive, got {self.focal}")
 
 
+def _check_finite(name: str, p: Ned) -> None:
+    if not all(map(math.isfinite, (p.n, p.e, p.d))):
+        raise ValueError(f"{name} must be finite, got {p}")
+
+
 @dataclass(frozen=True)
 class TargetPath:
     """Waypoint schedule; the target walks each leg at constant speed (m/s;
@@ -57,6 +62,8 @@ class TargetPath:
             raise ValueError(f"speed must be >= 0, got {self.speed}")
         if not math.isfinite(self.speed):
             raise ValueError(f"speed must be finite, got {self.speed}")
+        for i, wp in enumerate(self.waypoints):
+            _check_finite(f"waypoints[{i}]", wp)
 
 
 @dataclass(frozen=True)
@@ -221,6 +228,19 @@ class RunConfig:
             raise ValueError("ticks must be positive")
         if self.user_stop_tick is not None and not self.user_stop_tick >= 0:
             raise ValueError(f"user_stop_tick must be None or >= 0, got {self.user_stop_tick}")
+        for k in ("drone_yaw", "takeoff_alt"):
+            if not math.isfinite(getattr(self, k)):
+                raise ValueError(f"{k} must be finite, got {getattr(self, k)}")
+        for k in ("face_w", "body_w", "body_h"):
+            v = getattr(self, k)
+            if not (v > 0 and math.isfinite(v)):
+                raise ValueError(f"{k} must be finite and positive, got {v}")
+        for k in ("battery_start", "battery_drain"):
+            v = getattr(self, k)
+            if not (v >= 0 and math.isfinite(v)):
+                raise ValueError(f"{k} must be finite and non-negative, got {v}")
+        for k in ("drone_pos", "target_pos", "home"):
+            _check_finite(k, getattr(self, k))
 
 
 def run_closed_loop(cfg: RunConfig, sink: CommandSink | None = None,

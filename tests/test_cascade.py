@@ -439,6 +439,31 @@ class TestScanParams:
         p = ScanParams(scale_factor=math.nextafter(1.0, 2.0), step_divisor=1)
         assert p.step_divisor == 1 and p.scale_factor > 1.0
 
+    @pytest.mark.parametrize("value", [0.0, 1.0, 2.0, -0.2, math.nan, math.inf, -math.inf])
+    def test_eps_must_lie_between_0_and_1(self, value):
+        with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\)"):
+            ScanParams(eps=value)
+
+    @pytest.mark.parametrize("value", [-1, 3.0, True, "3", None])
+    def test_min_neighbors_must_be_an_int_of_at_least_0(self, value):
+        with pytest.raises(ValueError, match="^min_neighbors must be an int of at least 0"):
+            ScanParams(min_neighbors=value)
+
+    @pytest.mark.parametrize("field", ["min_size", "max_size"])
+    @pytest.mark.parametrize("value", [0, -3, 24.0, True, "24"])
+    def test_window_bounds_must_be_none_or_an_int_of_at_least_1(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be None or an int of at least 1"):
+            ScanParams(**{field: value})
+
+    def test_edge_grouping_settings_and_crossed_bounds_build(self):
+        """No min_size <= max_size rule: a gated face scan whose per-body
+        floor passes its cap has an empty ladder and finds nothing."""
+        p = ScanParams(eps=math.nextafter(0.0, 1.0), min_neighbors=0, min_size=6, max_size=5)
+        assert (p.min_neighbors, p.min_size, p.max_size) == (0, 6, 5)
+        img = GrayImage(np.zeros((8, 8), np.uint8))
+        assert detect_multiscale(accept_all_cascade(4, 4), img, p) == []
+        assert ScanParams(min_size=1, max_size=1).max_size == 1
+
 
 class TestDetectMultiscale:
     def test_blank_image_reject_all_empty(self):
@@ -1078,6 +1103,29 @@ class TestBatches:
         assert {w for w, *_ in grids} == {c.base_w, 2 * c.base_w}
         assert len({r.w for r, _ in got}) == 2
         assert any({keep for *_, keep in bands} == {0, 1} for bands, _ in batches)
+
+
+class TestStageLoop:
+    def test_walk_stops_at_the_first_stage_that_keeps_no_window(self, rng, monkeypatch):
+        """Stage 0 keeps every window and stage 1 none, so stage 2's taps
+        are never gathered."""
+        feat = accept_all_cascade(8, 8).features[0]
+        keep = Stage((WeakClassifier(0, 0.0, 0.0, 0.0),), -1e9)
+        drop = Stage((WeakClassifier(0, 0.0, 1.0, 1.0),), 2.0)
+        c = Cascade(8, 8, (feat,), (keep, drop, keep))
+        reads = []
+        gather = cascade._gather_sums
+
+        def spy(g, *args, **kw):
+            reads.append(g)
+            return gather(g, *args, **kw)
+
+        monkeypatch.setattr(cascade, "_gather_sums", spy)
+        assert detect_multiscale(c, random_image(rng, 30, 26), ScanParams(scale_factor=1.5)) == []
+        plans = list(c._plans.values())
+        assert len(plans) > 1 and reads
+        assert all(any(g is p.gathers[1] for p in plans) for g in reads)
+        assert not any(g is p.gathers[2] for p in plans for g in reads)
 
 
 class TestGather:

@@ -214,6 +214,17 @@ class TestTrackSim:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: config: {path}: ")
 
+    def test_bad_udp_port_exits_1_before_the_first_tick(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"mode": "oracle", "ticks": 3,
+                                   "sink": "udp:127.0.0.1:99999"}))
+        trace = tmp_path / "t.csv"
+        code = main(["track-sim", "--config", str(cfg), "--trace", str(trace)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: bad udp destination 127.0.0.1:99999, want a port in 1..65535\n")
+        assert not trace.exists()
+
     def test_rendered_run_with_frames(self, tmp_path, cascades):
         body_path, face_path = cascades
         cfg = tmp_path / "run.json"

@@ -6,7 +6,7 @@ from functools import partial
 import pytest
 
 from facefollow.mavlink import (CRC_EXTRA, FRAME_LEN, BadCrc, BadLength, BadMagic,
-                                FileSink, FrameError, NullSink, UdpSink,
+                                FileSink, FrameError, NullSink, SinkError, UdpSink,
                                 VelocityTargetMessage, WrongMsgId,
                                 build_velocity_message, decode_frame, encode_frame,
                                 open_sink, x25_crc)
@@ -209,6 +209,22 @@ class TestSinks:
         assert isinstance(s, UdpSink)
         s.close()
         assert isinstance(open_sink(None), NullSink)
+
+    @pytest.mark.parametrize("port", [0, 65536, 99999])
+    def test_udp_port_outside_1_to_65535_rejected_before_the_socket(self, monkeypatch, port):
+        def no_socket(*a):
+            raise AssertionError("socket opened")
+        monkeypatch.setattr(socket, "socket", no_socket)
+        message = re.escape(f"bad udp destination 127.0.0.1:{port}, want a port in 1..65535")
+        with pytest.raises(SinkError, match=message):
+            UdpSink("127.0.0.1", port)
+        with pytest.raises(SinkError, match=message):
+            open_sink(f"udp:127.0.0.1:{port}")
+
+    @pytest.mark.parametrize("port", [1, 65535])
+    def test_udp_port_bounds_build(self, port):
+        with UdpSink("127.0.0.1", port) as sink:
+            assert sink.dest == ("127.0.0.1", port)
 
     def test_open_sink_bad_udp(self):
         with pytest.raises(OSError, match="udp"):

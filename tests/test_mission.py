@@ -215,6 +215,13 @@ def test_nonsensical_config_rejected(field, value):
         MissionConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(MissionConfig)])
+def test_config_fields_must_be_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and "):
+        MissionConfig(**{field: value})
+
+
 def test_zero_gain_and_floor_accepted():
     cfg = MissionConfig(failsafe_alt_gain=0.0, batt_min=0.0)
     assert (cfg.failsafe_alt_gain, cfg.batt_min) == (0.0, 0.0)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from facefollow import sim
 from facefollow.cascade import serialize_cascade
 from facefollow.imaging import Rect
 from facefollow.mavlink import FRAME_LEN, FileSink
@@ -17,6 +18,15 @@ from facefollow.synthetic import build_body_cascade, build_face_cascade
 from facefollow.tracker import VelocityCommand
 
 CAM = CameraModel()
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def with_axis(axis: int, value: float) -> Ned:
+    p = [8.0, 0.0, -1.5]
+    p[axis] = value
+    return Ned(*p)
 
 
 def sim_state(target: Ned, drone: Ned = Ned(0, 0, -1.5), **kw) -> SimState:
@@ -170,6 +180,51 @@ class TestConfigValues:
         with pytest.raises(ValueError, match="user_stop_tick"):
             RunConfig(user_stop_tick=-1)
 
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", ["drone_yaw", "takeoff_alt"])
+    def test_yaw_and_takeoff_altitude_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got"):
+            RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE + [0.0, -0.16])
+    @pytest.mark.parametrize("field", ["face_w", "body_w", "body_h"])
+    def test_target_sizes_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and positive, got"):
+            RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE + [-1.0])
+    @pytest.mark.parametrize("field", ["battery_start", "battery_drain"])
+    def test_battery_values_must_be_finite_and_non_negative(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and non-negative, got"):
+            RunConfig(**{field: value})
+        assert getattr(RunConfig(**{field: 0.0}), field) == 0.0
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("axis", range(3))
+    @pytest.mark.parametrize("field", ["drone_pos", "target_pos", "home"])
+    def test_positions_must_be_finite(self, field, axis, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got Ned"):
+            RunConfig(**{field: with_axis(axis, value)})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("axis", range(3))
+    def test_waypoints_must_be_finite(self, axis, value):
+        with pytest.raises(ValueError, match=re.escape("waypoints[1] must be finite, got Ned")):
+            TargetPath(waypoints=(Ned(8.0, 0.0, -1.5), with_axis(axis, value)))
+
+    @pytest.mark.parametrize("target, battery, message", [
+        ({"face_w": -0.16}, {}, "face_w must be finite and positive, got -0.16"),
+        ({"body_h": 0}, {}, "body_h must be finite and positive, got 0.0"),
+        ({}, {"start": -0.5}, "battery_start must be finite and non-negative, got -0.5"),
+        ({}, {"drain_rate": -1.0}, "battery_drain must be finite and non-negative, got -1.0"),
+    ])
+    def test_json_size_and_battery_errors_name_the_document(self, target, battery, message):
+        """The JSON reader rejects non-finite numbers itself; what is left of
+        these rules reaches RunConfig, whose errors are reported at $."""
+        doc = {"target": target, "battery": battery}
+        with pytest.raises(ValueError, match=re.escape(f"$: {message}")):
+            load_run_config(json.dumps(doc))
+
 
 class TestClosedLoopOracle:
     def test_converged_start_stays_put(self):
@@ -282,6 +337,38 @@ class TestClosedLoopRendered:
         dumped = sorted((tmp_path / "frames").glob("frame_*.ppm"))
         assert len(dumped) == 3
         assert dumped[0].read_bytes().startswith(b"P6")
+
+
+class TestOneProjectionPerTick:
+    """perfbench's tick clock times loop ticks from the one
+    ``project_target`` call that starts every tick."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        log = []
+        project, detect = sim.project_target, sim.detect_gated
+
+        def logged(name, fn):
+            def call(*args):
+                log.append(name)
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(sim, "project_target", logged("project", project))
+        monkeypatch.setattr(sim, "detect_gated", logged("detect", detect))
+        return log
+
+    @pytest.mark.parametrize("yaw", [0.0, math.pi], ids=["in-view", "out-of-view"])
+    @pytest.mark.parametrize("mode", ["oracle", "rendered"])
+    def test_each_tick_projects_once_before_detecting(self, calls, mode, yaw):
+        kw = ({"body_cascade": build_body_cascade(), "face_cascade": build_face_cascade()}
+              if mode == "rendered" else {})
+        cfg = offset_config(0.0, 0.0, standoff=4.0, ticks=3, mode=mode,
+                            drone_yaw=yaw, **kw)
+        trace = run_closed_loop(cfg)
+        assert [r.detected for r in trace.rows] == [yaw == 0.0] * 3
+        tick = ["project", "detect"] if mode == "rendered" else ["project"]
+        assert calls == tick * 3
 
 
 class TestRunConfigJson:
