@@ -43,7 +43,8 @@ from xml.parsers.expat import ErrorString
 import numpy as np
 
 from .haar import FeatureKind, FeaturePart, HaarFeature, _scaled_parts, feature_value
-from .imaging import GrayImage, IntegralPair, Rect, _round_half_up, integral, rect_sum
+from .imaging import (GrayImage, IntegralPair, Rect, _check, _is_int, _round_half_up, integral,
+                      rect_sum)
 
 
 class CascadeError(ValueError):
@@ -156,15 +157,8 @@ class ScanParams:
         # inf overflows and NaN fails the ladder's round-half-up at scan time
         if not (math.isfinite(self.scale_factor) and self.scale_factor > 1.0):
             raise ValueError(f"scale_factor must be finite and exceed 1, got {self.scale_factor}")
-        if isinstance(self.step_divisor, bool) or not isinstance(self.step_divisor, int):
-            raise ValueError(f"step_divisor must be an int, got {self.step_divisor!r}")
-        if self.step_divisor < 1:
-            raise ValueError("step_divisor must be at least 1")
-        if not 0.0 < self.eps < 1.0:  # NaN too
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if not _is_int(self.min_neighbors, 0):
-            raise ValueError(f"min_neighbors must be an int of at least 0, "
-                             f"got {self.min_neighbors!r}")
+        _check("an int of at least 1", self, "step_divisor")
+        _grouping_rules(self.min_neighbors, self.eps)
         # no min_size <= max_size rule: gated scans raise min_size per body,
         # and a face ladder emptied that way finds nothing
         for k in ("min_size", "max_size"):
@@ -173,9 +167,11 @@ class ScanParams:
                 raise ValueError(f"{k} must be None or an int of at least 1, got {v!r}")
 
 
-def _is_int(v, minimum: int) -> bool:
-    """``v`` is an int, not a bool, of at least ``minimum``."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= minimum
+def _grouping_rules(min_neighbors, eps) -> None:
+    """The grouping settings' rules, for ``ScanParams`` and ``group_detections``."""
+    if not 0.0 < eps < 1.0:  # NaN too
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    _check("an int of at least 0", {"min_neighbors": min_neighbors})
 
 
 def _variance_denominator(ip: IntegralPair, window: Rect) -> float:
@@ -634,10 +630,7 @@ def group_detections(dets: list[Detection], min_neighbors: int = 3,
     tests the boxes it gained last round, ``_GROUP_ROWS`` at a time, against
     the boxes still unclustered, so memory stays ``_GROUP_ROWS`` x n.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if min_neighbors < 0:
-        raise ValueError("min_neighbors must be non-negative")
+    _grouping_rules(min_neighbors, eps)
     n = len(dets)
     x, y, w, h = np.array([(d.box.x, d.box.y, d.box.w, d.box.h) for d in dets],
                           dtype=np.int64).reshape(n, 4).T

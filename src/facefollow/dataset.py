@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .imaging import PnmParseError, Rect, decode_pnm
+from .imaging import PnmParseError, Rect, _check, decode_pnm
 
 
 class ManifestError(ValueError):
@@ -130,8 +130,10 @@ def validate_dataset(pos: list[PositiveRecord], neg: list[NegativeRecord],
 
     Sample-count guidance is reported as advisory only; real violations are
     missing files, negatives smaller than the training window, and object
-    rects that do not fit inside their image.
+    rects that do not fit inside their image.  A training window size that is
+    not an int of at least 1 raises ValueError.
     """
+    _check("an int of at least 1", {"train_w": train_w, "train_h": train_h})
     if not os.path.isdir(root):
         raise NotADirectoryError(f"dataset root {root!r} is not a directory")
     report = DatasetReport(positive_count=len(pos), negative_count=len(neg))

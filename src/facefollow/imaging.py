@@ -25,6 +25,31 @@ def _round_half_up(v: float) -> int:
     return math.floor(v + 0.5)
 
 
+# The settings rules live here because this module imports no other
+# facefollow module, so every settings object can import them.
+
+def _is_int(v, minimum: int) -> bool:
+    """The rule of every int setting: an int, not a bool, of at least ``minimum``."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= minimum
+
+
+# keyed by the wording of each rule's message; NaN fails every comparison
+_RULES = {"finite": math.isfinite,
+          "finite and positive": lambda v: v > 0 and math.isfinite(v),
+          "finite and non-negative": lambda v: v >= 0 and math.isfinite(v),
+          "an int of at least 0": lambda v: _is_int(v, 0),
+          "an int of at least 1": lambda v: _is_int(v, 1)}
+
+
+def _check(rule: str, obj, *names: str) -> None:
+    """Raise ValueError "{name} must be {rule}, got {value!r}" for the first field
+    ``names`` of ``obj`` (or key of a dict ``obj``) that breaks ``rule``."""
+    for k in names or obj:
+        v = obj[k] if isinstance(obj, dict) else getattr(obj, k)
+        if not _RULES[rule](v):
+            raise ValueError(f"{k} must be {rule}, got {v!r}")
+
+
 class PnmParseError(ValueError):
     """Raised for malformed PGM/PPM input; carries the offending byte offset."""
 
@@ -69,12 +94,23 @@ class Rect:
 
 
 class GrayImage:
-    """Luminance raster; pixel array is (height, width) uint8, frozen after init."""
+    """Luminance raster; pixel array is (height, width) uint8, frozen after init.
+
+    A uint8 array is taken as it is and an integer array whose values all
+    lie in 0..255 is cast; any other dtype (float, bool) or value raises
+    ValueError.
+    """
 
     __slots__ = ("width", "height", "data")
 
     def __init__(self, data: np.ndarray):
-        arr = np.ascontiguousarray(data, dtype=np.uint8)
+        arr = np.asarray(data)
+        if arr.dtype != np.uint8:
+            if arr.dtype.kind not in "iu":
+                raise ValueError(f"pixel dtype must be uint8 or an integer type, got {arr.dtype}")
+            if arr.size and not 0 <= arr.min() <= arr.max() <= 255:
+                raise ValueError(f"pixel values must lie in 0..255, got {arr.min()}..{arr.max()}")
+        arr = np.ascontiguousarray(arr, dtype=np.uint8)
         if arr.ndim != 2:
             raise ValueError(f"expected 2-d pixel array, got shape {arr.shape}")
         h, w = arr.shape

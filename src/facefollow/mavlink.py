@@ -8,10 +8,11 @@ per-message CRC_EXTRA constant.
 
 from __future__ import annotations
 
-import math
 import socket
 import struct
 from dataclasses import dataclass
+
+from .imaging import _check, _is_int
 
 MAGIC_V1 = 0xFE
 MSG_ID = 84                      # SET_POSITION_TARGET_LOCAL_NED
@@ -88,8 +89,9 @@ class VelocityTargetMessage:
 
 
 def _field(name: str, v: int, top: int) -> int:
-    """``v`` if it fits its unsigned frame field, whose largest value is ``top``."""
-    if not 0 <= v <= top:
+    """``v`` if it is an int that fits its unsigned frame field, whose largest
+    value is ``top``."""
+    if not (_is_int(v, 0) and v <= top):
         raise ValueError(f"{name} must lie in 0..{top}, got {v}")
     return v
 
@@ -99,9 +101,7 @@ def build_velocity_message(vx: float, vy: float, vz: float, *,
                            time_boot_ms: int = 0) -> VelocityTargetMessage:
     """Populate a velocity-only message; every ignored field stays zero.
     A value that does not fit its frame field raises ValueError."""
-    for name, v in (("vx", vx), ("vy", vy), ("vz", vz)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
+    _check("finite", {"vx": vx, "vy": vy, "vz": vz})
     return VelocityTargetMessage(
         time_boot_ms=_field("time_boot_ms", int(time_boot_ms), 0xFFFFFFFF),
         target_system=_field("target_system", target_system, 0xFF),
@@ -202,9 +202,10 @@ class UdpSink(CommandSink):
     """Sends each frame as one UDP datagram."""
 
     def __init__(self, host: str, port: int, **kw):
-        """A port outside 1..65535 raises SinkError, before the socket opens."""
+        """A port that is not an int in 1..65535 raises SinkError, before the
+        socket opens."""
         super().__init__(**kw)
-        if not 1 <= port <= 0xFFFF:
+        if not (_is_int(port, 1) and port <= 0xFFFF):
             raise SinkError(f"bad udp destination {host}:{port}, want a port in 1..65535")
         self.dest = (host, port)
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)

@@ -11,6 +11,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
+from .imaging import _check
 from .tracker import VelocityCommand
 
 
@@ -38,6 +39,10 @@ class Ned:
     @property
     def altitude(self) -> float:
         return -self.d
+
+    @property
+    def finite(self) -> bool:  # every component: the position has a fix
+        return math.isfinite(self.n) and math.isfinite(self.e) and math.isfinite(self.d)
 
 
 @dataclass(frozen=True)
@@ -70,16 +75,9 @@ class MissionConfig:
     descend_speed: float = 0.5
 
     def __post_init__(self):
-        # "not >" / "not >=" so NaN is rejected too
-        for k in ("land_alt_eps", "pos_eps", "climb_speed", "return_speed",
-                  "descend_speed"):
-            v = getattr(self, k)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError(f"{k} must be finite and positive, got {v}")
-        for k in ("batt_min", "failsafe_alt_gain"):
-            v = getattr(self, k)
-            if not (v >= 0 and math.isfinite(v)):
-                raise ValueError(f"{k} must be finite and non-negative, got {v}")
+        _check("finite and positive", self, "land_alt_eps", "pos_eps", "climb_speed",
+               "return_speed", "descend_speed")
+        _check("finite and non-negative", self, "batt_min", "failsafe_alt_gain")
 
 
 def step_mission(s: MissionState, status: VehicleStatus, cfg: MissionConfig,
@@ -95,8 +93,7 @@ def step_mission(s: MissionState, status: VehicleStatus, cfg: MissionConfig,
     does, and does not end until a finite altitude reaches the ground;
     tracking and hover do not read the position.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check("finite and positive", {"dt": dt})
     phase = s.phase
     alt = status.position.altitude
     target_alt = s.takeoff_alt + cfg.failsafe_alt_gain
@@ -110,8 +107,7 @@ def step_mission(s: MissionState, status: VehicleStatus, cfg: MissionConfig,
                      else MissionPhase.HOVER)
             return replace(s, phase=phase), None
 
-    pos = status.position
-    if phase in FAILSAFE_PHASES and not all(map(math.isfinite, (pos.n, pos.e, pos.d))):
+    if phase in FAILSAFE_PHASES and not status.position.finite:
         return (replace(s, phase=MissionPhase.FAILSAFE_LAND),
                 VelocityCommand(0.0, 0.0, cfg.descend_speed))
 

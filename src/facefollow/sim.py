@@ -18,7 +18,8 @@ from .cascade import (Cascade, Detection, _array, _bool, _build, _int, _load_jso
                       _obj, _real, _str)
 from .gated import (BODY_COLOR, FACE_COLOR, GatedDetection, GateParams, detect_gated,
                     select_target)
-from .imaging import MAX_DIM, GrayImage, Rect, _round_half_up, draw_box, encode_ppm, to_rgb
+from .imaging import (MAX_DIM, GrayImage, Rect, _check, _is_int, _round_half_up, draw_box,
+                      encode_ppm, to_rgb)
 from .mavlink import CommandSink, NullSink, build_velocity_message, open_sink
 from .mission import (MissionConfig, MissionPhase, MissionState, Ned,
                       VehicleStatus, step_mission)
@@ -36,16 +37,15 @@ class CameraModel:
     focal: float = 300.0
 
     def __post_init__(self):
-        # "not <=" / "not >" so NaN is rejected too
         for k in ("img_w", "img_h"):
-            if not 1 <= getattr(self, k) <= MAX_DIM:
-                raise ValueError(f"{k} must lie in 1..{MAX_DIM}, got {getattr(self, k)}")
-        if not (self.focal > 0 and math.isfinite(self.focal)):
-            raise ValueError(f"focal must be finite and positive, got {self.focal}")
+            v = getattr(self, k)
+            if not (_is_int(v, 1) and v <= MAX_DIM):
+                raise ValueError(f"{k} must lie in 1..{MAX_DIM}, got {v!r}")
+        _check("finite and positive", self, "focal")
 
 
 def _check_finite(name: str, p: Ned) -> None:
-    if not all(map(math.isfinite, (p.n, p.e, p.d))):
+    if not p.finite:
         raise ValueError(f"{name} must be finite, got {p}")
 
 
@@ -58,10 +58,7 @@ class TargetPath:
     speed: float = 0.3
 
     def __post_init__(self):
-        if not self.speed >= 0:
-            raise ValueError(f"speed must be >= 0, got {self.speed}")
-        if not math.isfinite(self.speed):
-            raise ValueError(f"speed must be finite, got {self.speed}")
+        _check("finite and non-negative", self, "speed")
         for i, wp in enumerate(self.waypoints):
             _check_finite(f"waypoints[{i}]", wp)
 
@@ -128,8 +125,7 @@ def project_target(s: SimState, cam: CameraModel) -> dict[str, Rect] | None:
 
 def step_sim(s: SimState, cmd: VelocityCommand, dt: float) -> SimState:
     """First-order Euler step of drone and target; pure function."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check("finite and positive", {"dt": dt})
     c, sn = math.cos(s.drone_yaw), math.sin(s.drone_yaw)
     drone = Ned(s.drone_pos.n + (c * cmd.vx - sn * cmd.vy) * dt,
                 s.drone_pos.e + (sn * cmd.vx + c * cmd.vy) * dt,
@@ -224,21 +220,13 @@ class RunConfig:
         if self.mode == "rendered" and (self.body_cascade is None
                                         or self.face_cascade is None):
             raise ValueError("rendered mode requires body and face cascades")
-        if self.ticks < 1:
-            raise ValueError("ticks must be positive")
-        if self.user_stop_tick is not None and not self.user_stop_tick >= 0:
-            raise ValueError(f"user_stop_tick must be None or >= 0, got {self.user_stop_tick}")
-        for k in ("drone_yaw", "takeoff_alt"):
-            if not math.isfinite(getattr(self, k)):
-                raise ValueError(f"{k} must be finite, got {getattr(self, k)}")
-        for k in ("face_w", "body_w", "body_h"):
-            v = getattr(self, k)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError(f"{k} must be finite and positive, got {v}")
-        for k in ("battery_start", "battery_drain"):
-            v = getattr(self, k)
-            if not (v >= 0 and math.isfinite(v)):
-                raise ValueError(f"{k} must be finite and non-negative, got {v}")
+        _check("an int of at least 1", self, "ticks")
+        if self.user_stop_tick is not None and not _is_int(self.user_stop_tick, 0):
+            raise ValueError(f"user_stop_tick must be None or an int of at least 0, "
+                             f"got {self.user_stop_tick!r}")
+        _check("finite", self, "drone_yaw", "takeoff_alt")
+        _check("finite and positive", self, "face_w", "body_w", "body_h")
+        _check("finite and non-negative", self, "battery_start", "battery_drain")
         for k in ("drone_pos", "target_pos", "home"):
             _check_finite(k, getattr(self, k))
 

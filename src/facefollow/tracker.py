@@ -9,10 +9,10 @@ Speeds are discrete per band, not proportional.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from .cascade import Detection
+from .imaging import _check
 
 
 class HorizZone(enum.Enum):
@@ -81,13 +81,9 @@ class TrackerConfig:
                 f"need 0 < width_far < width_near < 1, got "
                 f"{self.width_far}, {self.width_near}")
         # the orderings above pass an infinite fast speed
-        for k in ("roll_s", "roll_f", "th_s", "th_f", "fwd_speed", "loop_dt"):
-            if not math.isfinite(getattr(self, k)):
-                raise ValueError(f"{k} must be finite, got {getattr(self, k)}")
-        if not self.fwd_speed >= 0:
-            raise ValueError(f"fwd_speed must be >= 0, got {self.fwd_speed}")
-        if not self.loop_dt > 0:
-            raise ValueError(f"loop_dt must be positive, got {self.loop_dt}")
+        _check("finite", self, "roll_f", "th_f")
+        _check("finite and non-negative", self, "fwd_speed")
+        _check("finite and positive", self, "loop_dt")
 
 
 def normalized_error(cx: float, cy: float, img_w: int, img_h: int) -> tuple[float, float]:

@@ -432,7 +432,7 @@ class TestScanParams:
             ScanParams(step_divisor=value)
 
     def test_step_divisor_must_be_at_least_1(self):
-        with pytest.raises(ValueError, match="^step_divisor must be at least 1"):
+        with pytest.raises(ValueError, match="^step_divisor must be an int of at least 1, got 0"):
             ScanParams(step_divisor=0)
 
     def test_smallest_valid_settings(self):
@@ -1449,3 +1449,12 @@ class TestGrouping:
             group_detections([], min_neighbors=0, eps=1.5)
         with pytest.raises(ValueError):
             group_detections([], min_neighbors=-1, eps=0.2)
+
+    @pytest.mark.parametrize("value", [-1, 1.5, True])
+    def test_min_neighbors_reads_as_in_scan_params(self, value):
+        """One rule serves both: the same message as ``ScanParams``."""
+        message = f"^min_neighbors must be an int of at least 0, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            group_detections([], min_neighbors=value, eps=0.2)
+        with pytest.raises(ValueError, match=message):
+            ScanParams(min_neighbors=value)

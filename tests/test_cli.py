@@ -335,6 +335,17 @@ class TestValidateDataset:
         assert code == 1
         assert "tiny.pgm" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("w", ["0", "-5"])
+    def test_window_below_1_exits_1_naming_train_w(self, tmp_path, capsys, w):
+        (tmp_path / "pos.dat").write_text("")
+        (tmp_path / "bg.txt").write_text("")
+        code = main(["validate-dataset", "--pos", str(tmp_path / "pos.dat"),
+                     "--neg", str(tmp_path / "bg.txt"), "--root", str(tmp_path),
+                     "-w", w, "-h", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: train_w must be an int of at least 1, got {w}\n")
+
 
 @pytest.mark.parametrize("command", ["detect", "track-sim", "import-cascade"])
 def test_unwritable_output_exits_1(tmp_path, cascades, scene_image, capsys, command):

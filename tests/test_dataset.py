@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,17 @@ class TestValidateDataset:
     def test_bad_root_raises(self, tmp_path):
         with pytest.raises(NotADirectoryError):
             validate_dataset([], [], 20, 20, str(tmp_path / "nope"))
+
+    @pytest.mark.parametrize("w, h, message", [
+        (0, 0, "train_w must be an int of at least 1, got 0"),
+        (-5, 20, "train_w must be an int of at least 1, got -5"),
+        (20.5, 20, "train_w must be an int of at least 1, got 20.5"),
+        (20, 0, "train_h must be an int of at least 1, got 0"),
+        (20, True, "train_h must be an int of at least 1, got True"),
+    ])
+    def test_window_size_must_be_an_int_of_at_least_1(self, tmp_path, w, h, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            validate_dataset([], [], w, h, str(tmp_path))
 
     def test_report_lines_are_deterministic(self, tmp_path):
         write_pgm(tmp_path / "n.pgm", 8, 8)

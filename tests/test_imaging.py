@@ -1,3 +1,5 @@
+import math
+import re
 import sys
 import tracemalloc
 
@@ -293,6 +295,23 @@ class TestTypes:
             GrayImage(np.zeros((3,), dtype=np.uint8))
         with pytest.raises(ValueError):
             GrayImage(np.zeros((0, 4), dtype=np.uint8))
+
+    @pytest.mark.parametrize("pixels, message", [
+        (np.array([[300, -1]]), "pixel values must lie in 0..255, got -1..300"),
+        (np.array([[0, 256]], dtype=np.uint16), "pixel values must lie in 0..255, got 0..256"),
+        (np.array([[1.7, 255.9]]), "pixel dtype must be uint8 or an integer type, got float64"),
+        (np.array([[math.nan]]), "pixel dtype must be uint8 or an integer type, got float64"),
+        (np.array([[True, False]]), "pixel dtype must be uint8 or an integer type, got bool"),
+    ])
+    def test_gray_image_takes_only_pixels_it_can_hold(self, pixels, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GrayImage(pixels)
+
+    def test_gray_image_casts_an_in_range_integer_array(self, rng):
+        px = np.array([[rng.randrange(256) for _ in range(7)] for _ in range(5)], dtype=np.int64)
+        img = GrayImage(px)
+        assert img.data.dtype == np.uint8
+        assert img == GrayImage(px.astype(np.uint8))
 
     def test_gray_image_immutable(self, rng):
         img = random_image(rng, 3, 3)

@@ -51,7 +51,8 @@ class TestMessage:
     @pytest.mark.parametrize("field,value,top", [
         ("target_system", 256, 255), ("target_system", -1, 255),
         ("target_component", 999, 255), ("time_boot_ms", -5, 2**32 - 1),
-        ("time_boot_ms", 2**32, 2**32 - 1)])
+        ("time_boot_ms", 2**32, 2**32 - 1), ("target_system", 1.5, 255),
+        ("target_system", True, 255), ("target_component", 1.0, 255)])
     def test_value_outside_its_field_rejected(self, field, value, top):
         with pytest.raises(ValueError, match=re.escape(
                 f"{field} must lie in 0..{top}, got {value}")):
@@ -66,7 +67,8 @@ class TestWireFormat:
         assert len(frame) == expected == FRAME_LEN == 61
 
     @pytest.mark.parametrize("field,value", [("seq", 256), ("seq", -1), ("sysid", 999),
-                                             ("compid", 256), ("compid", -1)])
+                                             ("compid", 256), ("compid", -1), ("seq", 1.5),
+                                             ("seq", True), ("sysid", 1.5)])
     def test_header_value_outside_0_255_rejected(self, field, value):
         kw = {"seq": 0, "sysid": 1, "compid": 1, field: value}
         with pytest.raises(ValueError, match=re.escape(
@@ -173,7 +175,8 @@ class TestSinks:
 
     @pytest.mark.parametrize("field,value", [("initial_seq", 300), ("initial_seq", -1),
                                              ("sysid", 999), ("compid", 256),
-                                             ("compid", -1)])
+                                             ("compid", -1), ("initial_seq", 1.5),
+                                             ("sysid", 1.5), ("compid", True)])
     @pytest.mark.parametrize("kind", ["null", "file", "udp"])
     def test_id_outside_0_255_rejected_when_built(self, tmp_path, monkeypatch,
                                                   kind, field, value):
@@ -220,6 +223,15 @@ class TestSinks:
             UdpSink("127.0.0.1", port)
         with pytest.raises(SinkError, match=message):
             open_sink(f"udp:127.0.0.1:{port}")
+
+    @pytest.mark.parametrize("port", [14550.0, True])
+    def test_udp_port_must_be_an_int(self, monkeypatch, port):
+        def no_socket(*a):
+            raise AssertionError("socket opened")
+        monkeypatch.setattr(socket, "socket", no_socket)
+        with pytest.raises(SinkError, match=re.escape(
+                f"bad udp destination 127.0.0.1:{port}, want a port in 1..65535")):
+            UdpSink("127.0.0.1", port)
 
     @pytest.mark.parametrize("port", [1, 65535])
     def test_udp_port_bounds_build(self, port):

@@ -106,7 +106,7 @@ class TestTransitions:
             min(getattr(CFG, speed), gap / dt))
 
 
-    @pytest.mark.parametrize("dt", [0.0, -0.25, math.nan])
+    @pytest.mark.parametrize("dt", [0.0, -0.25, math.nan, math.inf])
     def test_non_positive_dt_rejected(self, dt):
         with pytest.raises(ValueError, match="dt"):
             step_mission(state(MissionPhase.FAILSAFE_ASCEND), status(), CFG, dt)

@@ -140,11 +140,11 @@ class TestStepSim:
         assert st.target_pos == Ned(5.2, 0.0, -1.5)
 
     def test_negative_target_speed_rejected(self):
-        with pytest.raises(ValueError, match=re.escape("speed must be >= 0, got -0.5")):
+        with pytest.raises(ValueError, match=re.escape("speed must be finite and non-negative, got -0.5")):
             TargetPath((Ned(10.0, 5.0, -1.5),), speed=-0.5)
 
     def test_infinite_target_speed_rejected(self):
-        with pytest.raises(ValueError, match=re.escape("speed must be finite, got inf")):
+        with pytest.raises(ValueError, match=re.escape("speed must be finite and non-negative, got inf")):
             TargetPath((Ned(10.0, 5.0, -1.5),), speed=math.inf)
 
     def test_zero_target_speed_stands_still(self):
@@ -158,18 +158,47 @@ class TestStepSim:
             step_sim(sim_state(Ned(5, 0, -1.5)), VelocityCommand(0, 0, 0), 0.0)
 
     def test_nan_dt_rejected(self):
-        with pytest.raises(ValueError, match="dt must be positive, got nan"):
+        with pytest.raises(ValueError, match="dt must be finite and positive, got nan"):
             step_sim(sim_state(Ned(5, 0, -1.5)), VelocityCommand(0, 0, 0), math.nan)
+
+    def test_infinite_dt_rejected(self):
+        with pytest.raises(ValueError, match="^dt must be finite and positive, got inf$"):
+            step_sim(sim_state(Ned(5, 0, -1.5)), VelocityCommand(0, 0, 0), math.inf)
 
 
 class TestConfigValues:
     @pytest.mark.parametrize("field, value", [
         ("focal", math.nan), ("focal", math.inf), ("focal", 0.0),
         ("img_w", 0), ("img_w", 8193), ("img_h", 0), ("img_h", 10000),
+        ("img_w", 320.5), ("img_w", True), ("img_h", 240.0),
     ])
     def test_camera_rejects(self, field, value):
         with pytest.raises(ValueError, match=field):
             CameraModel(**{field: value})
+
+    @pytest.mark.parametrize("cls, field, value, rule", [
+        (CameraModel, "focal", -1.0, "finite and positive"),
+        (CameraModel, "focal", math.nan, "finite and positive"),
+        (TargetPath, "speed", -0.5, "finite and non-negative"),
+        (TargetPath, "speed", math.nan, "finite and non-negative"),
+        (TargetPath, "speed", math.inf, "finite and non-negative"),
+    ])
+    def test_rule_message_names_the_field_and_rule(self, cls, field, value, rule):
+        with pytest.raises(ValueError, match=f"^{field} must be {rule}, got {value}$"):
+            cls(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("ticks", 2.5, "ticks must be an int of at least 1, got 2.5"),
+        ("ticks", math.nan, "ticks must be an int of at least 1, got nan"),
+        ("ticks", True, "ticks must be an int of at least 1, got True"),
+        ("ticks", 0, "ticks must be an int of at least 1, got 0"),
+        ("user_stop_tick", 1.5, "user_stop_tick must be None or an int of at least 0, got 1.5"),
+        ("user_stop_tick", True,
+         "user_stop_tick must be None or an int of at least 0, got True"),
+    ])
+    def test_tick_counts_must_be_ints(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunConfig(**{field: value})
 
     def test_camera_bounds_are_the_image_bounds(self):
         assert CameraModel(img_w=8192, img_h=1).img_w == 8192
@@ -415,7 +444,7 @@ class TestRunConfigJson:
     def test_negative_target_speed_names_the_target(self):
         doc = {"target": {"waypoints": [[8, 0, -2]], "speed": -1.0}}
         with pytest.raises(ValueError, match=re.escape(
-                "$.target: speed must be >= 0, got -1.0")):
+                "$.target: speed must be finite and non-negative, got -1.0")):
             load_run_config(json.dumps(doc))
 
     def test_unknown_key_rejected(self):

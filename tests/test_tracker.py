@@ -171,5 +171,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             TrackerConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("fwd_speed", -1.0, "finite and non-negative"),
+        ("fwd_speed", math.nan, "finite and non-negative"),
+        ("fwd_speed", math.inf, "finite and non-negative"),
+        ("loop_dt", 0.0, "finite and positive"),
+        ("loop_dt", -0.25, "finite and positive"),
+        ("loop_dt", math.nan, "finite and positive"),
+        ("loop_dt", math.inf, "finite and positive"),
+    ])
+    def test_rule_message_names_the_field_and_rule(self, field, value, rule):
+        with pytest.raises(ValueError, match=f"^{field} must be {rule}, got {value}$"):
+            TrackerConfig(**{field: value})
+
     def test_fwd_speed_zero_is_legal(self):
         TrackerConfig(fwd_speed=0.0)
