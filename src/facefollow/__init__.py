@@ -1,7 +1,7 @@
 """On-board person tracking pipeline: detection, control, wire format, simulator."""
 
 from .cascade import (Cascade, CascadeFormatError, Detection, ScanParams, Stage,
-                      UnsupportedCascadeError, WeakClassifier, detect_multiscale,
+                      UnsupportedCascadeError, WeakClassifier, Windows, detect_multiscale,
                       eval_window, group_detections, import_legacy_xml,
                       parse_cascade, serialize_cascade)
 from .gated import GatedDetection, GateParams, detect_gated, select_target

@@ -26,16 +26,22 @@ int32) and in ``eval_window``'s float64, and every float64 operation after
 it runs in the same order on both paths.  Both scale part rects only
 through ``haar._scaled_parts``, the one home of that rule and of its clip
 to the window.
-``group_detections`` clusters the accepted windows by growing each cluster
-over the boxes not yet clustered.
+The accepted windows stay arrays from the stage walk on: each batch gives
+their boxes and scores, and ``detect_multiscale`` joins them into one
+``Windows``, a sequence that builds a ``Detection`` only for a window that
+is read.  ``group_detections`` clusters those arrays by growing each
+cluster over the boxes not yet clustered, and only the clusters become
+``Detection``s.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 import xml.etree.ElementTree as ET
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 from xml.parsers.expat import ErrorString
@@ -43,8 +49,8 @@ from xml.parsers.expat import ErrorString
 import numpy as np
 
 from .haar import FeatureKind, FeaturePart, HaarFeature, _scaled_parts, feature_value
-from .imaging import (GrayImage, IntegralPair, Rect, _check, _is_int, _round_half_up, integral,
-                      rect_sum)
+from .imaging import (MAX_DIM, GrayImage, IntegralPair, Rect, _check, _is_int, _round_half_up,
+                      integral, rect_sum)
 
 
 class CascadeError(ValueError):
@@ -131,6 +137,34 @@ class Detection:
     box: Rect
     score: float
     neighbors: int = 0
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Windows(Sequence[Detection]):
+    """A scan's accepted windows in scan order, as ``detect_multiscale``
+    returns them: ``boxes``, int64 ``n`` x 4 rows of x, y, w, h, and
+    ``score``, their float64 scores, both read-only.  As a sequence it reads
+    as the ``Detection`` of each window, built only when read; it has no
+    ``==`` of its own, so compare ``list(windows)``."""
+
+    boxes: np.ndarray
+    score: np.ndarray
+
+    def __post_init__(self):
+        self.boxes.flags.writeable = False
+        self.score.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __getitem__(self, i: int) -> Detection:
+        i = operator.index(i)
+        x, y, w, h = self.boxes[i].tolist()
+        return Detection(Rect(x, y, w, h), self.score[i].item())
+
+    def __iter__(self) -> Iterator[Detection]:
+        for (x, y, w, h), score in zip(self.boxes.tolist(), self.score.tolist()):
+            yield Detection(Rect(x, y, w, h), score)
 
 
 @dataclass(frozen=True)
@@ -523,9 +557,11 @@ def _joined(arrays: list[np.ndarray], axis: int = 0) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
 
 
-def _walk_batch(bands: list[_Band], tables: np.ndarray) -> list[Detection]:
+def _walk_batch(bands: list[_Band], tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stage walk over a batch of bands of one scan, in scan order;
-    their accepted windows, in that order (scale, then y, then x).
+    their accepted windows, in that order (scale, then y, then x), as a
+    ``(boxes, score)`` pair: int64 ``n`` x 4 rows of x, y, w, h, and the
+    float64 score of each.
 
     The walk has two parts.  ``_walk_band`` reads each band through its
     size plan: it keeps the band's candidates, all of its windows or the
@@ -543,7 +579,8 @@ def _walk_batch(bands: list[_Band], tables: np.ndarray) -> list[Detection]:
     Strided and gathered reads give the same integers, and every window is
     scored on its own, so a window's result depends neither on how it was
     read nor on the batch it was in.  One ``np.divmod`` turns the accepted
-    offsets into origins.
+    offsets into origins, and each band's index its window size; no
+    ``Detection`` is built here.
     """
     stages = bands[0].plan.stages
     band = np.repeat(np.arange(len(bands)), [len(b.base) for b in bands])
@@ -563,13 +600,14 @@ def _walk_batch(bands: list[_Band], tables: np.ndarray) -> list[Detection]:
         if not len(base):
             break
     ys, xs = np.divmod(base, tables.shape[2])
-    sizes = [(b.plan.win.w, b.plan.win.h) for b in bands]
-    return [Detection(Rect(x, y, *sizes[i]), sc)
-            for i, x, y, sc in zip(band.tolist(), xs.tolist(), ys.tolist(), score.tolist())]
+    sizes = np.array([(b.plan.win.w, b.plan.win.h) for b in bands], dtype=np.int64)
+    return np.column_stack([xs, ys, sizes[band]]), score
 
 
-def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detection]:
-    """Scan the window ladder over the image; all accepted windows, ungrouped.
+def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> Windows:
+    """Scan the window ladder over the image; all accepted windows, ungrouped,
+    as one ``Windows``: the batches' arrays joined, with no ``Detection``
+    built until one is read.
 
     Output order is deterministic: scale ascending, then y, then x.  The
     vectorized stage walk reproduces eval_window exactly (the same integer
@@ -587,7 +625,7 @@ def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detecti
     """
     ip = integral(img)
     ii32 = ip.ii.astype(np.uint32).view(np.int32)  # modulo 2**32, whatever the byte order
-    out: list[Detection] = []
+    found: list[tuple[np.ndarray, np.ndarray]] = []
     bands: list[_Band] = []
     held = 0
     for win_w, win_h in _scan_sizes(c, img.width, img.height, p):
@@ -599,25 +637,31 @@ def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> list[Detecti
         for r0 in range(0, ny, rows):
             band = _walk_band(plan, ip.tables, ii32, r0 * stride, min(rows, ny - r0), nx, stride)
             if held and held + len(band.base) > _BAND_WINDOWS:
-                out += _walk_batch(bands, ip.tables)
+                found.append(_walk_batch(bands, ip.tables))
                 bands, held = [], 0
             bands.append(band)
             held += len(band.base)
     if held:
-        out += _walk_batch(bands, ip.tables)
-    return out
+        found.append(_walk_batch(bands, ip.tables))
+    if not found:
+        return Windows(np.empty((0, 4), dtype=np.int64), np.empty(0))
+    boxes, score = zip(*found)
+    return Windows(_joined(boxes), _joined(score))
 
 
-# frontier boxes tested per step; bounds the int64/float64 temporaries to
+# frontier boxes tested per step; bounds the int32/float64 temporaries to
 # _GROUP_ROWS x n whatever the detection count
 _GROUP_ROWS = 64
 
 
-def group_detections(dets: list[Detection], min_neighbors: int = 3,
+def group_detections(dets: Sequence[Detection], min_neighbors: int = 3,
                      eps: float = 0.2) -> list[Detection]:
     """Cluster similar boxes into connected components; small clusters are dropped.
 
-    Boxes a and b are similar when x, y, w and h each differ by at most
+    ``dets`` is a scan's ``Windows``, read as its arrays, or any sequence of
+    ``Detection``s, turned into such arrays once; boxes must lie within
+    ``MAX_DIM`` x ``MAX_DIM``, as a scan's do.  Boxes a and b are similar
+    when x, y, w and h each differ by at most
     eps * (a.w + a.h + b.w + b.h) / 4 (OpenCV's ``groupRectangles`` rule);
     a cluster is a connected component of that relation, so a chain of
     similar boxes is one cluster.  Clusters come out ordered by their
@@ -628,14 +672,28 @@ def group_detections(dets: list[Detection], min_neighbors: int = 3,
 
     Each cluster grows from the first box not yet clustered: every round
     tests the boxes it gained last round, ``_GROUP_ROWS`` at a time, against
-    the boxes still unclustered, so memory stays ``_GROUP_ROWS`` x n.
+    the boxes still unclustered, so memory stays ``_GROUP_ROWS`` x n.  A
+    block's test is exact in int32, as every coordinate and every sum of
+    four of them stays below 2**31 within ``MAX_DIM``: the largest of the
+    four differences is compared once with (a.w + a.h + b.w + b.h) * (eps /
+    4).  That product is the rule's eps * (...) / 4, as scaling by a power
+    of two is exact; below the normal range both are under 1, and an
+    integer difference passes either only when it is 0.
     """
     _grouping_rules(min_neighbors, eps)
-    n = len(dets)
-    x, y, w, h = np.array([(d.box.x, d.box.y, d.box.w, d.box.h) for d in dets],
-                          dtype=np.int64).reshape(n, 4).T
-    corners = np.stack([x, y, x + w, y + h], axis=1)
-    rest = np.arange(n)
+    if not isinstance(dets, Windows):
+        dets = Windows(np.array([(d.box.x, d.box.y, d.box.w, d.box.h) for d in dets],
+                                dtype=np.int64).reshape(-1, 4),
+                       np.array([d.score for d in dets], dtype=np.float64))
+    boxes, score = dets.boxes, dets.score
+    corners = np.concatenate([boxes[:, :2], boxes[:, :2] + boxes[:, 2:]], axis=1)
+    if len(corners) and corners.max() > MAX_DIM:
+        raise ValueError(f"boxes must lie within {MAX_DIM}x{MAX_DIM}, "
+                         f"got a corner at {corners.max()}")
+    x, y, w, h = np.ascontiguousarray(boxes.T, dtype=np.int32)
+    s = w + h
+    scale = eps / 4.0
+    rest = np.arange(len(boxes))
     out = []
     while len(rest):
         frontier, rest = rest[:1], rest[1:]
@@ -644,11 +702,11 @@ def group_detections(dets: list[Detection], min_neighbors: int = 3,
             grown = []
             for i0 in range(0, len(frontier), _GROUP_ROWS):
                 f = frontier[i0:i0 + _GROUP_ROWS, None]
-                delta = eps * (w[f] + h[f] + w[rest] + h[rest]) / 4.0
-                hit = ((np.abs(x[f] - x[rest]) <= delta)
-                       & (np.abs(y[f] - y[rest]) <= delta)
-                       & (np.abs(w[f] - w[rest]) <= delta)
-                       & (np.abs(h[f] - h[rest]) <= delta)).any(axis=0)
+                m = np.abs(x[f] - x[rest])
+                for v in (y, w, h):
+                    d = v[f] - v[rest]
+                    np.maximum(m, np.abs(d, out=d), out=m)
+                hit = (m <= (s[f] + s[rest]) * scale).any(axis=0)
                 grown.append(rest[hit])
                 rest = rest[~hit]
             frontier = np.concatenate(grown)
@@ -657,10 +715,9 @@ def group_detections(dets: list[Detection], min_neighbors: int = 3,
         k = len(members)
         if k < min_neighbors + 1:
             continue
-        bx, by, br, bb = (_round_half_up(int(v) / k)
-                          for v in corners[members].sum(axis=0))
+        bx, by, br, bb = (_round_half_up(v / k) for v in corners[members].sum(axis=0).tolist())
         out.append(Detection(Rect(bx, by, br - bx, bb - by),
-                             max(dets[j].score for j in members), neighbors=k))
+                             score[members].max().item(), neighbors=k))
     return out
 
 

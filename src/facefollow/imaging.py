@@ -8,6 +8,7 @@ companion computer.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -33,10 +34,16 @@ def _is_int(v, minimum: int) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= minimum
 
 
-# keyed by the wording of each rule's message; NaN fails every comparison
-_RULES = {"finite": math.isfinite,
-          "finite and positive": lambda v: v > 0 and math.isfinite(v),
-          "finite and non-negative": lambda v: v >= 0 and math.isfinite(v),
+def _is_finite(v) -> bool:
+    """A finite real number that is not a bool: an int or a float, as the
+    JSON reader's ``_real`` takes, or a numpy number."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# keyed by the wording of each rule's message; each takes numbers only
+_RULES = {"finite": _is_finite,
+          "finite and positive": lambda v: _is_finite(v) and v > 0,
+          "finite and non-negative": lambda v: _is_finite(v) and v >= 0,
           "an int of at least 0": lambda v: _is_int(v, 0),
           "an int of at least 1": lambda v: _is_int(v, 1)}
 
@@ -296,9 +303,10 @@ def encode_ppm(rgb: np.ndarray) -> bytes:
 
 
 def to_rgb(img: GrayImage) -> np.ndarray:
-    """Writable (h, w, 3) copy of a gray image, for annotation; ``np.repeat``
+    """Writable (h, w, 3) copy of a gray image, for annotation; ``np.stack``
     returns a new array that owns its data."""
-    return np.repeat(img.data[:, :, None], 3, axis=2)
+    d = img.data
+    return np.stack([d, d, d], axis=2)
 
 
 def draw_box(rgb: np.ndarray, r: Rect, color: tuple[int, int, int],

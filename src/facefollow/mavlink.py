@@ -92,7 +92,7 @@ def _field(name: str, v: int, top: int) -> int:
     """``v`` if it is an int that fits its unsigned frame field, whose largest
     value is ``top``."""
     if not (_is_int(v, 0) and v <= top):
-        raise ValueError(f"{name} must lie in 0..{top}, got {v}")
+        raise ValueError(f"{name} must lie in 0..{top}, got {v!r}")
     return v
 
 
@@ -103,7 +103,7 @@ def build_velocity_message(vx: float, vy: float, vz: float, *,
     A value that does not fit its frame field raises ValueError."""
     _check("finite", {"vx": vx, "vy": vy, "vz": vz})
     return VelocityTargetMessage(
-        time_boot_ms=_field("time_boot_ms", int(time_boot_ms), 0xFFFFFFFF),
+        time_boot_ms=_field("time_boot_ms", time_boot_ms, 0xFFFFFFFF),
         target_system=_field("target_system", target_system, 0xFF),
         target_component=_field("target_component", target_component, 0xFF),
         vx=vx, vy=vy, vz=vz)

@@ -68,6 +68,10 @@ class TrackerConfig:
     loop_dt: float = 0.25          # seconds per control tick (~4 Hz)
 
     def __post_init__(self):
+        # numbers first, so that the orderings below compare numbers only,
+        # and an infinite fast speed, which they pass, is refused
+        _check("finite", self, "dead_zone", "fast_threshold", "roll_s", "roll_f", "th_s", "th_f",
+               "width_far", "width_near")
         if not 0.0 < self.dead_zone < self.fast_threshold <= 1.0:
             raise ValueError(
                 f"need 0 < dead_zone < fast_threshold <= 1, got "
@@ -80,8 +84,6 @@ class TrackerConfig:
             raise ValueError(
                 f"need 0 < width_far < width_near < 1, got "
                 f"{self.width_far}, {self.width_near}")
-        # the orderings above pass an infinite fast speed
-        _check("finite", self, "roll_f", "th_f")
         _check("finite and non-negative", self, "fwd_speed")
         _check("finite and positive", self, "loop_dt")
 

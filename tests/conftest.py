@@ -98,7 +98,8 @@ def band_walks(monkeypatch):
 @pytest.fixture
 def batches(monkeypatch):
     """Records the batches of the scans: per batch, each band's (win_w,
-    win_h, candidates, keep_sign), and the batch's accepted windows."""
+    win_h, candidates, keep_sign), and the batch's accepted windows as its
+    (boxes, score) arrays."""
     seen = []
     walk = cascade._walk_batch
 

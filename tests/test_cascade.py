@@ -1,3 +1,4 @@
+import collections.abc
 import dataclasses
 import gc
 import json
@@ -6,13 +7,14 @@ import random
 import re
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from facefollow import cascade, haar
 from facefollow.cascade import (Cascade, CascadeFormatError, Detection, ScanParams,
-                                Stage, UnsupportedCascadeError, WeakClassifier,
+                                Stage, UnsupportedCascadeError, WeakClassifier, Windows,
                                 detect_multiscale, eval_window, group_detections,
                                 import_legacy_xml, parse_cascade, serialize_cascade)
 from facefollow.haar import (FeatureKind, FeaturePart, HaarFeature, _scaled_parts,
@@ -461,7 +463,7 @@ class TestScanParams:
         p = ScanParams(eps=math.nextafter(0.0, 1.0), min_neighbors=0, min_size=6, max_size=5)
         assert (p.min_neighbors, p.min_size, p.max_size) == (0, 6, 5)
         img = GrayImage(np.zeros((8, 8), np.uint8))
-        assert detect_multiscale(accept_all_cascade(4, 4), img, p) == []
+        assert len(detect_multiscale(accept_all_cascade(4, 4), img, p)) == 0
         assert ScanParams(min_size=1, max_size=1).max_size == 1
 
 
@@ -469,7 +471,7 @@ class TestDetectMultiscale:
     def test_blank_image_reject_all_empty(self):
         img = GrayImage(np.zeros((64, 64), dtype=np.uint8))
         out = detect_multiscale(reject_all_cascade(), img, ScanParams())
-        assert out == []
+        assert len(out) == 0
 
     def test_accept_all_window_count_matches_grid_oracle(self, rng):
         img = random_image(rng, 64, 64)
@@ -561,6 +563,76 @@ class TestDetectMultiscale:
         with pytest.raises(ValueError, match="min_size"):
             detect_multiscale(accept_all_cascade(24, 24), img,
                               ScanParams(min_size=12))
+
+
+def windows_of(dets) -> Windows:
+    """``dets`` as the arrays of a ``Windows``."""
+    return Windows(np.array([(d.box.x, d.box.y, d.box.w, d.box.h) for d in dets],
+                            dtype=np.int64).reshape(-1, 4),
+                   np.array([d.score for d in dets]))
+
+
+class TestWindows:
+    """A scan's windows stay arrays; a ``Detection`` is built when read."""
+
+    def scan(self, rng):
+        """The first random scan to accept more than two windows."""
+        p = ScanParams(scale_factor=1.3, step_divisor=3)
+        for _ in range(50):
+            c = first_stage(random_cascade(rng, base_w=8, base_h=5, n_stages=3), "accept-all")
+            img = random_image(rng, 38, 47)
+            out = detect_multiscale(c, img, p)
+            if len(out) > 2:
+                return c, img, p, out
+        raise AssertionError("no random scan accepted more than two windows")
+
+    def test_len_and_indexing(self, rng):
+        _, _, _, out = self.scan(rng)
+        dets = list(out)
+        n = len(out)
+        assert isinstance(out, collections.abc.Sequence) and n == len(dets)
+        assert out.boxes.shape == (n, 4) and out.boxes.dtype == np.int64
+        assert out.score.shape == (n,) and out.score.dtype == np.float64
+        assert [out[i] for i in range(n)] == dets
+        assert [out[i - n] for i in range(n)] == dets
+        assert out[np.int64(1)] == dets[1]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                out[i]
+        with pytest.raises(TypeError):
+            out[0:2]
+
+    def test_items_are_plain_detections(self, rng):
+        _, _, _, out = self.scan(rng)
+        for d in (out[0], next(iter(out))):
+            assert type(d.score) is float
+            assert all(type(v) is int for v in dataclasses.astuple(d.box))
+            assert d.neighbors == 0
+
+    def test_iteration_equals_eval_window(self, rng):
+        for _ in range(4):
+            c, img, p, out = self.scan(rng)
+            want, _ = per_window_eval(c, img, p)
+            assert [(d.box, d.score) for d in out] == [(Rect(*k), sc) for k, sc in want.items()]
+            ip = integral(img)
+            assert all(eval_window(c, ip, d.box) == cascade.WindowEval(True, len(c.stages), d.score)
+                       for d in out)
+
+    def test_arrays_are_read_only_and_equality_is_identity(self, rng):
+        _, _, _, out = self.scan(rng)
+        for a in (out.boxes, out.score):
+            with pytest.raises(ValueError):
+                a[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out.score = np.empty(0)
+        assert out == out and out != list(out)
+
+    def test_empty_scan(self):
+        out = detect_multiscale(reject_all_cascade(), GrayImage(np.zeros((30, 30), np.uint8)),
+                                ScanParams())
+        assert len(out) == 0 and list(out) == []
+        assert out.boxes.shape == (0, 4) and out.score.shape == (0,)
+        assert group_detections(out, min_neighbors=0) == []
 
 
 def cancelling_cascade(rng) -> Cascade:
@@ -1088,7 +1160,7 @@ class TestBatches:
             c = first_stage(random_cascade(rng, base_w=8, base_h=5, n_stages=3), "accept-all")
             scan_in_batches(c, random_image(rng, 38, 47), p)
         assert len(batches) == 6
-        assert any(len({d.box.w for d in out}) > 2 for _, out in batches)
+        assert any(len(set(boxes[:, 2].tolist())) > 2 for _, (boxes, _) in batches)
 
     @pytest.mark.parametrize("limit", [40, 10 ** 9], ids=["split", "whole-scan"])
     def test_one_batch_mixes_cut_and_uncut_plans(self, rng, monkeypatch, batches, limit):
@@ -1121,7 +1193,8 @@ class TestStageLoop:
             return gather(g, *args, **kw)
 
         monkeypatch.setattr(cascade, "_gather_sums", spy)
-        assert detect_multiscale(c, random_image(rng, 30, 26), ScanParams(scale_factor=1.5)) == []
+        out = detect_multiscale(c, random_image(rng, 30, 26), ScanParams(scale_factor=1.5))
+        assert len(out) == 0
         plans = list(c._plans.values())
         assert len(plans) > 1 and reads
         assert all(any(g is p.gathers[1] for p in plans) for g in reads)
@@ -1400,6 +1473,61 @@ class TestGrouping:
                 want.append(Detection(Rect(x, y, r - x, b - y),
                                       max(dets[i].score for i in comp), neighbors=k))
             assert group_detections(dets, min_neighbors, eps=0.25) == want
+            assert group_detections(windows_of(dets), min_neighbors, eps=0.25) == want
+
+    @pytest.mark.parametrize("eps", [0.2, 0.3, 0.45])
+    def test_windows_group_as_their_detections(self, rng, eps):
+        """A scan's ``Windows`` and the list of its detections group alike."""
+        p = ScanParams(scale_factor=1.3, step_divisor=2)
+        grouped = 0
+        for _ in range(6):
+            c = random_cascade(rng, base_w=8, base_h=8, n_stages=1)
+            out = detect_multiscale(c, random_image(rng, 48, 40), p)
+            for min_neighbors in (0, 2):
+                got = group_detections(out, min_neighbors, eps)
+                assert got == group_detections(list(out), min_neighbors, eps)
+                grouped += len(got)
+        assert grouped
+
+    @pytest.mark.parametrize("field", ["x", "y", "w", "h"])
+    @pytest.mark.parametrize("eps", [0.1, 0.2, 0.3, 0.7, 1 / 3, 0.999, 5e-324])
+    @pytest.mark.parametrize("form", ["list", "windows"])
+    def test_boxes_exactly_delta_apart_join(self, field, eps, form):
+        """Two boxes that differ in one field join up to the largest
+        difference the rule's float64 eps * (a.w + a.h + b.w + b.h) / 4
+        allows, and not one pixel further, even where eps * S rounds to a
+        float whose floor differs from the exact product's."""
+        rounded = 0
+        for side in range(3, 60):
+            a = Rect(100, 100, side, side)
+
+            def moved(d):
+                return dataclasses.replace(a, **{field: getattr(a, field) + d})
+
+            def rule(b):
+                delta = eps * (a.w + a.h + b.w + b.h) / 4.0
+                return all(abs(getattr(a, k) - getattr(b, k)) <= delta for k in "xywh")
+
+            d = 0
+            while rule(moved(d + 1)):
+                d += 1
+            for gap, clusters in ((d, 1), (d + 1, 2)):
+                dets = [Detection(a, 1.0), Detection(moved(gap), 2.0)]
+                out = group_detections(windows_of(dets) if form == "windows" else dets,
+                                       min_neighbors=0, eps=eps)
+                assert len(out) == clusters
+            b = moved(d)
+            exact = Fraction(eps) * (a.w + a.h + b.w + b.h) / 4
+            rounded += math.floor(exact) != d
+        if eps in (0.3, 0.7, 1 / 3):
+            assert rounded
+
+    @pytest.mark.parametrize("box", [Rect(8192, 0, 1, 1), Rect(0, 8000, 5, 193),
+                                     Rect(10 ** 12, 0, 3, 3)])
+    def test_boxes_beyond_max_dim_rejected(self, box):
+        """Grouping reads coordinates in int32, exact within ``MAX_DIM``."""
+        with pytest.raises(ValueError, match="^boxes must lie within 8192x8192"):
+            group_detections([Detection(Rect(0, 0, 4, 4), 1.0), Detection(box, 1.0)])
 
     def test_chain_of_similar_boxes_is_one_cluster(self):
         # delta = 0.2 * 40 / 4 = 2: a~b and b~c, but a and c are 4 apart

@@ -3,8 +3,9 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
-from facefollow import cascade
-from facefollow.cascade import Detection, ScanParams, detect_multiscale, group_detections
+from facefollow import cascade, gated
+from facefollow.cascade import (Detection, ScanParams, Windows, detect_multiscale,
+                                group_detections)
 from facefollow.gated import GatedDetection, GateParams, detect_gated, select_target
 from facefollow.imaging import Rect
 from facefollow.mission import MissionConfig
@@ -145,7 +146,7 @@ class TestDetectGated:
         body_c, face_c = build_body_cascade(), build_face_cascade()
 
         def scan():
-            return (detect_multiscale(body_c, img, ScanParams()),
+            return (list(detect_multiscale(body_c, img, ScanParams())),
                     detect_gated(body_c, face_c, img))
 
         split = scan()
@@ -154,6 +155,33 @@ class TestDetectGated:
         monkeypatch.setattr(cascade, "_BAND_WINDOWS", 640 * 480)
         assert scan() == split
         assert 0 < band_walks.count < walks
+
+    def test_scans_and_grouping_go_through_the_gated_module(self, monkeypatch):
+        """Each scan and its grouping are looked up in ``gated``, once per
+        scan, and the grouping reads the scan's own ``Windows``: a tracer
+        that wraps the two names there sees every scan and its raw count."""
+        img, _, _ = one_person_scene()
+        body_c, face_c = build_body_cascade(), build_face_cascade()
+        calls = []
+
+        def scan(c, image, p):
+            out = detect_multiscale(c, image, p)
+            calls.append(("scan", c, out))
+            return out
+
+        def group(dets, min_neighbors, eps):
+            out = group_detections(dets, min_neighbors, eps)
+            calls.append(("group", dets, out))
+            return out
+
+        monkeypatch.setattr(gated, "detect_multiscale", scan)
+        monkeypatch.setattr(gated, "group_detections", group)
+        assert detect_gated(body_c, face_c, img, synthetic_gate_params())
+        scans, groups = calls[::2], calls[1::2]
+        assert len(scans) == len(groups) == 1 + len(groups[0][2])
+        assert [c for _, c, _ in scans] == [body_c] + [face_c] * (len(scans) - 1)
+        assert all(kind == "group" and dets is out and isinstance(dets, Windows)
+                   for (_, _, out), (kind, dets, _) in zip(scans, groups))
 
 
 # (face boxes in scan order, index of the one both rankings keep)

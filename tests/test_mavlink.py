@@ -1,3 +1,4 @@
+import math
 import re
 import socket
 import struct
@@ -57,6 +58,14 @@ class TestMessage:
         with pytest.raises(ValueError, match=re.escape(
                 f"{field} must lie in 0..{top}, got {value}")):
             build_velocity_message(0.0, 0.0, 0.0, **{field: value})
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 1.9, 5.0, "5", True, None])
+    def test_time_boot_ms_takes_ints_only(self, value):
+        """No cast: a float, even a whole one, a string or a bool is refused,
+        and the message names the field."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"time_boot_ms must lie in 0..{2**32 - 1}, got {value!r}")):
+            build_velocity_message(0.0, 0.0, 0.0, time_boot_ms=value)
 
 
 class TestWireFormat:

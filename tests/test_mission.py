@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -219,6 +220,16 @@ def test_nonsensical_config_rejected(field, value):
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(MissionConfig)])
 def test_config_fields_must_be_finite(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite and "):
+        MissionConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("pos_eps", "1"), ("climb_speed", True), ("batt_min", None), ("return_speed", "fast"),
+])
+def test_config_fields_must_be_numbers(field, value):
+    """Not a TypeError from a comparison: the rule's own message."""
+    message = f"^{field} must be finite and [a-z-]+, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
         MissionConfig(**{field: value})
 
 

@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 
 from facefollow.cascade import Detection
@@ -183,6 +185,25 @@ class TestConfigValidation:
     def test_rule_message_names_the_field_and_rule(self, field, value, rule):
         with pytest.raises(ValueError, match=f"^{field} must be {rule}, got {value}$"):
             TrackerConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value, rule", [
+        ("fwd_speed", "x", "finite and non-negative"),
+        ("fwd_speed", True, "finite and non-negative"),
+        ("loop_dt", None, "finite and positive"),
+        ("loop_dt", "0.25", "finite and positive"),
+        ("roll_f", [1.0], "finite"),
+        ("dead_zone", "0.1", "finite"),
+        ("width_near", None, "finite"),
+    ])
+    def test_rules_take_real_numbers_only(self, field, value, rule):
+        """A value that is not a number, or is a bool, fails its rule with
+        the rule's message, not a TypeError from a comparison."""
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be {rule}, got {value!r}")):
+            TrackerConfig(**{field: value})
+
+    def test_numpy_numbers_pass_the_rules(self):
+        cfg = TrackerConfig(fwd_speed=np.float64(0.5), loop_dt=np.float32(0.25), th_f=np.int64(2))
+        assert (cfg.fwd_speed, cfg.loop_dt, cfg.th_f) == (0.5, 0.25, 2)
 
     def test_fwd_speed_zero_is_legal(self):
         TrackerConfig(fwd_speed=0.0)
