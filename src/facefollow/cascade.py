@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import sys
 import xml.etree.ElementTree as ET
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -49,8 +48,8 @@ from xml.parsers.expat import ErrorString
 import numpy as np
 
 from .haar import FeatureKind, FeaturePart, HaarFeature, _scaled_parts, feature_value
-from .imaging import (MAX_DIM, GrayImage, IntegralPair, Rect, _check, _is_int, _round_half_up,
-                      integral, rect_sum)
+from .imaging import (MAX_DIM, GrayImage, IntegralPair, Rect, _check, _is_finite, _is_int,
+                      _round_half_up, integral, rect_sum)
 
 
 class CascadeError(ValueError):
@@ -102,21 +101,22 @@ class Cascade:
         # size plans by (win_w, win_h), filled by _size_plan; not a field, so
         # ==, hash and repr see the model only, and replace() starts empty
         object.__setattr__(self, "_plans", {})
-        if self.base_w < 4 or self.base_h < 4:
-            raise ValueError(f"base window {self.base_w}x{self.base_h} below 4x4")
+        if not (_is_int(self.base_w, 4) and _is_int(self.base_h, 4)):
+            raise ValueError(f"base_w and base_h must be ints of at least 4, "
+                             f"got {self.base_w!r}x{self.base_h!r}")
         if not self.stages:
             raise ValueError("cascade must contain at least one stage")
         for si, st in enumerate(self.stages):
             # a NaN score passes eval_window's "score < threshold" test but
             # fails the scan's "score >= threshold" test
-            if not math.isfinite(st.stage_threshold):
-                raise ValueError(f"stages[{si}].threshold: {st.stage_threshold} is not finite")
+            if not _is_finite(st.stage_threshold):
+                raise ValueError(f"stages[{si}].threshold: {st.stage_threshold!r} is not finite")
             for wi, wk in enumerate(st.weak):
                 if not 0 <= wk.feature_index < len(self.features):
                     raise ValueError(
                         f"stages[{si}].weak[{wi}].feature: index {wk.feature_index} "
                         f"out of range (table has {len(self.features)})")
-                if not all(map(math.isfinite, (wk.threshold, wk.left_value, wk.right_value))):
+                if not all(map(_is_finite, (wk.threshold, wk.left_value, wk.right_value))):
                     raise ValueError(f"stages[{si}].weak[{wi}]: threshold or leaf is not finite")
         for fi, f in enumerate(self.features):
             for pi, p in enumerate(f.parts):
@@ -189,8 +189,8 @@ class ScanParams:
 
     def __post_init__(self):
         # inf overflows and NaN fails the ladder's round-half-up at scan time
-        if not (math.isfinite(self.scale_factor) and self.scale_factor > 1.0):
-            raise ValueError(f"scale_factor must be finite and exceed 1, got {self.scale_factor}")
+        if not (_is_finite(self.scale_factor) and self.scale_factor > 1.0):
+            raise ValueError(f"scale_factor must be finite and exceed 1, got {self.scale_factor!r}")
         _check("an int of at least 1", self, "step_divisor")
         _grouping_rules(self.min_neighbors, self.eps)
         # no min_size <= max_size rule: gated scans raise min_size per body,
@@ -203,8 +203,8 @@ class ScanParams:
 
 def _grouping_rules(min_neighbors, eps) -> None:
     """The grouping settings' rules, for ``ScanParams`` and ``group_detections``."""
-    if not 0.0 < eps < 1.0:  # NaN too
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if not (_is_finite(eps) and 0.0 < eps < 1.0):
+        raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
     _check("an int of at least 0", {"min_neighbors": min_neighbors})
 
 
@@ -747,17 +747,14 @@ def _array(v, path: str, min_len: int = 0, max_len: int | None = None) -> list:
 
 
 def _int(v, path: str, minimum: int) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise CascadeFormatError(f"{path}: expected integer, got {v!r}")
-    if v < minimum:
-        raise CascadeFormatError(f"{path}: {v} below minimum {minimum}")
+    if not _is_int(v, minimum):
+        raise CascadeFormatError(f"{path}: expected an int of at least {minimum}, got {v!r}")
     return v
 
 
 def _real(v, path: str) -> float:
     # json.loads accepts NaN and +-Infinity literals; they end here
-    if (isinstance(v, bool) or not isinstance(v, (int, float))
-            or not abs(v) <= sys.float_info.max):
+    if not _is_finite(v):
         raise CascadeFormatError(f"{path}: expected finite number, got {v!r}")
     return float(v)
 

@@ -14,7 +14,7 @@ import sys
 from .cascade import Cascade, import_legacy_xml, parse_cascade, serialize_cascade
 from .dataset import parse_negative_manifest, parse_positive_manifest, validate_dataset
 from .gated import BODY_COLOR, FACE_COLOR, GateParams, detect_gated, detect_grouped
-from .imaging import decode_pnm, draw_box, encode_ppm, to_rgb
+from .imaging import annotated_ppm, decode_pnm
 from .mavlink import build_velocity_message, encode_frame
 from .sim import converged, load_run_config, run_closed_loop
 
@@ -54,11 +54,9 @@ def cmd_detect(args) -> int:
             for kind, box, score, nb in rows:
                 fh.write(f"{kind},{box.x},{box.y},{box.w},{box.h},{score:.6f},{nb}\n")
     if args.out:
-        rgb = to_rgb(img)
-        for kind, box, _, _ in rows:
-            draw_box(rgb, box, BODY_COLOR if kind == "body" else FACE_COLOR)
+        boxes = [(box, BODY_COLOR if kind == "body" else FACE_COLOR) for kind, box, _, _ in rows]
         with open(args.out, "wb") as fh:
-            fh.write(encode_ppm(rgb))
+            fh.write(annotated_ppm(img, boxes))
     for kind, box, score, nb in rows:
         print(f"{kind} x={box.x} y={box.y} w={box.w} h={box.h} "
               f"score={score:.3f} neighbors={nb}")

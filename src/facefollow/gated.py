@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .cascade import Cascade, Detection, ScanParams, detect_multiscale, group_detections
-from .imaging import GrayImage, Rect, _round_half_up
+from .imaging import GrayImage, Rect, _is_finite, _round_half_up
 
 # RGB colours of body and face boxes on annotated frames
 BODY_COLOR = (40, 220, 40)
@@ -41,9 +41,9 @@ class GateParams:
     face_min_fraction: float = 0.2  # min face width as a fraction of body width
 
     def __post_init__(self):
-        if not 0.0 < self.face_min_fraction <= 1.0:
+        if not (_is_finite(self.face_min_fraction) and 0.0 < self.face_min_fraction <= 1.0):
             raise ValueError(
-                f"face_min_fraction must lie in (0, 1], got {self.face_min_fraction}")
+                f"face_min_fraction must lie in (0, 1], got {self.face_min_fraction!r}")
         if self.face_scan.min_size is not None:
             raise ValueError(
                 f"face_scan.min_size must be None (set per body by face_min_fraction), "

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .imaging import IntegralPair, Rect, _round_half_up, rect_sum
+from .imaging import IntegralPair, Rect, _check, _round_half_up, rect_sum
 
 
 class FeatureKind(enum.Enum):
@@ -115,8 +115,7 @@ def enumerate_base_features(base_w: int, base_h: int) -> list[HaarFeature]:
 
     Deterministic order: template, then y, x, cell height, cell width.
     """
-    if base_w < 1 or base_h < 1:
-        raise ValueError("base window must be at least 1x1")
+    _check("an int of at least 1", {"base_w": base_w, "base_h": base_h})
     out: list[HaarFeature] = []
     for kind, u, v, weights in _TEMPLATES:
         for y in range(base_h):
@@ -129,6 +128,7 @@ def enumerate_base_features(base_w: int, base_h: int) -> list[HaarFeature]:
 
 def count_base_features(base_w: int, base_h: int) -> int:
     """Number of features enumerate_base_features would yield, without building them."""
+    _check("an int of at least 1", {"base_w": base_w, "base_h": base_h})
     total = 0
     for _, u, v, _ in _TEMPLATES:
         for sw in range(1, base_w // u + 1):

@@ -35,9 +35,13 @@ def _is_int(v, minimum: int) -> bool:
 
 
 def _is_finite(v) -> bool:
-    """A finite real number that is not a bool: an int or a float, as the
-    JSON reader's ``_real`` takes, or a numpy number."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    """The rule of every finite setting: a real number that is not a bool (an
+    int, a float or a numpy number) and not NaN, +-inf or an int beyond float range."""
+    try:  # a float skips the slow abstract-class test
+        return ((type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool))
+                and math.isfinite(v))
+    except OverflowError:  # an int beyond float range (abs(v) <= max passes np.float32 inf)
+        return False
 
 
 # keyed by the wording of each rule's message; each takes numbers only
@@ -300,6 +304,14 @@ def encode_ppm(rgb: np.ndarray) -> bytes:
         raise ValueError("expected (h, w, 3) uint8 array")
     h, w = rgb.shape[:2]
     return b"P6\n%d %d\n255\n" % (w, h) + np.ascontiguousarray(rgb).tobytes()
+
+
+def annotated_ppm(img: GrayImage, boxes) -> bytes:
+    """Binary P6 bytes of ``img`` with ``draw_box`` of each ``(rect, color)`` of ``boxes``."""
+    rgb = to_rgb(img)
+    for r, color in boxes:
+        draw_box(rgb, r, color)
+    return encode_ppm(rgb)
 
 
 def to_rgb(img: GrayImage) -> np.ndarray:

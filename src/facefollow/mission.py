@@ -11,7 +11,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-from .imaging import _check
+from .imaging import _check, _is_finite
 from .tracker import VelocityCommand
 
 
@@ -42,7 +42,7 @@ class Ned:
 
     @property
     def finite(self) -> bool:  # every component: the position has a fix
-        return math.isfinite(self.n) and math.isfinite(self.e) and math.isfinite(self.d)
+        return _is_finite(self.n) and _is_finite(self.e) and _is_finite(self.d)
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class VehicleStatus:
     target_visible: bool = True  # drives the tracking/hover split
 
     def __post_init__(self):
-        if self.battery_voltage < 0:
-            raise ValueError("battery voltage cannot be negative")
+        if _is_finite(self.battery_voltage) and self.battery_voltage < 0:
+            raise ValueError(f"battery_voltage cannot be negative, got {self.battery_voltage!r}")
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,9 @@ def step_mission(s: MissionState, status: VehicleStatus, cfg: MissionConfig,
     target_alt = s.takeoff_alt + cfg.failsafe_alt_gain
 
     if phase in (MissionPhase.TRACKING, MissionPhase.HOVER):
-        # "not >=" so a NaN reading fails safe instead of passing as charged
-        if not status.battery_voltage >= cfg.batt_min or status.user_stop:
+        # a reading that is not a finite number fails safe, never passes as charged
+        v = status.battery_voltage
+        if not (_is_finite(v) and v >= cfg.batt_min) or status.user_stop:
             phase = MissionPhase.FAILSAFE_ASCEND
         else:
             phase = (MissionPhase.TRACKING if status.target_visible

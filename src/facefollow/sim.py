@@ -18,8 +18,7 @@ from .cascade import (Cascade, Detection, _array, _bool, _build, _int, _load_jso
                       _obj, _real, _str)
 from .gated import (BODY_COLOR, FACE_COLOR, GatedDetection, GateParams, detect_gated,
                     select_target)
-from .imaging import (MAX_DIM, GrayImage, Rect, _check, _is_int, _round_half_up, draw_box,
-                      encode_ppm, to_rgb)
+from .imaging import MAX_DIM, Rect, _check, _is_int, _round_half_up, annotated_ppm
 from .mavlink import CommandSink, NullSink, build_velocity_message, open_sink
 from .mission import (MissionConfig, MissionPhase, MissionState, Ned,
                       VehicleStatus, step_mission)
@@ -285,7 +284,11 @@ def run_closed_loop(cfg: RunConfig, sink: CommandSink | None = None,
                     time_boot_ms=int(state.t * 1000)))
 
             if frames_dir is not None and frame_img is not None:
-                _dump_frame(frames_dir, tick, frame_img, dets)
+                os.makedirs(frames_dir, exist_ok=True)
+                boxes = [b for d in dets
+                         for b in ((d.body.box, BODY_COLOR), (d.face.box, FACE_COLOR))]
+                with open(os.path.join(frames_dir, f"frame_{tick:05d}.ppm"), "wb") as fh:
+                    fh.write(annotated_ppm(frame_img, boxes))
 
             centroid = None
             zone = None
@@ -307,17 +310,6 @@ def run_closed_loop(cfg: RunConfig, sink: CommandSink | None = None,
         if own_sink:
             sink.close()
     return trace
-
-
-def _dump_frame(frames_dir: str, tick: int, img: GrayImage,
-                dets: list[GatedDetection]):
-    os.makedirs(frames_dir, exist_ok=True)
-    rgb = to_rgb(img)
-    for d in dets:
-        draw_box(rgb, d.body.box, BODY_COLOR)
-        draw_box(rgb, d.face.box, FACE_COLOR)
-    with open(os.path.join(frames_dir, f"frame_{tick:05d}.ppm"), "wb") as fh:
-        fh.write(encode_ppm(rgb))
 
 
 def converged(trace: Trace, cfg: RunConfig, final_ticks: int = 10) -> bool:

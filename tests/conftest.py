@@ -11,6 +11,11 @@ from facefollow.imaging import GrayImage, Rect
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
+# values every "finite" rule refuses: no number, a bool, an int beyond float
+# range, NaN and +-inf; the "int" rules refuse the first three and a float
+NOT_FINITE = ["x", None, True, 10**400, float("nan"), float("inf"), -float("inf")]
+NOT_INT = ["x", None, True, 4.5]
+
 
 def fixture_path(name: str) -> str:
     return os.path.join(FIXTURES, name)

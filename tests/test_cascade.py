@@ -23,8 +23,8 @@ from facefollow.imaging import GrayImage, Rect, integral, rect_sum
 from facefollow.synthetic import (build_body_cascade, build_face_cascade,
                                   synthetic_gate_params)
 
-from conftest import (CallCounter, accept_all_cascade, fixture_text, random_cascade,
-                      random_image, reject_all_cascade)
+from conftest import (NOT_FINITE, NOT_INT, CallCounter, accept_all_cascade, fixture_text,
+                      random_cascade, random_image, reject_all_cascade)
 
 MINIMAL_DOC = json.dumps({
     "name": "minimal",
@@ -121,7 +121,8 @@ class TestParseCascade:
     def test_float_geometry_rejected(self):
         doc = json.loads(MINIMAL_DOC)
         doc["features"][0]["parts"][0]["x"] = 0.5
-        with pytest.raises(CascadeFormatError, match="expected integer"):
+        with pytest.raises(CascadeFormatError, match=re.escape(
+                "$.features[0].parts[0].x: expected an int of at least 0, got 0.5")):
             parse_cascade(json.dumps(doc))
 
     def test_part_outside_base_window(self):
@@ -135,7 +136,8 @@ class TestParseCascade:
     def test_field_minimum_names_the_field(self):
         doc = json.loads(MINIMAL_DOC)
         doc["base_w"] = 3
-        with pytest.raises(CascadeFormatError, match=re.escape("$.base_w: 3 below minimum 4")):
+        with pytest.raises(CascadeFormatError, match=re.escape(
+                "$.base_w: expected an int of at least 4, got 3")):
             parse_cascade(json.dumps(doc))
 
     @pytest.mark.parametrize("weight", [0.5, -1.25, 65537.0, -65537.0, 1e300])
@@ -188,19 +190,35 @@ class TestCascadeModel:
             Cascade(4, 4, (feat,), (stage,))
         assert not isinstance(info.value, CascadeFormatError)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("value", NOT_FINITE)
     @pytest.mark.parametrize("where", ["stage", "threshold", "left", "right"])
     def test_non_finite_threshold_or_leaf(self, value, where):
-        """A NaN score would pass eval_window's stage test and fail the scan's."""
+        """A NaN score would pass eval_window's stage test and fail the scan's;
+        a value that is no number fails the same check, not a comparison."""
         wk = dict(threshold=0.1, left=-0.5, right=0.5)
         if where in wk:
             wk[where] = value
         stage = Stage((WeakClassifier(0, wk["threshold"], wk["left"], wk["right"]),),
                       value if where == "stage" else 0.0)
-        why = ("stages[0].threshold: " if where == "stage"
-               else "stages[0].weak[0]: threshold or leaf ")
+        why = (f"stages[0].threshold: {value!r} is not finite" if where == "stage"
+               else "stages[0].weak[0]: threshold or leaf is not finite")
         with pytest.raises(ValueError, match=re.escape(why)):
             Cascade(4, 4, (self.feature(2),), (stage,))
+
+    def test_numpy_thresholds_and_leaves_pass(self):
+        stage = Stage((WeakClassifier(0, np.float64(0.1), np.int64(-1), np.float32(0.5)),),
+                      np.int64(0))
+        assert Cascade(4, 4, (self.feature(2),), (stage,)).stages == (stage,)
+
+    @pytest.mark.parametrize("value", NOT_INT + [3, 0, -3])
+    @pytest.mark.parametrize("field", ["base_w", "base_h"])
+    def test_base_size_must_be_an_int_of_at_least_4(self, field, value):
+        size = {"base_w": 4, "base_h": 4, field: value}
+        stage = Stage((WeakClassifier(0, 0.1, -0.5, 0.5),), 0.0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"base_w and base_h must be ints of at least 4, "
+                f"got {size['base_w']!r}x{size['base_h']!r}")):
+            Cascade(size["base_w"], size["base_h"], (self.feature(2),), (stage,))
 
 
 class TestLegacyImport:
@@ -293,7 +311,7 @@ class TestLegacyImport:
 
     @pytest.mark.parametrize("declared,why", [
         (2, "cascade.stages[0]: maxWeakCount 2 != 0 classifiers"),
-        (0, "cascade.stages[0].maxWeakCount: 0 below minimum 1")],
+        (0, "cascade.stages[0].maxWeakCount: expected an int of at least 1, got 0")],
         ids=["declared-2", "declared-0"])
     def test_empty_weak_classifiers_rejected_on_max_weak_count(self, declared, why):
         text = re.sub(r"<weakClassifiers>.*?</weakClassifiers>",
@@ -306,12 +324,35 @@ class TestLegacyImport:
             import_legacy_xml(text)
 
     @pytest.mark.parametrize("width,why", [("abc", "expected number, got 'abc'"),
-                                           ("3", "3 below minimum 4")])
+                                           ("3", "expected an int of at least 4, got 3")])
     def test_bad_width_rejected_at_its_path(self, width, why):
         text = fixture_text("upperbody_20x20.xml").replace(
             "<width>20</width>", f"<width>{width}</width>")
         with pytest.raises(CascadeFormatError, match=re.escape(f"cascade.width: {why}")):
             import_legacy_xml(text)
+
+
+class TestStrictNumbers:
+    """The document readers' number checks, which every cascade and run
+    config value passes through."""
+
+    @pytest.mark.parametrize("value", NOT_FINITE)
+    def test_real_refuses_at_its_path(self, value):
+        with pytest.raises(CascadeFormatError, match="^" + re.escape(
+                f"$.k: expected finite number, got {value!r}") + "$"):
+            cascade._real(value, "$.k")
+
+    @pytest.mark.parametrize("value, want", [
+        (np.float64(0.5), 0.5), (np.int64(3), 3.0), (2**1000, 2.0**1000), (-7, -7.0)])
+    def test_real_takes_numbers_within_float_range(self, value, want):
+        got = cascade._real(value, "$.k")
+        assert type(got) is float and got == want
+
+    @pytest.mark.parametrize("value", NOT_INT + [-1])
+    def test_int_refuses_at_its_path(self, value):
+        with pytest.raises(CascadeFormatError, match="^" + re.escape(
+                f"$.k: expected an int of at least 0, got {value!r}") + "$"):
+            cascade._int(value, "$.k", 0)
 
 
 class TestEvalWindow:
@@ -423,9 +464,10 @@ def first_stage(c: Cascade, first: str) -> Cascade:
 
 
 class TestScanParams:
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1.0, 0.5])
+    @pytest.mark.parametrize("value", NOT_FINITE + [1.0, 0.5])
     def test_scale_factor_must_be_finite_and_exceed_1(self, value):
-        with pytest.raises(ValueError, match="^scale_factor must be finite and exceed 1"):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"scale_factor must be finite and exceed 1, got {value!r}") + "$"):
             ScanParams(scale_factor=value)
 
     @pytest.mark.parametrize("value", [1.5, 24.0, True, False, "24", None])
@@ -441,10 +483,18 @@ class TestScanParams:
         p = ScanParams(scale_factor=math.nextafter(1.0, 2.0), step_divisor=1)
         assert p.step_divisor == 1 and p.scale_factor > 1.0
 
-    @pytest.mark.parametrize("value", [0.0, 1.0, 2.0, -0.2, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", NOT_FINITE + [0.0, 1.0, 2.0, -0.2])
     def test_eps_must_lie_between_0_and_1(self, value):
-        with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\)"):
+        message = "^" + re.escape(f"eps must lie in (0, 1), got {value!r}") + "$"
+        with pytest.raises(ValueError, match=message):
             ScanParams(eps=value)
+        with pytest.raises(ValueError, match=message):
+            group_detections([], eps=value)
+
+    def test_numpy_numbers_pass(self):
+        p = ScanParams(scale_factor=np.float64(1.25), eps=np.float64(0.3))
+        assert (p.scale_factor, p.eps) == (1.25, 0.3)
+        assert ScanParams(scale_factor=np.int64(2)).scale_factor == 2
 
     @pytest.mark.parametrize("value", [-1, 3.0, True, "3", None])
     def test_min_neighbors_must_be_an_int_of_at_least_0(self, value):

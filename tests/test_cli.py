@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -7,9 +8,10 @@ import pytest
 from facefollow.cascade import (Cascade, Stage, WeakClassifier, parse_cascade,
                                 serialize_cascade)
 from facefollow.cli import main
-from facefollow.gated import detect_gated
+from facefollow.gated import BODY_COLOR, FACE_COLOR, detect_gated
 from facefollow.haar import FeatureKind, FeaturePart, HaarFeature
-from facefollow.imaging import GrayImage, Rect, decode_pnm, encode_pgm
+from facefollow.imaging import (GrayImage, Rect, decode_pnm, draw_box, encode_pgm, encode_ppm,
+                                to_rgb)
 from facefollow.mavlink import decode_frame
 from facefollow.synthetic import (build_body_cascade, build_face_cascade,
                                   render_scene)
@@ -59,6 +61,12 @@ class TestDetect:
                                                    d.face.box.w, d.face.box.h]
         annotated = decode_pnm(out.read_bytes())
         assert (annotated.width, annotated.height) == (320, 240)
+        # the image with each body box, then its face box, drawn on it
+        rgb = to_rgb(img)
+        for d in want:
+            draw_box(rgb, d.body.box, BODY_COLOR)
+            draw_box(rgb, d.face.box, FACE_COLOR)
+        assert want and out.read_bytes() == encode_ppm(rgb)
 
     def test_blank_image_exits_2_with_header_only_csv(self, tmp_path, cascades):
         body_path, face_path = cascades
@@ -236,7 +244,12 @@ class TestTrackSim:
         code = main(["track-sim", "--config", str(cfg), "--trace", str(trace),
                      "--frames-dir", str(frames)])
         assert code == 0
-        assert len(list(frames.glob("frame_*.ppm"))) == 12
+        dumped = sorted(frames.glob("frame_*.ppm"))
+        assert len(dumped) == 12
+        # the person stands still 4 m ahead, so every tick writes the same
+        # frame, whose bytes are pinned by their digest
+        assert {hashlib.sha256(f.read_bytes()).hexdigest() for f in dumped} == {
+            "2703451dd8c2c655c9e0b3a24a4042cc655650283ad353f5fc099a6c9cbc9053"}
 
 
 class TestEncode:

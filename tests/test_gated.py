@@ -1,6 +1,8 @@
 import random
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 
+import numpy as np
 import pytest
 
 from facefollow import cascade, gated
@@ -14,7 +16,7 @@ from facefollow.synthetic import (build_body_cascade, build_face_cascade,
                                   render_scene, synthetic_gate_params)
 from facefollow.tracker import TrackerConfig
 
-from conftest import accept_all_cascade, reject_all_cascade
+from conftest import NOT_FINITE, accept_all_cascade, reject_all_cascade
 
 
 def one_person_scene(img_w=320, img_h=240, face=Rect(150, 100, 16, 16)):
@@ -256,9 +258,16 @@ class TestSelectTarget:
         assert select_target([a, b, c]) is b
 
 
-def test_gate_params_validation():
-    with pytest.raises(ValueError):
-        GateParams(face_min_fraction=0.0)
+@pytest.mark.parametrize("value", NOT_FINITE + [0.0, -0.2, 1.5])
+def test_gate_params_validation(value):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"face_min_fraction must lie in (0, 1], got {value!r}") + "$"):
+        GateParams(face_min_fraction=value)
+
+
+def test_face_min_fraction_takes_numpy_numbers():
+    assert GateParams(face_min_fraction=np.float64(0.25)).face_min_fraction == 0.25
+    assert GateParams(face_min_fraction=np.int64(1)).face_min_fraction == 1
 
 
 def test_gate_params_reject_a_face_scan_min_size():

@@ -10,7 +10,7 @@ from facefollow.haar import (FeatureEvalError, FeatureKind, FeaturePart,
                              enumerate_base_features, feature_value, scale_rect)
 from facefollow.imaging import GrayImage, Rect, integral
 
-from conftest import random_image
+from conftest import NOT_INT, random_image
 
 # the five templates as (unit cols, unit rows), mirroring the generator's shapes
 TEMPLATE_GRID = {
@@ -200,6 +200,17 @@ class TestEnumeration:
 
     def test_tiny_base_yields_nothing(self):
         assert enumerate_base_features(1, 1) == []
+        assert count_base_features(1, 1) == 0
+
+    @pytest.mark.parametrize("fn", [enumerate_base_features, count_base_features])
+    @pytest.mark.parametrize("value", NOT_INT + [0, -3])
+    @pytest.mark.parametrize("field", ["base_w", "base_h"])
+    def test_base_size_must_be_an_int_of_at_least_1(self, fn, field, value):
+        """Both functions refuse the same sizes; count no longer reads -3 as 0."""
+        size = {"base_w": 4, "base_h": 4, field: value}
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{field} must be an int of at least 1, got {value!r}") + "$"):
+            fn(size["base_w"], size["base_h"])
 
     def test_no_duplicates_and_all_in_bounds(self):
         feats = enumerate_base_features(8, 8)

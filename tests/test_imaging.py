@@ -6,11 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from facefollow.imaging import (GrayImage, IntegralPair, PnmParseError, Rect,
-                                _round_half_up, decode_pnm, draw_box, encode_pgm, encode_ppm, integral,
-                                rect_sum, to_rgb)
+from facefollow.imaging import (GrayImage, IntegralPair, PnmParseError, Rect, _is_finite,
+                                _round_half_up, annotated_ppm, decode_pnm, draw_box, encode_pgm,
+                                encode_ppm, integral, rect_sum, to_rgb)
 
-from conftest import random_image
+from conftest import NOT_FINITE, random_image
 
 
 def brute_integral(img: GrayImage, squared: bool = False) -> np.ndarray:
@@ -343,3 +343,26 @@ def test_draw_box_paints_and_clips(rng):
     assert rgb[4, 4].tolist() == [0, 0, 0]
     draw_box(rgb, Rect(8, 8, 50, 50), (1, 1, 1), thickness=1)  # overhangs: no raise
     assert rgb[9, 9].tolist() == [1, 1, 1]
+
+
+def test_annotated_ppm_draws_each_box_in_order(rng):
+    img = random_image(rng, 40, 30)
+    boxes = [(Rect(2, 2, 20, 20), (40, 220, 40)), (Rect(10, 10, 8, 8), (220, 40, 40)),
+             (Rect(30, 20, 50, 50), (1, 2, 3))]
+    rgb = to_rgb(img)
+    for r, color in boxes:
+        draw_box(rgb, r, color)
+    assert annotated_ppm(img, boxes) == encode_ppm(rgb)
+    assert annotated_ppm(img, []) == encode_ppm(to_rgb(img))
+
+
+@pytest.mark.parametrize("value", NOT_FINITE + [np.float32("inf"), np.float64("nan"),
+                                                np.bool_(True), 1j, "1.0"])
+def test_is_finite_refuses(value):
+    assert _is_finite(value) is False
+
+
+@pytest.mark.parametrize("value", [0, -7, 2**1000, 0.5, -1e308, 5e-324,
+                                   np.float64(1.5), np.float32(3.0e38), np.int64(-2**63)])
+def test_is_finite_takes_real_numbers_within_float_range(value):
+    assert _is_finite(value) is True

@@ -52,6 +52,14 @@ class TestTransitions:
         assert s.phase is MissionPhase.FAILSAFE_ASCEND
         assert directive is not None and directive.vz < 0
 
+    @pytest.mark.parametrize("volts", [math.inf, -math.inf, math.nan, 10**400, "x", None])
+    @pytest.mark.parametrize("phase", [MissionPhase.TRACKING, MissionPhase.HOVER])
+    def test_battery_reading_that_is_not_a_finite_number_fails_safe(self, phase, volts):
+        """An inf reading no longer passes ">= batt_min" and tracks on forever."""
+        s, directive = step_mission(state(phase), status(volts=volts), CFG, DT)
+        assert s.phase is MissionPhase.FAILSAFE_ASCEND
+        assert directive is not None and directive.vz < 0
+
     def test_user_stop_triggers_failsafe(self):
         s, _ = step_mission(state(), status(stop=True), CFG, DT)
         assert s.phase is MissionPhase.FAILSAFE_ASCEND
@@ -225,6 +233,7 @@ def test_config_fields_must_be_finite(field, value):
 
 @pytest.mark.parametrize("field,value", [
     ("pos_eps", "1"), ("climb_speed", True), ("batt_min", None), ("return_speed", "fast"),
+    ("batt_min", 10**400), ("failsafe_alt_gain", -10**400), ("descend_speed", 10**400),
 ])
 def test_config_fields_must_be_numbers(field, value):
     """Not a TypeError from a comparison: the rule's own message."""
@@ -238,6 +247,8 @@ def test_zero_gain_and_floor_accepted():
     assert (cfg.failsafe_alt_gain, cfg.batt_min) == (0.0, 0.0)
 
 
-def test_negative_battery_rejected():
-    with pytest.raises(ValueError):
-        VehicleStatus(-1.0, False, HOME)
+@pytest.mark.parametrize("volts", [-1.0, -1, -5e-324])
+def test_negative_battery_rejected(volts):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"battery_voltage cannot be negative, got {volts!r}") + "$"):
+        VehicleStatus(volts, False, HOME)

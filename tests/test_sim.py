@@ -8,14 +8,18 @@ import pytest
 
 from facefollow import sim
 from facefollow.cascade import serialize_cascade
-from facefollow.imaging import Rect
+from facefollow.gated import BODY_COLOR, FACE_COLOR, detect_gated
+from facefollow.imaging import Rect, draw_box, encode_ppm, to_rgb
 from facefollow.mavlink import FRAME_LEN, FileSink
 from facefollow.mission import MissionPhase, Ned
 from facefollow.sim import (CameraModel, RunConfig, SimState, TargetPath,
                             converged, load_run_config, project_target,
                             run_closed_loop, step_sim)
-from facefollow.synthetic import build_body_cascade, build_face_cascade
+from facefollow.synthetic import (build_body_cascade, build_face_cascade, render_scene,
+                                  synthetic_gate_params)
 from facefollow.tracker import VelocityCommand
+
+from conftest import NOT_FINITE
 
 CAM = CameraModel()
 
@@ -209,7 +213,7 @@ class TestConfigValues:
         with pytest.raises(ValueError, match="user_stop_tick"):
             RunConfig(user_stop_tick=-1)
 
-    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("value", NOT_FINITE)
     @pytest.mark.parametrize("field", ["drone_yaw", "takeoff_alt"])
     def test_yaw_and_takeoff_altitude_must_be_finite(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite, got"):
@@ -228,14 +232,18 @@ class TestConfigValues:
             RunConfig(**{field: value})
         assert getattr(RunConfig(**{field: 0.0}), field) == 0.0
 
-    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("value", NOT_FINITE)
     @pytest.mark.parametrize("axis", range(3))
     @pytest.mark.parametrize("field", ["drone_pos", "target_pos", "home"])
     def test_positions_must_be_finite(self, field, axis, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite, got Ned"):
             RunConfig(**{field: with_axis(axis, value)})
 
-    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_positions_take_numpy_numbers(self):
+        cfg = RunConfig(drone_pos=Ned(np.float64(1.0), np.int64(0), np.float32(-1.5)))
+        assert cfg.drone_pos.finite
+
+    @pytest.mark.parametrize("value", NOT_FINITE)
     @pytest.mark.parametrize("axis", range(3))
     def test_waypoints_must_be_finite(self, axis, value):
         with pytest.raises(ValueError, match=re.escape("waypoints[1] must be finite, got Ned")):
@@ -365,7 +373,17 @@ class TestClosedLoopRendered:
         run_closed_loop(cfg, frames_dir=str(tmp_path / "frames"))
         dumped = sorted((tmp_path / "frames").glob("frame_*.ppm"))
         assert len(dumped) == 3
-        assert dumped[0].read_bytes().startswith(b"P6")
+        # the first tick's frame: the person where it starts, each body box
+        # and then its face box drawn on it
+        boxes = project_target(sim_state(cfg.target_pos, cfg.drone_pos), CAM)
+        img = render_scene(CAM.img_w, CAM.img_h, boxes["face"], boxes["body"])
+        dets = detect_gated(cfg.body_cascade, cfg.face_cascade, img,
+                            synthetic_gate_params(CAM.img_w))
+        rgb = to_rgb(img)
+        for d in dets:
+            draw_box(rgb, d.body.box, BODY_COLOR)
+            draw_box(rgb, d.face.box, FACE_COLOR)
+        assert dets and dumped[0].read_bytes() == encode_ppm(rgb)
 
 
 class TestOneProjectionPerTick:

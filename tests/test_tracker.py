@@ -193,6 +193,9 @@ class TestConfigValidation:
         ("loop_dt", "0.25", "finite and positive"),
         ("roll_f", [1.0], "finite"),
         ("dead_zone", "0.1", "finite"),
+        ("dead_zone", 10**400, "finite"),
+        ("fwd_speed", 10**400, "finite and non-negative"),
+        ("loop_dt", -10**400, "finite and positive"),
         ("width_near", None, "finite"),
     ])
     def test_rules_take_real_numbers_only(self, field, value, rule):
