@@ -5,27 +5,28 @@ feature table.  Window evaluation walks the stages and bails out at the
 first stage whose score falls below its threshold, which is where the
 detector gets its speed.  ``detect_multiscale`` runs the same decision
 vectorized over each scale's window grid.  Each (cascade, window size)
-compiles once into a size plan, which the ``Cascade`` keeps in its private
+compiles once into a size plan, kept in the ``Cascade``'s private
 ``_plans`` dict, outside the model's fields.  A plan holds only what the
 window size changes, its taps, terms and gathers; every threshold and leaf
-is read from the cascade's own stages.  Every feature's scaled parts
-become corner taps ``(dy, dx, k)``, summed per distinct corner so shared
-corners merge or cancel.  The tap lists that a band reads as strided
-slices, stage 0's features and the window's corners, are also grouped into
-row x column terms (``_terms``): a Haar rectangle is a difference of table
-rows times a difference of its columns, so ``_grid_sum`` can sum a term's
-rows first and then read its columns from that sum.  The grid is cut into
-row bands of at most ``_BAND_WINDOWS`` windows, which the calling thread
-reads in scan order; their candidate windows are then classified in
-batches across sizes and bands, each candidate carrying the index of its
-band, by one loop over every stage, as ``_walk_batch`` describes.  The scalar
-and vectorized paths give bit-identical results, so one can be checked
-against the other: part weights are integers (a ``Cascade`` rule), so a
-feature's sum is the same exact integer in the scan's int64 (or the cut's
-int32) and in ``eval_window``'s float64, and every float64 operation after
-it runs in the same order on both paths.  Both scale part rects only
-through ``haar._scaled_parts``, the one home of that rule and of its clip
-to the window.
+is read from the cascade's own stages.  The compile scales the cascade's
+int64 part table at once, and each feature's parts become corner taps
+``(dy, dx, k)``, summed per distinct corner so shared corners merge or
+cancel.  The tap lists that a band reads as strided slices, stage 0's
+features and the window's corners, are also grouped into row x column
+terms (``_terms``): a Haar rectangle is a difference of table rows times a
+difference of its columns, so ``_grid_sum`` can sum a term's rows first
+and then read its columns from that sum.  The grid is cut into row bands
+of at most ``_BAND_WINDOWS`` windows, which the calling thread reads in
+scan order; their candidate windows are then classified in batches across
+sizes and bands, each candidate carrying the index of its band, by one
+loop over every stage, as ``_walk_batch`` describes.  The scalar and
+vectorized paths give bit-identical results, so one can be checked against
+the other: part weights are integers (a ``Cascade`` rule), so a feature's
+sum is the same exact integer in the scan's int64 (or the cut's int32) and
+in ``eval_window``'s float64, and every float64 operation after it runs in
+the same order on both paths.  Both scale part rects only through
+``haar._scaled_parts``, the one home of that rule, of its escape check and
+of its clip to the window.
 The accepted windows stay arrays from the stage walk on: each batch gives
 their boxes and scores, and ``detect_multiscale`` joins them into one
 ``Windows``, a sequence that builds a ``Detection`` only for a window that
@@ -112,9 +113,9 @@ class Cascade:
             if not _is_finite(st.stage_threshold):
                 raise ValueError(f"stages[{si}].threshold: {st.stage_threshold!r} is not finite")
             for wi, wk in enumerate(st.weak):
-                if not 0 <= wk.feature_index < len(self.features):
+                if not (_is_int(wk.feature_index, 0) and wk.feature_index < len(self.features)):
                     raise ValueError(
-                        f"stages[{si}].weak[{wi}].feature: index {wk.feature_index} "
+                        f"stages[{si}].weak[{wi}].feature: index {wk.feature_index!r} "
                         f"out of range (table has {len(self.features)})")
                 if not all(map(_is_finite, (wk.threshold, wk.left_value, wk.right_value))):
                     raise ValueError(f"stages[{si}].weak[{wi}]: threshold or leaf is not finite")
@@ -126,10 +127,18 @@ class Cascade:
                         f"{self.base_w}x{self.base_h} base window")
                 # the scan sums features in int64 and eval_window in float64;
                 # with such weights both hold every partial sum exactly
-                if not (abs(p.weight) <= MAX_WEIGHT and float(p.weight).is_integer()):
+                if not (_is_finite(p.weight) and abs(p.weight) <= MAX_WEIGHT
+                        and float(p.weight).is_integer()):
                     raise ValueError(
                         f"features[{fi}].parts[{pi}]: weight {p.weight!r} is not "
                         f"an integer of magnitude at most {MAX_WEIGHT}")
+        # the part table _compile_size scales, not a field: one int64 row
+        # (feature, part, x, y, w, h, weight) per part, in feature order
+        parts = np.array([(fi, pi, p.rect.x, p.rect.y, p.rect.w, p.rect.h, p.weight)
+                          for fi, f in enumerate(self.features)
+                          for pi, p in enumerate(f.parts)], dtype=np.int64)
+        parts.flags.writeable = False
+        object.__setattr__(self, "_parts", parts)
 
 
 @dataclass(frozen=True)
@@ -271,20 +280,6 @@ def _scan_sizes(c: Cascade, img_w: int, img_h: int,
 _Taps = tuple[tuple[int, int, int], ...]  # (dy, dx, k): k * table[y + dy, x + dx]
 
 
-def _corner_taps(parts) -> _Taps:
-    """The four corners of each (rect, weight) part with +-weight, summed per
-    distinct corner; zero coefficients are dropped, so corners that parts
-    share merge or cancel.  Parts whose corners all cancel read one tap with
-    coefficient 0, so every feature has a tap."""
-    coef: dict[tuple[int, int], int] = {}
-    for r, weight in parts:
-        k = int(weight)  # integral: Cascade.__post_init__
-        for corner, sign in (((r.y, r.x), 1), ((r.y, r.right), -1),
-                             ((r.bottom, r.x), -1), ((r.bottom, r.right), 1)):
-            coef[corner] = coef.get(corner, 0) + sign * k
-    return tuple((dy, dx, k) for (dy, dx), k in sorted(coef.items()) if k) or ((0, 0, 0),)
-
-
 # a tap list grouped into row x column terms, (rows, columns) each: term
 # (((dy, a), ...), ((dx, b), ...)) is the taps (dy, dx, a * b)
 _Terms = tuple[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]], ...]
@@ -299,7 +294,7 @@ def _terms(taps: _Taps) -> _Terms:
     difference of its columns, so a template feature whose scaled parts
     keep their proportions is one term."""
     by_row: dict[int, list[tuple[int, int]]] = {}
-    for dy, dx, k in taps:  # sorted by (dy, dx): _corner_taps
+    for dy, dx, k in taps:  # sorted by (dy, dx): _compile_size
         by_row.setdefault(dy, []).append((dx, k))
     terms: dict[tuple[tuple[int, int], ...], list[tuple[int, int]]] = {}
     for dy, cols in by_row.items():
@@ -344,7 +339,6 @@ def _gather_sums(g: _Gather, base: np.ndarray, tables: np.ndarray,
 
 class _SizePlan(NamedTuple):
     win: Rect
-    stages: tuple[Stage, ...]  # the cascade's own, not a copy
     keep_sign: int      # the sign cut of stage 0, see _sign_cut
     strided: tuple[tuple[int, _Terms], ...]  # what a band reads as strided
                            # slices, as (plane, terms): stage 0's first weak
@@ -361,11 +355,11 @@ class _SizePlan(NamedTuple):
 _INT32_BOUND = 2 ** 31
 
 
-def _sign_cut(st: Stage, parts: list[tuple[Rect, float]]) -> int:
+def _sign_cut(st: Stage, magnitude: int) -> int:
     """+1 or -1 when the sign of the first feature's integer sum alone can
     reject a window: a window can pass ``st`` only where the sum has that
-    sign.  0 when it cannot.  ``parts`` are that feature's scaled, clipped
-    parts at the plan's size.
+    sign.  0 when it cannot.  ``magnitude`` is sum(|weight| * 255 * area)
+    over that feature's scaled, clipped parts at the plan's size.
 
     Three conditions make the cut.  The first weak classifier vetoes: its
     lower leaf plus every other weak classifier's higher leaf, added in
@@ -376,10 +370,9 @@ def _sign_cut(st: Stage, parts: list[tuple[Rect, float]]) -> int:
     under a threshold <= 0.  Leaves are finite (a ``Cascade`` rule), so the
     bound is never NaN.  And the sum fits in int32: the cut adds the taps
     over an int32 view of the integral table, modulo 2**32, which gives
-    the true sum whenever sum(|weight| * 255 * area) over the parts is
-    below 2**31.
+    the true sum whenever ``magnitude`` is below 2**31.
     """
-    if sum(abs(int(w)) * 255 * r.area for r, w in parts) >= _INT32_BOUND:
+    if magnitude >= _INT32_BOUND:
         return 0
     first = st.weak[0]
     total = 0.0 + min(first.left_value, first.right_value)
@@ -395,17 +388,27 @@ def _sign_cut(st: Stage, parts: list[tuple[Rect, float]]) -> int:
 
 
 def _compile_size(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
-    """Scale every feature to a ``win_w`` x ``win_h`` window, clipped to it,
-    and turn the parts into corner taps; what a band reads as strided
+    """Scale the part table to a ``win_w`` x ``win_h`` window and sum each
+    part's four corners with +-weight per (feature, dy, dx), exactly in one
+    ``np.unique`` and ``bincount``: zero sums drop, but a feature whose
+    corners all cancel reads one zero tap.  What a band reads as strided
     slices is grouped into terms, and what it gathers into ``_Gather``s."""
-    scale = win_w / c.base_w
-    parts = [_scaled_parts(f, scale, win_w, win_h, fi) for fi, f in enumerate(c.features)]
-    feats = [_corner_taps(p) for p in parts]
+    x, y, w, h = _scaled_parts(c._parts, win_w / c.base_w, win_w, win_h).T
+    feature, k = c._parts[:, 0], c._parts[:, 6]
+    key = ((np.tile(feature, 4) * (win_h + 1) + np.concatenate([y, y, y + h, y + h]))
+           * (win_w + 1) + np.concatenate([x, x + w, x, x + w]))
+    key, corner = np.unique(key, return_inverse=True)
+    coef = np.bincount(corner, np.concatenate([k, -k, -k, k])).astype(np.int64)
+    key, coef = key[coef != 0], coef[coef != 0]
+    fi, yx = np.divmod(key, (win_h + 1) * (win_w + 1))
+    taps = np.column_stack([*np.divmod(yx, win_w + 1), coef]).tolist()
+    cuts = np.searchsorted(fi, np.arange(len(c.features) + 1)).tolist()
+    feats = [tuple(map(tuple, taps[lo:hi])) or ((0, 0, 0),) for lo, hi in zip(cuts, cuts[1:])]
     taps = [[feats[wk.feature_index] for wk in st.weak] for st in c.stages]
-    win = Rect(0, 0, win_w, win_h)
-    window_taps = _corner_taps([(win, 1)])
+    window_taps = ((0, 0, 1), (0, win_w, -1), (win_h, 0, -1), (win_h, win_w, 1))
     stage0 = c.stages[0]
-    keep_sign = _sign_cut(stage0, parts[stage0.weak[0].feature_index])
+    cut = feature == stage0.weak[0].feature_index
+    keep_sign = _sign_cut(stage0, int((np.abs(k[cut]) * 255 * w[cut] * h[cut]).sum()))
     reads = [(0, taps[0][0])]
     if keep_sign:
         first = _gather([window_taps, window_taps] + taps[0][1:], (0, 1))
@@ -413,7 +416,8 @@ def _compile_size(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
         first = None
         reads += [(0, window_taps), (1, window_taps)] + [(0, t) for t in taps[0][1:]]
     strided = tuple((plane, _terms(t)) for plane, t in reads)
-    return _SizePlan(win, c.stages, keep_sign, strided, (first, *map(_gather, taps[1:])))
+    return _SizePlan(Rect(0, 0, win_w, win_h), keep_sign, strided,
+                     (first, *map(_gather, taps[1:])))
 
 
 def _size_plan(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
@@ -557,8 +561,9 @@ def _joined(arrays: list[np.ndarray], axis: int = 0) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
 
 
-def _walk_batch(bands: list[_Band], tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stage walk over a batch of bands of one scan, in scan order;
+def _walk_batch(stages: tuple[Stage, ...], bands: list[_Band],
+                tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The walk through ``stages`` over a batch of bands of one scan, in scan order;
     their accepted windows, in that order (scale, then y, then x), as a
     ``(boxes, score)`` pair: int64 ``n`` x 4 rows of x, y, w, h, and the
     float64 score of each.
@@ -574,15 +579,13 @@ def _walk_batch(bands: list[_Band], tables: np.ndarray) -> tuple[np.ndarray, np.
     per-window area, then one loop over every stage, whose ``_votes`` and
     threshold test drop the candidates that fail it, until none is left.
     Stage 0 votes on the bands' sums; each later stage gathers its merged
-    corners once per band that still has candidates.  The bands' plans are
-    of one cascade, so they share its stages, which every vote reads.
+    corners once per band that still has candidates.
     Strided and gathered reads give the same integers, and every window is
     scored on its own, so a window's result depends neither on how it was
     read nor on the batch it was in.  One ``np.divmod`` turns the accepted
     offsets into origins, and each band's index its window size; no
     ``Detection`` is built here.
     """
-    stages = bands[0].plan.stages
     band = np.repeat(np.arange(len(bands)), [len(b.base) for b in bands])
     base = _joined([b.base for b in bands])
     sums = _joined([b.sums for b in bands], axis=1)
@@ -637,12 +640,12 @@ def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> Windows:
         for r0 in range(0, ny, rows):
             band = _walk_band(plan, ip.tables, ii32, r0 * stride, min(rows, ny - r0), nx, stride)
             if held and held + len(band.base) > _BAND_WINDOWS:
-                found.append(_walk_batch(bands, ip.tables))
+                found.append(_walk_batch(c.stages, bands, ip.tables))
                 bands, held = [], 0
             bands.append(band)
             held += len(band.base)
     if held:
-        found.append(_walk_batch(bands, ip.tables))
+        found.append(_walk_batch(c.stages, bands, ip.tables))
     if not found:
         return Windows(np.empty((0, 4), dtype=np.int64), np.empty(0))
     boxes, score = zip(*found)

@@ -11,7 +11,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .imaging import IntegralPair, Rect, _check, _round_half_up, rect_sum
+import numpy as np
+
+from .imaging import IntegralPair, Rect, _check, rect_sum
 
 
 class FeatureKind(enum.Enum):
@@ -40,50 +42,43 @@ class FeatureEvalError(ValueError):
     """A scaled part rect fell outside the evaluation window."""
 
 
-def scale_rect(r: Rect, scale: float) -> Rect:
-    """Scale a part rect: round-half-up on each product, extents floor 1 px."""
-    return Rect(
-        _round_half_up(r.x * scale),
-        _round_half_up(r.y * scale),
-        max(1, _round_half_up(r.w * scale)),
-        max(1, _round_half_up(r.h * scale)),
-    )
-
-
-def _scaled_parts(f: HaarFeature, scale: float, win_w: int, win_h: int,
-                  index: int | None = None) -> list[tuple[Rect, float]]:
-    """The feature's (scaled rect, weight) parts for a win_w x win_h window.
-
-    A part that rounding pushes past the window's far edge is clipped to it;
-    a part whose origin lies outside the window raises FeatureEvalError
-    naming ``index``.  At every ladder size (``scale = win_w / base_w >= 1``)
-    each origin lies inside, so every feature of a cascade scans.
-    """
-    parts = []
-    for pi, part in enumerate(f.parts):
-        s = scale_rect(part.rect, scale)
-        if s.x >= win_w or s.y >= win_h:
-            label = f"feature {index}" if index is not None else "feature"
-            raise FeatureEvalError(
-                f"{label}: scaled part {pi} ({s}) starts outside {win_w}x{win_h} window")
-        parts.append((Rect(s.x, s.y, min(s.w, win_w - s.x), min(s.h, win_h - s.y)),
-                      part.weight))
-    return parts
+def _scaled_parts(parts: np.ndarray, scale: float, win_w: int, win_h: int) -> np.ndarray:
+    """int64 x, y, w, h of the rows (feature, part, x, y, w, h, ...) of a part
+    table scaled to a win_w x win_h window: ``np.floor(v * scale + 0.5)``,
+    ``imaging._round_half_up`` bit for bit, extents floor 1 px, and a part
+    that rounding pushes past the far edge clipped to it (in float64, so any
+    finite scale > 0 converts exactly).  A part whose origin lies outside
+    the window raises FeatureEvalError naming its feature, unless negative,
+    and part; at every ladder size (``scale >= 1``) none does."""
+    s = np.floor(parts[:, 2:6] * scale + 0.5)
+    wh = np.maximum(s[:, 2:], 1, out=s[:, 2:])
+    room = np.subtract((win_w, win_h), s[:, :2])  # the window past each origin
+    if (room <= 0).any():
+        i = (room <= 0).any(axis=1).argmax()
+        fi, pi = parts[i, :2].tolist()
+        label = f"feature {fi}" if fi >= 0 else "feature"
+        raise FeatureEvalError(f"{label}: scaled part {pi} ({Rect(*map(int, s[i].tolist()))}) "
+                               f"starts outside {win_w}x{win_h} window")
+    np.minimum(wh, room, out=wh)
+    return s.astype(np.int64)
 
 
 def feature_value(ip: IntegralPair, f: HaarFeature, window: Rect,
                   scale: float = 1.0, index: int | None = None) -> float:
     """Raw (unnormalized) feature value over ``window`` at the given scale.
 
-    Part rects are scaled, clipped to the window and offset by its origin;
-    a part that starts outside the window raises FeatureEvalError naming
-    the feature.
+    Part rects are scaled by ``_scaled_parts``, clipped to the window and
+    offset by its origin; a part that starts outside the window raises
+    FeatureEvalError naming the feature.
     """
     if not window.fits_in(ip.width, ip.height):
         raise ValueError(f"window {window} outside {ip.width}x{ip.height} image")
+    _check("finite and positive", {"scale": scale})
+    parts = np.array([(-1 if index is None else index, pi, p.rect.x, p.rect.y, p.rect.w, p.rect.h)
+                      for pi, p in enumerate(f.parts)], dtype=np.int64)
     total = 0.0
-    for s, weight in _scaled_parts(f, scale, window.w, window.h, index):
-        total += weight * rect_sum(ip, Rect(window.x + s.x, window.y + s.y, s.w, s.h))
+    for p, (x, y, w, h) in zip(f.parts, _scaled_parts(parts, scale, window.w, window.h).tolist()):
+        total += p.weight * rect_sum(ip, Rect(window.x + x, window.y + y, w, h))
     return total
 
 

@@ -30,8 +30,9 @@ def _round_half_up(v: float) -> int:
 # facefollow module, so every settings object can import them.
 
 def _is_int(v, minimum: int) -> bool:
-    """The rule of every int setting: an int, not a bool, of at least ``minimum``."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= minimum
+    """Every int rule: an int or numpy integer, not a bool, of at least ``minimum``."""
+    return ((type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool))
+            and v >= minimum)
 
 
 def _is_finite(v) -> bool:
@@ -79,10 +80,9 @@ class Rect:
     h: int
 
     def __post_init__(self):
-        if self.w < 1 or self.h < 1:
-            raise ValueError(f"rect needs positive extent, got {self.w}x{self.h}")
-        if self.x < 0 or self.y < 0:
-            raise ValueError(f"rect origin must be non-negative, got ({self.x},{self.y})")
+        if not (_is_int(self.x, 0) and _is_int(self.y, 0) and _is_int(self.w, 1)
+                and _is_int(self.h, 1)):
+            raise ValueError(f"rect needs ints x, y >= 0 and w, h >= 1, got {self!r}")
 
     @property
     def right(self) -> int:

@@ -19,7 +19,7 @@ from .cascade import (Cascade, Detection, _array, _bool, _build, _int, _load_jso
 from .gated import (BODY_COLOR, FACE_COLOR, GatedDetection, GateParams, detect_gated,
                     select_target)
 from .imaging import MAX_DIM, Rect, _check, _is_int, _round_half_up, annotated_ppm
-from .mavlink import CommandSink, NullSink, build_velocity_message, open_sink
+from .mavlink import CommandSink, build_velocity_message, open_sink
 from .mission import (MissionConfig, MissionPhase, MissionState, Ned,
                       VehicleStatus, step_mission)
 from .synthetic import render_scene, synthetic_gate_params
@@ -244,7 +244,7 @@ def run_closed_loop(cfg: RunConfig, sink: CommandSink | None = None,
     cam = cfg.camera
     dt = cfg.tracker.loop_dt
     own_sink = sink is None
-    sink = sink or (open_sink(cfg.sink_dest) if cfg.sink_dest else NullSink())
+    sink = sink or open_sink(cfg.sink_dest)
     gate = cfg.gate or synthetic_gate_params(cam.img_w)
 
     state = SimState(0.0, cfg.drone_pos, cfg.drone_yaw, cfg.target_pos,

@@ -7,7 +7,7 @@ import pytest
 from facefollow import cascade
 from facefollow.cascade import Cascade, Stage, WeakClassifier
 from facefollow.haar import FeatureKind, FeaturePart, HaarFeature
-from facefollow.imaging import GrayImage, Rect
+from facefollow.imaging import GrayImage, Rect, _round_half_up
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -15,6 +15,9 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 # range, NaN and +-inf; the "int" rules refuse the first three and a float
 NOT_FINITE = ["x", None, True, 10**400, float("nan"), float("inf"), -float("inf")]
 NOT_INT = ["x", None, True, 4.5]
+# a model integer (a feature index, a Rect field) refuses the first five;
+# numpy integers pass
+MODEL_INTS = ["x", None, True, 0.0, 1.5, np.int64(0)]
 
 
 def fixture_path(name: str) -> str:
@@ -24,6 +27,36 @@ def fixture_path(name: str) -> str:
 def fixture_text(name: str) -> str:
     with open(fixture_path(name), "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def scale_rect(r: Rect, scale: float) -> Rect:
+    """The reference part scaling, one part at a time: round-half-up on each
+    product, extents floor 1 px."""
+    return Rect(_round_half_up(r.x * scale), _round_half_up(r.y * scale),
+                max(1, _round_half_up(r.w * scale)), max(1, _round_half_up(r.h * scale)))
+
+
+def scaled_parts(f: HaarFeature, scale: float, win_w: int, win_h: int) -> list:
+    """The reference (rect, weight) parts of ``f`` scaled to a ``win_w`` x
+    ``win_h`` window and clipped to it."""
+    parts = []
+    for part in f.parts:
+        s = scale_rect(part.rect, scale)
+        parts.append((Rect(s.x, s.y, min(s.w, win_w - s.x), min(s.h, win_h - s.y)),
+                      part.weight))
+    return parts
+
+
+def corner_taps(parts) -> tuple:
+    """The reference merge of (rect, weight) parts into taps (dy, dx, k): the
+    four corners of each part with +-weight, summed per distinct corner in a
+    dict, zero sums dropped, and one zero tap where every corner cancels."""
+    coef: dict[tuple[int, int], int] = {}
+    for r, weight in parts:
+        for corner, sign in (((r.y, r.x), 1), ((r.y, r.right), -1),
+                             ((r.bottom, r.x), -1), ((r.bottom, r.right), 1)):
+            coef[corner] = coef.get(corner, 0) + sign * int(weight)
+    return tuple((dy, dx, k) for (dy, dx), k in sorted(coef.items()) if k) or ((0, 0, 0),)
 
 
 def random_image(rng: random.Random, w: int, h: int) -> GrayImage:
@@ -108,8 +141,8 @@ def batches(monkeypatch):
     seen = []
     walk = cascade._walk_batch
 
-    def record(bands, tables):
-        out = walk(bands, tables)
+    def record(stages, bands, tables):
+        out = walk(stages, bands, tables)
         seen.append(([(b.plan.win.w, b.plan.win.h, len(b.base), b.plan.keep_sign)
                       for b in bands], out))
         return out

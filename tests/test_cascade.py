@@ -1,6 +1,7 @@
 import collections.abc
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import random
@@ -17,14 +18,15 @@ from facefollow.cascade import (Cascade, CascadeFormatError, Detection, ScanPara
                                 Stage, UnsupportedCascadeError, WeakClassifier, Windows,
                                 detect_multiscale, eval_window, group_detections,
                                 import_legacy_xml, parse_cascade, serialize_cascade)
-from facefollow.haar import (FeatureKind, FeaturePart, HaarFeature, _scaled_parts,
-                             enumerate_base_features, feature_value, scale_rect)
-from facefollow.imaging import GrayImage, Rect, integral, rect_sum
+from facefollow.haar import (FeatureKind, FeaturePart, HaarFeature, enumerate_base_features,
+                             feature_value)
+from facefollow.imaging import MAX_DIM, GrayImage, Rect, _round_half_up, integral, rect_sum
 from facefollow.synthetic import (build_body_cascade, build_face_cascade,
                                   synthetic_gate_params)
 
-from conftest import (NOT_FINITE, NOT_INT, CallCounter, accept_all_cascade, fixture_text,
-                      random_cascade, random_image, reject_all_cascade)
+from conftest import (MODEL_INTS, NOT_FINITE, NOT_INT, CallCounter, accept_all_cascade, corner_taps,
+                      fixture_text, random_cascade, random_image, reject_all_cascade,
+                      scale_rect, scaled_parts)
 
 MINIMAL_DOC = json.dumps({
     "name": "minimal",
@@ -179,8 +181,12 @@ class TestCascadeModel:
             Cascade(4, 4, (self.feature(2),), (stage,))
         assert not isinstance(info.value, CascadeFormatError)
 
-    @pytest.mark.parametrize("weight", [0.5, 2.0 ** 16 + 1, float("nan")])
+    @pytest.mark.parametrize("weight", [0.5, 1.5, 2.0 ** 16 + 1, 70000, float("nan"), 1e300,
+                                        10**400, "x", None, True])
     def test_weight_not_an_integer_up_to_2_16(self, weight):
+        """Checked before the part table is built: NaN and 1e300 keep this
+        message rather than numpy's conversion errors, and a value that is no
+        number fails the same check, not ``abs``."""
         stage = Stage((WeakClassifier(0, 0.1, -0.5, 0.5),), 0.0)
         feat = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(Rect(0, 0, 2, 4), weight),
                                                   FeaturePart(Rect(2, 0, 2, 4), -1.0)))
@@ -204,6 +210,45 @@ class TestCascadeModel:
                else "stages[0].weak[0]: threshold or leaf is not finite")
         with pytest.raises(ValueError, match=re.escape(why)):
             Cascade(4, 4, (self.feature(2),), (stage,))
+
+    @pytest.mark.parametrize("value", MODEL_INTS, ids=repr)
+    def test_feature_index_is_an_int(self, rng, value):
+        """A string, None, a bool or a float is refused when the cascade is
+        built, naming the weak classifier; a numpy int index scans."""
+        stage = Stage((WeakClassifier(value, 0.1, -0.5, 0.5),), 0.0)
+        if isinstance(value, np.integer):
+            c = Cascade(4, 4, (self.feature(2),), (stage,))
+            img = random_image(rng, 9, 9)
+            got = {(d.box.x, d.box.y, d.box.w, d.box.h): d.score
+                   for d in detect_multiscale(c, img, ScanParams())}
+            assert got == per_window_eval(c, img, ScanParams())[0]
+            return
+        with pytest.raises(ValueError, match=re.escape(
+                f"stages[0].weak[0].feature: index {value!r} out of range (table has 1)")):
+            Cascade(4, 4, (self.feature(2),), (stage,))
+
+    @pytest.mark.parametrize("value", MODEL_INTS, ids=repr)
+    @pytest.mark.parametrize("field", ["x", "y", "w", "h"])
+    def test_rect_fields_are_ints(self, field, value):
+        """A part rect (any rect) refuses a string, None, a bool or a float
+        with a ValueError that prints every field; a numpy int field passes."""
+        fields = {"x": 0, "y": 0, "w": 1, "h": 1}
+        if isinstance(value, np.integer):
+            fields[field] = value + 1
+            assert Rect(**fields).area == fields["w"] * fields["h"]
+            return
+        fields[field] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"rect needs ints x, y >= 0 and w, h >= 1, got Rect(x={fields['x']!r}, "
+                f"y={fields['y']!r}, w={fields['w']!r}, h={fields['h']!r})")):
+            Rect(**fields)
+
+    def test_part_table_holds_every_part_in_feature_order(self, rng):
+        c = random_cascade(rng)
+        want = [[fi, pi, p.rect.x, p.rect.y, p.rect.w, p.rect.h, p.weight]
+                for fi, f in enumerate(c.features) for pi, p in enumerate(f.parts)]
+        assert c._parts.dtype == np.int64 and c._parts.tolist() == want
+        assert not c._parts.flags.writeable
 
     def test_numpy_thresholds_and_leaves_pass(self):
         stage = Stage((WeakClassifier(0, np.float64(0.1), np.int64(-1), np.float32(0.5)),),
@@ -718,8 +763,8 @@ def edge_flush_cascade() -> Cascade:
 
 def model_taps(c: Cascade, w: int, h: int) -> list[list]:
     """Each stage's tap lists at a ``w`` x ``h`` window, in weak order, from
-    the model's features."""
-    feats = [cascade._corner_taps(_scaled_parts(f, w / c.base_w, w, h)) for f in c.features]
+    the model's features through the reference scaling and merge."""
+    feats = [corner_taps(scaled_parts(f, w / c.base_w, w, h)) for f in c.features]
     return [[feats[wk.feature_index] for wk in st.weak] for st in c.stages]
 
 
@@ -768,15 +813,13 @@ class TestSizePlans:
         assert small is not large
         assert (small.win, large.win) == (Rect(0, 0, 12, 12), Rect(0, 0, 15, 15))
 
-    def test_plans_keep_the_cascades_own_stages(self, rng):
-        """A plan holds only what the window size changes: at every size of
-        a scan its stages are the cascade's, not a copy, and it reads each
-        weak classifier's feature scaled to that size."""
+    def test_plans_read_the_reference_taps(self, rng):
+        """At every size of a scan a plan reads each weak classifier's
+        feature as the reference scaling and dict merge give it."""
         for c in (build_body_cascade(), cancelling_cascade(rng)):
             detect_multiscale(c, random_image(rng, 60, 60), ScanParams(scale_factor=1.25))
             assert len(c._plans) > 3
             for (w, h), plan in c._plans.items():
-                assert plan.stages is c.stages
                 assert plan_taps(plan) == model_taps(c, w, h)
 
     def test_equal_but_distinct_cascade_gets_its_own_plan(self, rng):
@@ -823,7 +866,7 @@ class TestSizePlans:
             assert got == want and any(k[2] == 25 for k in want)
         assert set(c._plans) == {(12, 12), (25, 25)}
         clipped = [(Rect(0, 0, 13, 25), 1.0), (Rect(13, 0, 12, 25), -1.0)]
-        assert plan_taps(cascade._size_plan(c, 25, 25))[1][0] == cascade._corner_taps(clipped)
+        assert plan_taps(cascade._size_plan(c, 25, 25))[1][0] == corner_taps(clipped)
 
     def test_fixture_cascade_at_every_size_of_the_640_ladder(self):
         """The imported upper-body fixture, whose parts touch the base
@@ -898,6 +941,94 @@ SIGN_CUTS = {
     "reachable": (0.05, -1.0, 1.0, -0.5, 0),  # -1.0 + 0.5 passes a -0.5 stage
     "equal-leaves": (0.05, -1.0, -1.0, 0.0, 0),
 }
+
+
+def deep_cascade() -> Cascade:
+    """About as deep as OpenCV's frontal-face cascade: 2,200 features drawn
+    from ``enumerate_base_features(24, 24)`` in 25 stages of 9 to 224 stumps,
+    2,901 in all.  A compile-cost proxy, not a detector."""
+    rng = random.Random(3)
+    feats = tuple(rng.sample(enumerate_base_features(24, 24), 2200))
+    stages = tuple(Stage(tuple(WeakClassifier(rng.randrange(len(feats)), rng.uniform(-0.02, 0.02),
+                                              rng.uniform(-1.0, 0.0), rng.uniform(0.0, 1.0))
+                               for _ in range(9 + 215 * si // 24)), 0.0)
+                   for si in range(25))
+    return Cascade(24, 24, feats, stages, name="deep")
+
+
+PLAN_CASCADES = {
+    "body": build_body_cascade,
+    "face": build_face_cascade,
+    "upperbody_20x20": lambda: import_legacy_xml(fixture_text("upperbody_20x20.xml")),
+    "face_24x24": lambda: import_legacy_xml(fixture_text("face_24x24.xml")),
+    "deep": deep_cascade,
+}
+PLAN_LADDERS = {"320x240": (320, 240, ScanParams()), "640x480": (640, 480, ScanParams()),
+                "640x480-1.05": (640, 480, ScanParams(scale_factor=1.05))}
+# plan_digest over every size of each ladder, as the compile that merged
+# each feature's corners in a Python dict gave them
+PLAN_DIGESTS = {
+    "body": ("45934c55a241ce9e", "0c86f028dab86ecd", "bcef1611f6bed504"),
+    "face": ("cdcba587f90b28bf", "699446228ae636d4", "586c9619be072295"),
+    "upperbody_20x20": ("5cc4c44a70ee6071", "0b0f145d0463d667", "1f190338e5dea630"),
+    "face_24x24": ("e15918d9f5d47dae", "274b75d5032e9b74", "a92121d3dc503f99"),
+    "deep": ("d52635eaae0a1fb8", "86fc3de18101e2ee", "b1d3a0cc66ee1c1b"),
+}
+
+
+def plan_digest(c: Cascade, sizes) -> str:
+    """A sha256 prefix of the plans at ``sizes``: each one's window,
+    ``keep_sign`` and strided terms, then the shape and little-endian int64
+    bytes of every gather array."""
+    h = hashlib.sha256()
+    for w, hh in sizes:
+        plan = cascade._size_plan(c, w, hh)
+        h.update(repr((plan.win, plan.keep_sign, plan.strided)).encode())
+        for g in plan.gathers:
+            arrays = () if g is None else g
+            h.update(repr([a.shape for a in arrays]).encode())
+            for a in arrays:
+                h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestPlanDigests:
+    """Every plan of the synthetic pair, both imported fixtures and a deep
+    cascade, at every size of three ladders, equals the plan of the per-part
+    dict-merge compile, pinned as digests; the sign cut is on in the
+    synthetic pair and off in the rest."""
+
+    @pytest.mark.parametrize("name", PLAN_CASCADES)
+    def test_plans_equal_the_pinned_digests(self, name):
+        c = PLAN_CASCADES[name]()
+        sizes = {ladder: cascade._scan_sizes(c, w, h, p)
+                 for ladder, (w, h, p) in PLAN_LADDERS.items()}
+        assert tuple(plan_digest(c, s) for s in sizes.values()) == PLAN_DIGESTS[name]
+        assert {plan.keep_sign for plan in c._plans.values()} == \
+            ({1} if name in ("body", "face") else {0})
+        assert len(sizes["640x480-1.05"]) > 60
+
+    @pytest.mark.parametrize("base", [4, 12, 20, 24, 37])
+    def test_numpy_rounding_equals_math_floor(self, rng, base):
+        """At every scale of the three ladders, ``int64 * float`` and
+        ``np.floor(v * scale + 0.5)`` in float64 equal Python's product and
+        ``math.floor`` bit for bit, so the part table scales each part as
+        the reference does, clip included."""
+        values = list(range(base + 1)) + rng.sample(range(base + 1, MAX_DIM + 1), 100)
+        c = accept_all_cascade(base, base)
+        scales = {w / base for wl, hl, p in PLAN_LADDERS.values()
+                  for w, _ in cascade._scan_sizes(c, wl, hl, p)}
+        v = np.array(values, dtype=np.int64)
+        for scale in sorted(scales):
+            assert (v * scale).tolist() == [x * scale for x in values]
+            assert np.floor(v * scale + 0.5).astype(np.int64).tolist() == \
+                [_round_half_up(x * scale) for x in values]
+        cr = random_cascade(rng, base_w=base, base_h=base, n_features=40)
+        for scale in sorted(scales):
+            w = _round_half_up(base * scale)
+            got = haar._scaled_parts(cr._parts, scale, w, w).tolist()
+            assert got == [[r.x, r.y, r.w, r.h] for f in cr.features
+                           for r, _ in scaled_parts(f, scale, w, w)]
 
 
 def sign_cut_cascade(rng, kind: str) -> Cascade:
@@ -1297,7 +1428,7 @@ class TestGather:
         c = build()
         w, h = c.base_w + 3, c.base_h + 3
         plan = cascade._size_plan(c, w, h)
-        window_taps = cascade._corner_taps([(plan.win, 1)])
+        window_taps = corner_taps([(plan.win, 1)])
         tap_lists = [window_taps] * 2 + model_taps(c, w, h)[0][1:]
         first = plan.gathers[0]
         assert all(map(np.array_equal, first, cascade._gather(tap_lists, (0, 1))))
@@ -1311,23 +1442,24 @@ class TestGather:
         cut, such as every 320x240 size of the imported fixtures, has no
         stage 0 gather, and a cut's gather reads the window twice and stage
         0's weak classifiers after the cut one; every later stage has one."""
-        plans = [cascade._size_plan(sign_cut_cascade(rng, kind), w, w)
-                 for kind in ("left-lower", "reachable") for w in (8, 10, 13)]
+        plans = [(c, cascade._size_plan(c, w, w))
+                 for kind in ("left-lower", "reachable") for w in (8, 10, 13)
+                 for c in [sign_cut_cascade(rng, kind)]]
         for name in ("upperbody_20x20.xml", "face_24x24.xml"):
             c = import_legacy_xml(fixture_text(name))
-            plans += [cascade._size_plan(c, w, h)
+            plans += [(c, cascade._size_plan(c, w, h))
                       for w, h in cascade._scan_sizes(c, 320, 240, ScanParams())]
-        assert {p.keep_sign for p in plans} == {0, 1} and len(plans) > 20
-        for plan in plans:
+        assert {p.keep_sign for _, p in plans} == {0, 1} and len(plans) > 20
+        for c, plan in plans:
             assert (plan.gathers[0] is None) == (plan.keep_sign == 0)
             if plan.keep_sign:
-                assert len(plan.gathers[0].dy) == len(plan.stages[0].weak) + 1
-            assert len(plan.gathers) == len(plan.stages)
+                assert len(plan.gathers[0].dy) == len(c.stages[0].weak) + 1
+            assert len(plan.gathers) == len(c.stages)
             assert all(g is not None for g in plan.gathers[1:])
 
 
 def term_taps(terms):
-    """The taps that ``terms`` read, merged per corner as ``_corner_taps``
+    """The taps that ``terms`` read, merged per corner as ``corner_taps``
     merges them."""
     coef: dict[tuple[int, int], int] = {}
     for rows, cols in terms:
@@ -1362,7 +1494,7 @@ def random_tap_lists(rng, n: int, reach: int = 24):
                 parts.append((Rect(x, y, rng.randrange(1, reach - x + 1),
                                    rng.randrange(1, reach - y + 1)),
                               rng.choice([-2.0, -1.0, 1.0, 3.0, 2.0 ** 16])))
-            lists.append(cascade._corner_taps(parts))
+            lists.append(corner_taps(parts))
         else:
             corners = {(rng.randrange(reach + 1), rng.randrange(reach + 1))
                        for _ in range(rng.randrange(1, 9))}
@@ -1384,14 +1516,14 @@ class TestTerms:
         lists, kinds = [], set()
         for c in cascades:
             for w, h in cascade._scan_sizes(c, 640, 480, ScanParams()):
-                lists += [cascade._corner_taps(_scaled_parts(f, w / c.base_w, w, h))
+                lists += [corner_taps(scaled_parts(f, w / c.base_w, w, h))
                           for f in c.features]
                 # a cut plan reads its cut feature, a plan without one also
                 # the window, in ii and in sq, and stage 0's other features
                 plan = cascade._size_plan(c, w, h)
                 kinds.add(plan.keep_sign)
                 taps0 = model_taps(c, w, h)[0]
-                window = cascade._corner_taps([(plan.win, 1)])
+                window = corner_taps([(plan.win, 1)])
                 reads = taps0[:1] if plan.keep_sign else taps0[:1] + [window] * 2 + taps0[1:]
                 planes = [0] if plan.keep_sign else [0, 0, 1] + [0] * (len(taps0) - 1)
                 assert [plane for plane, _ in plan.strided] == planes
@@ -1419,8 +1551,7 @@ class TestTerms:
         assert len(sizes) == 17
         for w, h in sizes:
             for f in feats:
-                assert len(cascade._terms(cascade._corner_taps(
-                    _scaled_parts(f, w / 24, w, h)))) == 1
+                assert len(cascade._terms(corner_taps(scaled_parts(f, w / 24, w, h)))) == 1
 
     def test_zero_tap_is_one_term(self):
         assert cascade._terms(((0, 0, 0),)) == ((((0, 1),), ((0, 0),)),)

@@ -3,14 +3,15 @@ import re
 import numpy as np
 import pytest
 
+from facefollow import cascade
 from facefollow.cascade import (Cascade, ScanParams, Stage, WeakClassifier,
                                 _variance_denominator, detect_multiscale, eval_window)
 from facefollow.haar import (FeatureEvalError, FeatureKind, FeaturePart,
                              HaarFeature, count_base_features,
-                             enumerate_base_features, feature_value, scale_rect)
+                             enumerate_base_features, feature_value)
 from facefollow.imaging import GrayImage, Rect, integral
 
-from conftest import NOT_INT, random_image
+from conftest import NOT_FINITE, NOT_INT, random_image, scale_rect
 
 # the five templates as (unit cols, unit rows), mirroring the generator's shapes
 TEMPLATE_GRID = {
@@ -149,10 +150,11 @@ class TestFeatureValue:
             assert [d.box for d in out] == [r for r in want if eval_window(c, ip, r).accepted]
             assert 0 < len(out) < 36
 
-    @pytest.mark.parametrize("entry", ["feature_value", "eval_window"])
+    @pytest.mark.parametrize("entry", ["feature_value", "unnamed", "eval_window", "compile"])
     def test_escape_names_feature_index(self, rng, entry):
         """A part that starts outside the window: a free scale, or a window
-        shorter than the scaled base."""
+        shorter than the scaled base, which no ladder size is.  feature_value
+        without an index names no feature."""
         img = random_image(rng, 30, 30)
         f = HaarFeature(FeatureKind.TWO_RECT, (
             FeaturePart(Rect(0, 0, 12, 6), 1.0),
@@ -168,12 +170,33 @@ class TestFeatureValue:
         calls = {
             "feature_value": lambda: feature_value(integral(img), f, window,
                                                    25 / 12, index=3),
+            "unnamed": lambda: feature_value(integral(img), f, window, 25 / 12),
             "eval_window": lambda: eval_window(c, integral(img), window),
+            "compile": lambda: cascade._size_plan(c, 25, 12),
         }
+        label = "feature" if entry == "unnamed" else "feature 3"
         with pytest.raises(FeatureEvalError, match=re.escape(
-                "feature 3: scaled part 1 (Rect(x=0, y=13, w=25, h=13)) starts "
+                f"{label}: scaled part 1 (Rect(x=0, y=13, w=25, h=13)) starts "
                 "outside 25x12 window")):
             calls[entry]()
+
+    @pytest.mark.parametrize("scale", NOT_FINITE + [0, -1.5], ids=repr)
+    def test_scale_must_be_finite_and_positive(self, scale):
+        f = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(Rect(0, 0, 2, 4), 1.0),
+                                               FeaturePart(Rect(2, 0, 2, 4), -1.0)))
+        ip = integral(GrayImage(np.zeros((8, 8), dtype=np.uint8)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"scale must be finite and positive, got {scale!r}")):
+            feature_value(ip, f, Rect(0, 0, 8, 8), scale)
+
+    def test_huge_scale_clips_exactly(self, rng):
+        """A part at the origin scaled far past int64 is clipped to the
+        whole window."""
+        img = random_image(rng, 10, 10)
+        f = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(Rect(0, 0, 2, 2), 1.0),
+                                               FeaturePart(Rect(0, 0, 1, 1), -2.0)))
+        assert feature_value(integral(img), f, Rect(1, 2, 6, 5), 1e300) == \
+            -int(img.data[2:7, 1:7].sum())
 
 
 class TestEnumeration:

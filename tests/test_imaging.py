@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from facefollow.imaging import (GrayImage, IntegralPair, PnmParseError, Rect, _is_finite,
-                                _round_half_up, annotated_ppm, decode_pnm, draw_box, encode_pgm,
-                                encode_ppm, integral, rect_sum, to_rgb)
+                                _is_int, _round_half_up, annotated_ppm, decode_pnm, draw_box,
+                                encode_pgm, encode_ppm, integral, rect_sum, to_rgb)
 
-from conftest import NOT_FINITE, random_image
+from conftest import MODEL_INTS, NOT_FINITE, random_image
 
 
 def brute_integral(img: GrayImage, squared: bool = False) -> np.ndarray:
@@ -354,6 +354,17 @@ def test_annotated_ppm_draws_each_box_in_order(rng):
         draw_box(rgb, r, color)
     assert annotated_ppm(img, boxes) == encode_ppm(rgb)
     assert annotated_ppm(img, []) == encode_ppm(to_rgb(img))
+
+
+@pytest.mark.parametrize("value", MODEL_INTS[:-1] + [np.bool_(True), np.float64(2.0), "3"],
+                         ids=repr)
+def test_is_int_refuses(value):
+    assert _is_int(value, 0) is False
+
+
+@pytest.mark.parametrize("value", [0, 10**400, np.int64(7), np.uint8(255), np.int32(0)], ids=repr)
+def test_is_int_takes_ints_and_numpy_ints(value):
+    assert _is_int(value, 0) and not _is_int(value, int(value) + 1)
 
 
 @pytest.mark.parametrize("value", NOT_FINITE + [np.float32("inf"), np.float64("nan"),

@@ -10,7 +10,7 @@ from facefollow import sim
 from facefollow.cascade import serialize_cascade
 from facefollow.gated import BODY_COLOR, FACE_COLOR, detect_gated
 from facefollow.imaging import Rect, draw_box, encode_ppm, to_rgb
-from facefollow.mavlink import FRAME_LEN, FileSink
+from facefollow.mavlink import FRAME_LEN, FileSink, SinkError
 from facefollow.mission import MissionPhase, Ned
 from facefollow.sim import (CameraModel, RunConfig, SimState, TargetPath,
                             converged, load_run_config, project_target,
@@ -291,6 +291,20 @@ class TestClosedLoopOracle:
         guided = sum(r.mission in (MissionPhase.TRACKING, MissionPhase.HOVER)
                      for r in trace.rows)
         assert path.stat().st_size == guided * FRAME_LEN == 30 * FRAME_LEN
+
+    def test_sink_dest_opens_its_own_sink(self, tmp_path):
+        """A run's ``sink_dest`` writes the bytes of the same sink passed in,
+        with the same trace; without one the frames are discarded, and an
+        empty one fails to open before the first tick."""
+        cfg = offset_config(0.4, 0.0, ticks=30)
+        given, own = tmp_path / "given.bin", tmp_path / "own.bin"
+        with FileSink(str(given)) as sink:
+            want = run_closed_loop(cfg, sink=sink).to_csv()
+        assert run_closed_loop(replace(cfg, sink_dest=str(own))).to_csv() == want
+        assert own.read_bytes() == given.read_bytes() and len(want) > 0
+        assert run_closed_loop(cfg).to_csv() == want
+        with pytest.raises(SinkError, match="^cannot open sink file "):
+            run_closed_loop(replace(cfg, sink_dest=""))
 
     def test_failsafe_frames_stop(self, tmp_path):
         path = tmp_path / "frames.bin"
