@@ -11,8 +11,8 @@ window size changes, its taps, terms and gathers; every threshold and leaf
 is read from the cascade's own stages.  The compile scales the cascade's
 int64 part table at once, and each feature's parts become corner taps
 ``(dy, dx, k)``, summed per distinct corner so shared corners merge or
-cancel.  The tap lists that a band reads as strided slices, stage 0's
-features and the window's corners, are also grouped into row x column
+cancel, in one zero-padded table per size whose last row is the window;
+gathers are cut from it.  Strided reads are also grouped into row x column
 terms (``_terms``): a Haar rectangle is a difference of table rows times a
 difference of its columns, so ``_grid_sum`` can sum a term's rows first
 and then read its columns from that sum.  The grid is cut into row bands
@@ -277,15 +277,12 @@ def _scan_sizes(c: Cascade, img_w: int, img_h: int,
     return sizes
 
 
-_Taps = tuple[tuple[int, int, int], ...]  # (dy, dx, k): k * table[y + dy, x + dx]
-
-
 # a tap list grouped into row x column terms, (rows, columns) each: term
 # (((dy, a), ...), ((dx, b), ...)) is the taps (dy, dx, a * b)
 _Terms = tuple[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]], ...]
 
 
-def _terms(taps: _Taps) -> _Terms:
+def _terms(taps: list[list[int]]) -> _Terms:
     """The taps as row x column terms.  Each row's taps, as coefficients
     over its columns, are an integer multiple of one column vector whose
     entries have no common factor and whose first entry is positive; rows
@@ -305,22 +302,23 @@ def _terms(taps: _Taps) -> _Terms:
 
 
 class _Gather(NamedTuple):
-    """Tap lists to be read at scattered window origins, padded with zero
-    taps to one length: list i's table (0 for ``ii``, 1 for ``sq``), its
-    corners and its coefficient on each."""
+    """Rows of a size's tap table to be read at scattered window origins,
+    cut to the longest of them: row i's table (0 for ``ii``, 1 for ``sq``),
+    its corners and its coefficient on each."""
     plane: np.ndarray   # int64, lists x 1
     dy: np.ndarray      # int64, lists x taps
     dx: np.ndarray
     coef: np.ndarray    # 0 on the padding
 
 
-def _gather(tap_lists: list[_Taps], planes: tuple[int, ...] = ()) -> _Gather:
-    """List i reads the table ``planes[i]``, and ``ii`` past their end."""
-    longest = max(map(len, tap_lists))
-    plane = np.zeros((len(tap_lists), 1), dtype=np.int64)
+def _gather(taps: np.ndarray, n: np.ndarray, feats: list[int],
+            planes: tuple[int, ...] = ()) -> _Gather:
+    """Rows ``feats`` of the padded tap table ``taps``, whose row f holds
+    ``n[f]`` taps, cut to the longest of them but at least one tap; row i
+    reads the table ``planes[i]``, and ``ii`` past their end."""
+    plane = np.zeros((len(feats), 1), dtype=np.int64)
     plane[:len(planes), 0] = planes
-    return _Gather(plane, *np.array([t + ((0, 0, 0),) * (longest - len(t)) for t in tap_lists],
-                                    dtype=np.int64).transpose(2, 0, 1))
+    return _Gather(plane, *taps[feats, :max(1, n[feats].max())].transpose(2, 0, 1))
 
 
 def _gather_sums(g: _Gather, base: np.ndarray, tables: np.ndarray,
@@ -390,9 +388,10 @@ def _sign_cut(st: Stage, magnitude: int) -> int:
 def _compile_size(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
     """Scale the part table to a ``win_w`` x ``win_h`` window and sum each
     part's four corners with +-weight per (feature, dy, dx), exactly in one
-    ``np.unique`` and ``bincount``: zero sums drop, but a feature whose
-    corners all cancel reads one zero tap.  What a band reads as strided
-    slices is grouped into terms, and what it gathers into ``_Gather``s."""
+    ``np.unique`` and ``bincount``; zero sums drop.  One zero-padded table
+    holds feature f's sorted taps in row f and the window's corners last
+    (a feature whose corners all cancel reads one zero tap).  Strided reads
+    are grouped into terms, and gathers are cut from the table."""
     x, y, w, h = _scaled_parts(c._parts, win_w / c.base_w, win_w, win_h).T
     feature, k = c._parts[:, 0], c._parts[:, 6]
     key = ((np.tile(feature, 4) * (win_h + 1) + np.concatenate([y, y, y + h, y + h]))
@@ -401,23 +400,24 @@ def _compile_size(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
     coef = np.bincount(corner, np.concatenate([k, -k, -k, k])).astype(np.int64)
     key, coef = key[coef != 0], coef[coef != 0]
     fi, yx = np.divmod(key, (win_h + 1) * (win_w + 1))
-    taps = np.column_stack([*np.divmod(yx, win_w + 1), coef]).tolist()
-    cuts = np.searchsorted(fi, np.arange(len(c.features) + 1)).tolist()
-    feats = [tuple(map(tuple, taps[lo:hi])) or ((0, 0, 0),) for lo, hi in zip(cuts, cuts[1:])]
-    taps = [[feats[wk.feature_index] for wk in st.weak] for st in c.stages]
-    window_taps = ((0, 0, 1), (0, win_w, -1), (win_h, 0, -1), (win_h, win_w, 1))
-    stage0 = c.stages[0]
-    cut = feature == stage0.weak[0].feature_index
-    keep_sign = _sign_cut(stage0, int((np.abs(k[cut]) * 255 * w[cut] * h[cut]).sum()))
-    reads = [(0, taps[0][0])]
+    window = len(c.features)
+    n = np.append(np.bincount(fi, minlength=window), 4)
+    taps = np.zeros((window + 1, n.max(), 3), dtype=np.int64)
+    taps[fi, np.arange(len(fi)) - np.searchsorted(fi, fi)] = \
+        np.column_stack([*np.divmod(yx, win_w + 1), coef])
+    taps[window, :4] = [(0, 0, 1), (0, win_w, -1), (win_h, 0, -1), (win_h, win_w, 1)]
+    (f0, *rest), *later = [[wk.feature_index for wk in st.weak] for st in c.stages]
+    cut = feature == f0
+    keep_sign = _sign_cut(c.stages[0], int((np.abs(k[cut]) * 255 * w[cut] * h[cut]).sum()))
+    reads = [(0, f0)]
     if keep_sign:
-        first = _gather([window_taps, window_taps] + taps[0][1:], (0, 1))
+        first = _gather(taps, n, [window, window, *rest], (0, 1))
     else:
         first = None
-        reads += [(0, window_taps), (1, window_taps)] + [(0, t) for t in taps[0][1:]]
-    strided = tuple((plane, _terms(t)) for plane, t in reads)
+        reads += [(0, window), (1, window)] + [(0, f) for f in rest]
+    strided = tuple((plane, _terms(taps[f, :max(1, n[f])].tolist())) for plane, f in reads)
     return _SizePlan(Rect(0, 0, win_w, win_h), keep_sign, strided,
-                     (first, *map(_gather, taps[1:])))
+                     (first, *(_gather(taps, n, f) for f in later)))
 
 
 def _size_plan(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
@@ -859,7 +859,7 @@ def serialize_cascade(c: Cascade) -> str:
             for st in c.stages
         ],
     }
-    return json.dumps(doc, indent=1)
+    return json.dumps(doc, indent=1, default=np.generic.item)  # numpy scalars as Python ones
 
 
 # --- legacy OpenCV XML import ------------------------------------------------

@@ -83,6 +83,23 @@ class TestParseCascade:
             assert once == twice
             assert parse_cascade(once) == parse_cascade(doc)
 
+    @pytest.mark.parametrize("field", ["index", "base_w", "x", "threshold", "weight"])
+    def test_numpy_numbers_serialize_as_python_ones(self, field):
+        """A code-built cascade may hold a numpy int index, base size or rect
+        field, or a numpy float threshold or weight; the document holds
+        their Python values and parses back to an equal cascade."""
+        np_value = {"index": np.int64(0), "base_w": np.int64(24), "x": np.int64(2),
+                    "threshold": np.float32(0.1), "weight": np.float32(-2.0)}[field]
+        v = {"index": 0, "base_w": 24, "x": 2, "threshold": 0.1, "weight": -2.0,
+             field: np_value}
+        feat = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(Rect(v["x"], 0, 20, 24), 1.0),
+                                                  FeaturePart(Rect(0, 0, 24, 12), v["weight"])))
+        c = Cascade(v["base_w"], 24, (feat,),
+                    (Stage((WeakClassifier(v["index"], v["threshold"], -0.5, 0.5),), 0.0),))
+        text = serialize_cascade(c)
+        assert parse_cascade(text) == c
+        assert serialize_cascade(parse_cascade(text)) == text
+
     def test_feature_index_out_of_range(self):
         doc = json.loads(MINIMAL_DOC)
         doc["stages"][0]["weak"][0]["feature"] = 1
@@ -1382,14 +1399,29 @@ class TestStageLoop:
         assert not any(g is p.gathers[2] for p in plans for g in reads)
 
 
+def tap_table(tap_lists):
+    """``tap_lists`` as ``_compile_size`` lays out its taps: one zero-padded
+    int64 table, list i's nonzero taps in row i, and each row's tap count;
+    the rows of every list, to gather."""
+    n = np.array([sum(k != 0 for *_, k in taps) for taps in tap_lists])
+    table = np.zeros((len(tap_lists), max(n), 3), dtype=np.int64)
+    for row, taps in zip(table, tap_lists):
+        nonzero = [t for t in taps if t[2]]
+        row[:len(nonzero)] = np.array(nonzero, dtype=np.int64).reshape(-1, 3)
+    return table, n, list(range(len(tap_lists)))
+
+
 class TestGather:
     """One ``take`` of every tap, from the plane of the table block that
     each list names, then one product with the coefficient matrix, gives
     each tap list's strided-slice sums."""
 
     def check(self, rng, tap_lists, g):
-        tables = integral(random_image(rng, 48, 48)).tables
-        stride, ny, nx = 3, 6, 7  # origins up to (15, 18); taps reach 24 further
+        # origins up to (15, 18); taps reach 24 columns further, and as many
+        # rows as the tallest list
+        reach = max(dy for taps in tap_lists for dy, _, _ in taps)
+        tables = integral(random_image(rng, 48, max(48, 16 + reach))).tables
+        stride, ny, nx = 3, 6, 7
         alive = np.array(sorted(rng.sample(range(ny * nx), 20)))
         base = alive // nx * (stride * tables.shape[2]) + alive % nx * stride
         got = cascade._gather_sums(g, base, tables)
@@ -1403,7 +1435,8 @@ class TestGather:
         plan = cascade._size_plan(cancelling_cascade(rng), 15, 23)
         tap_lists = sum(plan_taps(plan), [])
         assert ((0, 0, 0),) in tap_lists and len({len(t) for t in tap_lists}) > 1
-        g = cascade._gather(tap_lists)
+        table, n, rows = tap_table(tap_lists)
+        g = cascade._gather(table, n, rows)
         # one row per list, padded with zero taps to the longest, all in ii
         assert g.coef.shape == g.dy.shape == g.dx.shape == \
             (len(tap_lists), max(map(len, tap_lists)))
@@ -1411,27 +1444,47 @@ class TestGather:
             assert row == [list(t) for t in taps] + [[0, 0, 0]] * (len(row) - len(taps))
         assert g.plane.tolist() == [[0]] * len(tap_lists)
         self.check(rng, tap_lists, g)
+        # the cancelled list alone: its empty row reads as one zero tap
+        zero = tap_lists.index(((0, 0, 0),))
+        assert n[zero] == 0
+        alone = cascade._gather(table, n, [zero])
+        assert [a.tolist() for a in alone] == [[[0]]] * 4
+        self.check(rng, [((0, 0, 0),)], alone)
 
     def test_lists_read_the_planes_they_name(self, rng):
         """Lists past the named planes read ii."""
         plan = cascade._size_plan(cancelling_cascade(rng), 15, 23)
         tap_lists = sum(plan_taps(plan), [])
-        g = cascade._gather(tap_lists, (1, 0, 1))
+        g = cascade._gather(*tap_table(tap_lists), (1, 0, 1))
         assert g.plane[:, 0].tolist() == [1, 0, 1] + [0] * (len(tap_lists) - 3)
         self.check(rng, tap_lists, g)
 
-    @pytest.mark.parametrize("build", [build_body_cascade, build_face_cascade])
-    def test_cut_gather_reads_the_window_first(self, rng, build):
+    @pytest.mark.parametrize("size", ["base+3", "off-aspect"])
+    @pytest.mark.parametrize("build, cut", [
+        (build_body_cascade, True), (build_face_cascade, True),
+        (lambda: import_legacy_xml(fixture_text("face_24x24.xml")), False)],
+        ids=["body", "face", "face_24x24"])
+    def test_cut_gather_reads_the_window_first(self, rng, build, cut, size):
         """The survivors' one gather of the table block: the window's sum in
         ii (s1) and in sq (s2), then stage 0's weak classifiers after the
-        cut one, in ii."""
+        cut one, in ii.  The imported fixture has no cut, so its strided
+        reads take the window after the first weak classifier.  At the
+        off-aspect size a base window scaled by ``w / base_w`` is shorter
+        than the window."""
         c = build()
-        w, h = c.base_w + 3, c.base_h + 3
+        w = c.base_w + 3
+        h = c.base_h + 3 if size == "base+3" else 2 * c.base_h + 4
         plan = cascade._size_plan(c, w, h)
-        window_taps = corner_taps([(plan.win, 1)])
+        window_taps = corner_taps([(Rect(0, 0, w, h), 1)])
+        assert bool(plan.keep_sign) == cut
+        if not cut:
+            assert plan.gathers[0] is None
+            assert [(plane, term_taps(terms)) for plane, terms in plan.strided[1:3]] == \
+                [(0, window_taps), (1, window_taps)]
+            return
         tap_lists = [window_taps] * 2 + model_taps(c, w, h)[0][1:]
         first = plan.gathers[0]
-        assert all(map(np.array_equal, first, cascade._gather(tap_lists, (0, 1))))
+        assert all(map(np.array_equal, first, cascade._gather(*tap_table(tap_lists), (0, 1))))
         assert first.plane[:, 0].tolist() == [0, 1] + [0] * (len(tap_lists) - 2)
         assert np.stack(first[1:], axis=-1)[:2, :4].tolist() == \
             [[list(t) for t in window_taps]] * 2
