@@ -321,18 +321,16 @@ def _gather(taps: np.ndarray, n: np.ndarray, feats: list[int],
     return _Gather(plane, *taps[feats, :max(1, n[feats].max())].transpose(2, 0, 1))
 
 
-def _gather_sums(g: _Gather, base: np.ndarray, tables: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def _gather_sums(g: _Gather, base: np.ndarray, tables: np.ndarray) -> np.ndarray:
     """Row i: tap list i's int64 sums at the flat offsets ``base`` into a
-    plane of ``tables``, the (2, rows, cols) block of ``ii`` and ``sq``,
-    written to ``out`` when given.  One ``take`` reads every tap at every
-    origin, and one product with the coefficient matrix sums each list over
-    its own taps, so the cost grows with the taps, not with lists times
-    taps.  The products and sums are exact integers, far below 2**63 in
-    magnitude."""
+    plane of ``tables``, the (2, rows, cols) block of ``ii`` and ``sq``.
+    One ``take`` reads every tap at every origin, and one product with the
+    coefficient matrix sums each list over its own taps, so the cost grows
+    with the taps, not with lists times taps.  The products and sums are
+    exact integers, far below 2**63 in magnitude."""
     _, rows, cols = tables.shape
     idx = ((g.plane * rows + g.dy) * cols + g.dx)[:, :, None] + base
-    return np.einsum("lt,ltn->ln", g.coef, tables.ravel().take(idx), out=out)
+    return np.einsum("lt,ltn->ln", g.coef, tables.ravel().take(idx))
 
 
 class _SizePlan(NamedTuple):
@@ -441,27 +439,16 @@ def _fold(out: np.ndarray, reads: list[tuple[np.ndarray, int]], fresh: bool) -> 
     """``out`` += (or, when ``fresh``, =) the sum of k * v over the (v, k)
     ``reads``, in ``out``'s dtype: exact integers, modulo 2**32 in int32.
     Integer sums do not depend on their order, so coefficients other than
-    +-1 come first, where a fresh ``out`` takes one without a temporary,
-    and a fresh +1 takes the next +-1 in the same pass."""
-    reads = sorted(reads, key=lambda r: (abs(r[1]) == 1, -r[1]))
-    if fresh:
-        (v, k), *reads = reads
-        if k == 1 and reads and abs(reads[0][1]) == 1:
-            (w, j), *reads = reads
-            (np.add if j == 1 else np.subtract)(v, w, out=out)
-        else:
+    +-1 come first, where a fresh ``out`` takes one without a temporary."""
+    for i, (v, k) in enumerate(sorted(reads, key=lambda r: abs(r[1]) == 1)):
+        if fresh and not i:
             np.multiply(v, k, out=out)
-    tmp = None
-    for v, k in reads:
-        if k == 1:
+        elif k == 1:
             np.add(out, v, out=out)
         elif k == -1:
             np.subtract(out, v, out=out)
         else:
-            if tmp is None:
-                tmp = np.empty_like(out)
-            np.multiply(v, k, out=tmp)
-            np.add(out, tmp, out=out)
+            out += v * k
 
 
 def _grid_sum(acc: np.ndarray, table: np.ndarray, terms: _Terms, stride: int) -> np.ndarray:
@@ -492,16 +479,13 @@ def _grid_sum(acc: np.ndarray, table: np.ndarray, terms: _Terms, stride: int) ->
     return acc.reshape(-1)
 
 
-def _sigma_area(s1: np.ndarray, s2: np.ndarray, area: float) -> np.ndarray:
+def _sigma_area(s1: np.ndarray, s2: np.ndarray, area: np.ndarray) -> np.ndarray:
     """sigma * area per window from the int64 sums of its pixels ``s1`` and
     squared pixels ``s2``: ``_variance_denominator``'s float64 operations in
     its order, sigma falling back to 1 where the variance is not positive."""
     mean = s1 / area
-    var = s2 / area
-    var -= mean * mean
-    sigma = np.sqrt(var, out=np.ones_like(var), where=var > 0)
-    sigma *= area
-    return sigma
+    var = s2 / area - mean * mean
+    return np.sqrt(var, out=np.ones_like(var), where=var > 0) * area
 
 
 def _votes(st: Stage, raw, denom: np.ndarray) -> np.ndarray:
@@ -543,22 +527,14 @@ def _walk_band(plan: _SizePlan, tables: np.ndarray, ii32: np.ndarray,
         alive = np.flatnonzero(cut > 0 if plan.keep_sign > 0 else cut < 0)
         iy, ix = np.divmod(alive, nx)
         base = (iy * stride + y0) * cols + ix * stride
-        first = plan.gathers[0]
-        sums = np.empty((1 + len(first.dy), len(alive)), dtype=np.int64)
-        sums[0] = cut[alive]
-        _gather_sums(first, base, tables, out=sums[1:])
-        return _Band(plan, base, sums)
+        return _Band(plan, base, np.concatenate([cut[alive][None],
+                                                 _gather_sums(plan.gathers[0], base, tables)]))
     base = (np.arange(y0, y0 + ny * stride, stride)[:, None] * cols
             + np.arange(0, nx * stride, stride)).reshape(-1)
     sums = np.empty((len(plan.strided), ny, nx), dtype=np.int64)
     for acc, (plane, terms) in zip(sums, plan.strided):
         _grid_sum(acc, tables[plane, y0:], terms, stride)
     return _Band(plan, base, sums.reshape(len(sums), -1))
-
-
-def _joined(arrays: list[np.ndarray], axis: int = 0) -> np.ndarray:
-    """``arrays`` concatenated along ``axis``; a lone array is not copied."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
 
 
 def _walk_batch(stages: tuple[Stage, ...], bands: list[_Band],
@@ -587,16 +563,16 @@ def _walk_batch(stages: tuple[Stage, ...], bands: list[_Band],
     ``Detection`` is built here.
     """
     band = np.repeat(np.arange(len(bands)), [len(b.base) for b in bands])
-    base = _joined([b.base for b in bands])
-    sums = _joined([b.sums for b in bands], axis=1)
+    base = np.concatenate([b.base for b in bands])
+    sums = np.concatenate([b.sums for b in bands], axis=1)
     denom = _sigma_area(sums[1], sums[2],
                         np.array([float(b.plan.win.area) for b in bands])[band])
     raw = (sums[0], *sums[3:])
     for si, st in enumerate(stages):
         if si:
             cuts = np.searchsorted(band, np.arange(len(bands) + 1)).tolist()
-            raw = _joined([_gather_sums(b.plan.gathers[si], base[lo:hi], tables)
-                           for b, lo, hi in zip(bands, cuts, cuts[1:]) if hi > lo], axis=1)
+            raw = np.concatenate([_gather_sums(b.plan.gathers[si], base[lo:hi], tables)
+                                  for b, lo, hi in zip(bands, cuts, cuts[1:]) if hi > lo], axis=1)
         score = _votes(st, raw, denom)
         keep = score >= st.stage_threshold
         band, base, denom, score = band[keep], base[keep], denom[keep], score[keep]
@@ -649,7 +625,7 @@ def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> Windows:
     if not found:
         return Windows(np.empty((0, 4), dtype=np.int64), np.empty(0))
     boxes, score = zip(*found)
-    return Windows(_joined(boxes), _joined(score))
+    return Windows(np.concatenate(boxes), np.concatenate(score))
 
 
 # frontier boxes tested per step; bounds the int32/float64 temporaries to
@@ -821,7 +797,7 @@ def parse_cascade(text: str) -> Cascade:
             rect = Rect(*(_int(pobj[k], f"{ppath}.{k}", low)
                           for k, low in (("x", 0), ("y", 0), ("w", 1), ("h", 1))))
             parts.append(FeaturePart(rect, _real(pobj["weight"], f"{ppath}.weight")))
-        features.append(HaarFeature(kind, tuple(parts)))
+        features.append(_build(path, HaarFeature, kind, tuple(parts)))
 
     stages = []
     for si, sobj in enumerate(_array(doc["stages"], "$.stages", 1)):
@@ -932,9 +908,7 @@ def import_legacy_xml(text: str) -> Cascade:
             parts.append(FeaturePart(rect, _real(toks[4], rpath)))
         if not 2 <= len(parts) <= 4:
             raise CascadeFormatError(f"{fpath}: expected 2..4 rects, got {len(parts)}")
-        kind = {2: FeatureKind.TWO_RECT, 3: FeatureKind.THREE_RECT,
-                4: FeatureKind.FOUR_RECT}[len(parts)]
-        features.append(HaarFeature(kind, tuple(parts)))
+        features.append(HaarFeature(FeatureKind.of(len(parts)), tuple(parts)))
 
     stages_el = cas.find("stages")
     if stages_el is None:

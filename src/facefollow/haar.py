@@ -17,9 +17,16 @@ from .imaging import IntegralPair, Rect, _check, rect_sum
 
 
 class FeatureKind(enum.Enum):
+    """A feature's kind, named by its number of weighted parts."""
+
     TWO_RECT = "two"
     THREE_RECT = "three"
     FOUR_RECT = "four"
+
+    @classmethod
+    def of(cls, n_parts: int) -> FeatureKind:
+        """The kind of a feature of ``n_parts`` weighted parts, 2..4."""
+        return {2: cls.TWO_RECT, 3: cls.THREE_RECT, 4: cls.FOUR_RECT}[n_parts]
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,8 +41,14 @@ class HaarFeature:
     parts: tuple[FeaturePart, ...]
 
     def __post_init__(self):
+        if not isinstance(self.kind, FeatureKind):
+            raise ValueError(f"kind must be a FeatureKind, got {self.kind!r}")
         if not 2 <= len(self.parts) <= 4:
             raise ValueError(f"feature needs 2..4 weighted parts, got {len(self.parts)}")
+        fits = FeatureKind.of(len(self.parts))
+        if self.kind is not fits:
+            raise ValueError(f"kind {self.kind.value!r} does not fit {len(self.parts)} "
+                             f"weighted parts, which make a {fits.value!r} feature")
 
 
 class FeatureEvalError(ValueError):

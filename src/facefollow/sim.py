@@ -98,24 +98,31 @@ def project_target(s: SimState, cam: CameraModel) -> dict[str, Rect] | None:
     """Pinhole projection of the person; face and body boxes are concentric.
 
     Returns image-clipped rects, or None when the target is behind or too
-    close to the camera, or the face box falls entirely off frame.
+    close to the camera, the face box falls entirely off frame, or the
+    projection is not finite (NaN, or beyond float range: the magnitudes of
+    the centre and the extents are summed, so a box corner is finite too).
     """
     dx, dy, dz = _body_frame_offset(s)
-    if dx <= MIN_PROJECTION_RANGE:
+    if not dx > MIN_PROJECTION_RANGE:  # NaN too
         return None
     u = cam.img_w / 2 + cam.focal * dy / dx
     v = cam.img_h / 2 + cam.focal * dz / dx
+    face_px = cam.focal * s.face_w / dx
+    body_w_px = cam.focal * s.body_w / dx
+    body_h_px = cam.focal * s.body_h / dx
+    if not math.isfinite(abs(u) + abs(v) + face_px + body_w_px + body_h_px):
+        return None
 
-    def centered(width_m: float, height_m: float) -> tuple[int, int, int, int]:
-        w = max(1, _round_half_up(cam.focal * width_m / dx))
-        h = max(1, _round_half_up(cam.focal * height_m / dx))
+    def centered(width_px: float, height_px: float) -> tuple[int, int, int, int]:
+        w = max(1, _round_half_up(width_px))
+        h = max(1, _round_half_up(height_px))
         return (_round_half_up(u - w / 2), _round_half_up(v - h / 2), w, h)
 
-    fx, fy, fw, fh = centered(s.face_w, s.face_w)
+    fx, fy, fw, fh = centered(face_px, face_px)
     face = _clip_rect(fx, fy, fw, fh, cam.img_w, cam.img_h)
     if face is None:
         return None
-    bx, by, bw, bh = centered(s.body_w, s.body_h)
+    bx, by, bw, bh = centered(body_w_px, body_h_px)
     body = _clip_rect(bx, by, bw, bh, cam.img_w, cam.img_h)
     if body is None:
         return None
@@ -279,9 +286,10 @@ def run_closed_loop(cfg: RunConfig, sink: CommandSink | None = None,
             applied = directive if directive is not None else cmd
 
             if mission.phase in (MissionPhase.TRACKING, MissionPhase.HOVER):
+                # MAVLink's uint32 boot clock wraps after about 49.7 days
                 sink.send(build_velocity_message(
                     applied.vx, applied.vy, applied.vz,
-                    time_boot_ms=int(state.t * 1000)))
+                    time_boot_ms=int(state.t * 1000) % 2**32))
 
             if frames_dir is not None and frame_img is not None:
                 os.makedirs(frames_dir, exist_ok=True)

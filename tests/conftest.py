@@ -97,7 +97,7 @@ def random_cascade(rng: random.Random, base_w: int = 12, base_h: int = 12,
             y = rng.randrange(0, base_h - h + 1)
             parts.append(FeaturePart(Rect(x, y, w, h),
                                      rng.choice([-2.0, -1.0, 1.0, 2.0, 3.0])))
-        features.append(HaarFeature(FeatureKind.TWO_RECT, tuple(parts)))
+        features.append(HaarFeature(FeatureKind.of(len(parts)), tuple(parts)))
     stages = []
     for _ in range(n_stages):
         weak = tuple(

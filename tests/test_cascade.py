@@ -116,6 +116,13 @@ class TestParseCascade:
                 f"$.features[0].kind: unknown kind {kind!r}")):
             parse_cascade(json.dumps(doc))
 
+    def test_kind_that_does_not_fit_its_parts_names_the_feature(self):
+        doc = json.loads(MINIMAL_DOC)
+        doc["features"][0]["kind"] = "four"
+        with pytest.raises(CascadeFormatError, match=re.escape(
+                "$.features[0]: kind 'four' does not fit 2 weighted parts")):
+            parse_cascade(json.dumps(doc))
+
     def test_unknown_key_rejected(self):
         doc = json.loads(MINIMAL_DOC)
         doc["surprise"] = 1

@@ -90,7 +90,7 @@ class TestFeatureValue:
                 x, y = rng.randrange(0, base - w + 1), rng.randrange(0, base - h + 1)
                 parts.append(FeaturePart(Rect(x, y, w, h),
                                          rng.choice([-2.0, -1.0, 1.0, 2.0])))
-            f = HaarFeature(FeatureKind.TWO_RECT, tuple(parts))
+            f = HaarFeature(FeatureKind.of(len(parts)), tuple(parts))
             scale = rng.choice([1.0, 1.25, 1.5, 2.0, 2.75])
             win_w = win_h = int(base * scale + 0.5)
             wx = rng.randrange(0, 40 - win_w + 1)
@@ -256,3 +256,16 @@ class TestEnumeration:
 def test_part_count_validation():
     with pytest.raises(ValueError):
         HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(Rect(0, 0, 1, 1), 1.0),))
+
+
+@pytest.mark.parametrize("kind, n, message", [
+    (FeatureKind.FOUR_RECT, 2,
+     "kind 'four' does not fit 2 weighted parts, which make a 'two' feature"),
+    (FeatureKind.TWO_RECT, 3,
+     "kind 'two' does not fit 3 weighted parts, which make a 'three' feature"),
+    ("two", 2, "kind must be a FeatureKind, got 'two'"),
+], ids=["four-of-2", "two-of-3", "a-string"])
+def test_kind_must_fit_the_part_count(kind, n, message):
+    parts = (FeaturePart(Rect(0, 0, 1, 1), 1.0),) * n
+    with pytest.raises(ValueError, match=re.escape(message)):
+        HaarFeature(kind, parts)

@@ -10,7 +10,7 @@ from facefollow import sim
 from facefollow.cascade import serialize_cascade
 from facefollow.gated import BODY_COLOR, FACE_COLOR, detect_gated
 from facefollow.imaging import Rect, draw_box, encode_ppm, to_rgb
-from facefollow.mavlink import FRAME_LEN, FileSink, SinkError
+from facefollow.mavlink import FRAME_LEN, FileSink, SinkError, decode_frame
 from facefollow.mission import MissionPhase, Ned
 from facefollow.sim import (CameraModel, RunConfig, SimState, TargetPath,
                             converged, load_run_config, project_target,
@@ -98,6 +98,16 @@ class TestProjection:
         assert boxes is not None
         assert boxes["face"].right <= CAM.img_w
         assert boxes["body"].right <= CAM.img_w
+
+    @pytest.mark.parametrize("drone, target, focal, face_w", [
+        (Ned(0, 0, -1.5), Ned(8.0, 0.0, -1.5), 1e308, 10.0),       # extent overflows
+        (Ned(0, 0, -1.5), Ned(8.0, 100.0, -1.5), 1e308, 0.16),     # centre overflows
+        (Ned(-1e308, 0, -1.5), Ned(1e308, 0, -1.5), 300.0, 0.16),  # range overflows: NaN
+        (Ned(0, 0, -1.5), Ned(1.0, -1.5, -1.5), 1e308, 0.8),       # a corner overflows
+    ], ids=["extent", "centre", "nan", "corner"])
+    def test_absent_when_the_projection_is_not_finite(self, drone, target, focal, face_w):
+        st = sim_state(target, drone, face_w=face_w)
+        assert project_target(st, CameraModel(focal=focal)) is None
 
     def test_left_overhang_floors_before_clipping(self):
         # the body's left edge projects to x = -3.8, which rounds half up
@@ -351,6 +361,31 @@ class TestClosedLoopOracle:
         assert lost
         assert all(r.mission is MissionPhase.HOVER for r in lost)
         assert all(r.cmd.vx == r.cmd.vy == r.cmd.vz == 0.0 for r in lost)
+
+    @pytest.mark.parametrize("doc", [
+        {"camera": {"focal": 1e308}, "target": {"face_w": 10}},
+        {"camera": {"focal": 1e308}, "target": {"pos": [8.0, 100.0, -1.5]}},
+        {"drone": {"pos": [-1e308, 0, -1.5]}, "target": {"pos": [1e308, 0, -1.5]}},
+    ], ids=["extent", "centre", "nan"])
+    def test_a_projection_beyond_float_range_hovers(self, doc):
+        """Finite configs whose projection overflows or is NaN run to the
+        end with the target out of view, hovering."""
+        trace = run_closed_loop(load_run_config(json.dumps({"ticks": 3, **doc})))
+        assert len(trace.rows) == 3
+        assert not any(r.detected for r in trace.rows)
+        assert all(r.mission is MissionPhase.HOVER for r in trace.rows)
+
+    def test_boot_clock_wraps_at_2_to_the_32_ms(self, tmp_path):
+        """Frames carry MAVLink's uint32 boot clock, which wraps after about
+        49.7 days, so a long run goes on past it."""
+        path = tmp_path / "frames.bin"
+        cfg = load_run_config(json.dumps({"ticks": 5, "tracker": {"loop_dt": 2000000}}))
+        with FileSink(str(path)) as sink:
+            trace = run_closed_loop(cfg, sink=sink)
+        data = path.read_bytes()
+        assert len(trace.rows) == 5 and len(data) == 5 * FRAME_LEN
+        fourth = decode_frame(data[3 * FRAME_LEN:4 * FRAME_LEN])
+        assert fourth.time_boot_ms == 6_000_000_000 % 2**32 == 1_705_032_704
 
     def test_error_descent_without_advance(self, rng):
         """Static target, width already in band: max |e| never grows and the
