@@ -11,22 +11,25 @@ window size changes, its taps, terms and gathers; every threshold and leaf
 is read from the cascade's own stages.  The compile scales the cascade's
 int64 part table at once, and each feature's parts become corner taps
 ``(dy, dx, k)``, summed per distinct corner so shared corners merge or
-cancel, in one zero-padded table per size whose last row is the window;
-gathers are cut from it.  Strided reads are also grouped into row x column
-terms (``_terms``): a Haar rectangle is a difference of table rows times a
-difference of its columns, so ``_grid_sum`` can sum a term's rows first
-and then read its columns from that sum.  The grid is cut into row bands
-of at most ``_BAND_WINDOWS`` windows, which the calling thread reads in
-scan order; their candidate windows are then classified in batches across
-sizes and bands, each candidate carrying the index of its band, by one
-loop over every stage, as ``_walk_batch`` describes.  The scalar and
-vectorized paths give bit-identical results, so one can be checked against
-the other: part weights are integers (a ``Cascade`` rule), so a feature's
-sum is the same exact integer in the scan's int64 (or the cut's int32) and
-in ``eval_window``'s float64, and every float64 operation after it runs in
-the same order on both paths.  Both scale part rects only through
-``haar._scaled_parts``, the one home of that rule, of its escape check and
-of its clip to the window.
+cancel, in one zero-padded table per size; gathers are cut from it.
+Strided reads are also grouped into row x column terms (``_terms``): a
+Haar rectangle is a difference of table rows times a difference of its
+columns, so ``_grid_sum`` can sum a term's rows first and then read its
+columns from that sum.  The grid is cut into row bands of at most
+``_BAND_WINDOWS`` windows, which the calling thread reads in scan order;
+their candidate windows are then classified in batches across sizes and
+bands, each candidate carrying the index of its band, by one loop over
+every stage, as ``_walk_batch`` describes.  A batch first drops the
+windows that a weak classifier of stage 0 vetoes by the sign of its sum
+alone (``_veto_sign``), before it reads their window sums; the sign cut is
+the first weak classifier's veto, read per band in int32 (``_sign_cut``).
+The scalar and vectorized paths give bit-identical results, so one can be
+checked against the other: part weights are integers (a ``Cascade``
+rule), so a feature's sum is the same exact integer in the scan's int64
+(or the cut's int32) and in ``eval_window``'s float64, and every float64
+operation after it runs in the same order on both paths.  Both scale part
+rects only through ``haar._scaled_parts``, the one home of that rule, of
+its escape check and of its clip to the window.
 The accepted windows stay arrays from the stage walk on: each batch gives
 their boxes and scores, and ``detect_multiscale`` joins them into one
 ``Windows``, a sequence that builds a ``Detection`` only for a window that
@@ -302,35 +305,28 @@ def _terms(taps: list[list[int]]) -> _Terms:
 
 
 class _Gather(NamedTuple):
-    """Rows of a size's tap table to be read at scattered window origins,
-    cut to the longest of them: row i's table (0 for ``ii``, 1 for ``sq``),
-    its corners and its coefficient on each."""
-    plane: np.ndarray   # int64, lists x 1
+    """Rows of a size's tap table to be read from ``ii`` at scattered window
+    origins, cut to the longest of them: each row's corners and its
+    coefficient on each."""
     dy: np.ndarray      # int64, lists x taps
     dx: np.ndarray
     coef: np.ndarray    # 0 on the padding
 
 
-def _gather(taps: np.ndarray, n: np.ndarray, feats: list[int],
-            planes: tuple[int, ...] = ()) -> _Gather:
+def _gather(taps: np.ndarray, n: np.ndarray, feats: list[int]) -> _Gather:
     """Rows ``feats`` of the padded tap table ``taps``, whose row f holds
-    ``n[f]`` taps, cut to the longest of them but at least one tap; row i
-    reads the table ``planes[i]``, and ``ii`` past their end."""
-    plane = np.zeros((len(feats), 1), dtype=np.int64)
-    plane[:len(planes), 0] = planes
-    return _Gather(plane, *taps[feats, :max(1, n[feats].max())].transpose(2, 0, 1))
+    ``n[f]`` taps, cut to the longest of them but at least one tap."""
+    return _Gather(*taps[feats, :max(1, n[feats].max(initial=0))].transpose(2, 0, 1))
 
 
-def _gather_sums(g: _Gather, base: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """Row i: tap list i's int64 sums at the flat offsets ``base`` into a
-    plane of ``tables``, the (2, rows, cols) block of ``ii`` and ``sq``.
-    One ``take`` reads every tap at every origin, and one product with the
-    coefficient matrix sums each list over its own taps, so the cost grows
-    with the taps, not with lists times taps.  The products and sums are
-    exact integers, far below 2**63 in magnitude."""
-    _, rows, cols = tables.shape
-    idx = ((g.plane * rows + g.dy) * cols + g.dx)[:, :, None] + base
-    return np.einsum("lt,ltn->ln", g.coef, tables.ravel().take(idx))
+def _gather_sums(g: _Gather, base: np.ndarray, ii: np.ndarray) -> np.ndarray:
+    """Row i: tap list i's int64 sums at the flat offsets ``base`` into the
+    integral table ``ii``.  One ``take`` reads every tap at every origin,
+    and one product with the coefficient matrix sums each list over its own
+    taps, so the cost grows with the taps, not with lists times taps.  The
+    products and sums are exact integers, far below 2**63 in magnitude."""
+    idx = (g.dy * ii.shape[1] + g.dx)[:, :, None] + base
+    return np.einsum("lt,ltn->ln", g.coef, ii.ravel().take(idx))
 
 
 class _SizePlan(NamedTuple):
@@ -338,12 +334,13 @@ class _SizePlan(NamedTuple):
     keep_sign: int      # the sign cut of stage 0, see _sign_cut
     strided: tuple[tuple[int, _Terms], ...]  # what a band reads as strided
                            # slices, as (plane, terms): stage 0's first weak
-                           # classifier, then, without a cut, the window in ii
-                           # (s1) and in sq (s2) and its other weak classifiers
+                           # classifier with a cut; without one, the window
+                           # in ii (s1) and in sq (s2), then every weak
+                           # classifier of stage 0
     gathers: tuple[_Gather | None, ...]  # per stage, its weak classifiers'
                            # taps; gathers[0], None without a cut, is what the
-                           # cut's survivors gather: the window in ii (s1) and
-                           # in sq (s2), then stage 0's other weak classifiers
+                           # cut's survivors gather: stage 0's weak classifiers
+                           # after the cut one
 
 
 # a cut feature's sum(|weight| * 255 * area) stays below this, so that its
@@ -351,45 +348,50 @@ class _SizePlan(NamedTuple):
 _INT32_BOUND = 2 ** 31
 
 
-def _sign_cut(st: Stage, magnitude: int) -> int:
-    """+1 or -1 when the sign of the first feature's integer sum alone can
-    reject a window: a window can pass ``st`` only where the sum has that
-    sign.  0 when it cannot.  ``magnitude`` is sum(|weight| * 255 * area)
-    over that feature's scaled, clipped parts at the plan's size.
+def _veto_sign(st: Stage, j: int) -> int:
+    """+1 or -1 when the sign of weak classifier ``j``'s integer sum alone
+    can reject a window: a window can pass ``st`` only where the sum has
+    that sign.  0 when it cannot.
 
-    Three conditions make the cut.  The first weak classifier vetoes: its
-    lower leaf plus every other weak classifier's higher leaf, added in
-    float64 in stage order, stays below the stage threshold, so (IEEE
-    addition being monotone) no window that takes that leaf passes.  The
-    sum's sign fixes that leaf: sigma * area > 0 on every window, so a
-    sum <= 0 votes left under a threshold > 0, and a sum >= 0 votes right
-    under a threshold <= 0.  Leaves are finite (a ``Cascade`` rule), so the
-    bound is never NaN.  And the sum fits in int32: the cut adds the taps
-    over an int32 view of the integral table, modulo 2**32, which gives
-    the true sum whenever ``magnitude`` is below 2**31.
+    Two conditions make the veto.  Weak classifier ``j`` vetoes: its lower
+    leaf plus every other weak classifier's higher leaf, added in float64 in
+    stage order, stays below the stage threshold, so (IEEE addition being
+    monotone) no window that takes that leaf passes.  And the sum's sign
+    fixes that leaf: sigma * area > 0 on every window, so a sum <= 0 votes
+    left under a threshold > 0, and a sum >= 0 votes right under a
+    threshold <= 0.  Leaves are finite (a ``Cascade`` rule), so the bound
+    is never NaN.
     """
-    if magnitude >= _INT32_BOUND:
-        return 0
-    first = st.weak[0]
-    total = 0.0 + min(first.left_value, first.right_value)
-    for wk in st.weak[1:]:
-        total += max(wk.left_value, wk.right_value)
+    total = 0.0
+    for i, wk in enumerate(st.weak):
+        total += (min if i == j else max)(wk.left_value, wk.right_value)
     if total >= st.stage_threshold:
         return 0
-    if first.left_value < first.right_value and first.threshold > 0:
+    wk = st.weak[j]
+    if wk.left_value < wk.right_value and wk.threshold > 0:
         return 1
-    if first.right_value < first.left_value and first.threshold <= 0:
+    if wk.right_value < wk.left_value and wk.threshold <= 0:
         return -1
     return 0
+
+
+def _sign_cut(st: Stage, magnitude: int) -> int:
+    """The veto of the first weak classifier (``_veto_sign(st, 0)``) where a
+    band can read it in int32, else 0.  ``magnitude`` is sum(|weight| * 255
+    * area) over that feature's scaled, clipped parts at the plan's size.
+    The cut adds the taps over an int32 view of the integral table, modulo
+    2**32, which gives the true sum whenever ``magnitude`` is below 2**31.
+    """
+    return _veto_sign(st, 0) if magnitude < _INT32_BOUND else 0
 
 
 def _compile_size(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
     """Scale the part table to a ``win_w`` x ``win_h`` window and sum each
     part's four corners with +-weight per (feature, dy, dx), exactly in one
     ``np.unique`` and ``bincount``; zero sums drop.  One zero-padded table
-    holds feature f's sorted taps in row f and the window's corners last
-    (a feature whose corners all cancel reads one zero tap).  Strided reads
-    are grouped into terms, and gathers are cut from the table."""
+    holds feature f's sorted taps in row f (a feature whose corners all
+    cancel reads one zero tap).  Strided reads are grouped into terms, and
+    gathers are cut from the table."""
     x, y, w, h = _scaled_parts(c._parts, win_w / c.base_w, win_w, win_h).T
     feature, k = c._parts[:, 0], c._parts[:, 6]
     key = ((np.tile(feature, 4) * (win_h + 1) + np.concatenate([y, y, y + h, y + h]))
@@ -398,24 +400,22 @@ def _compile_size(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
     coef = np.bincount(corner, np.concatenate([k, -k, -k, k])).astype(np.int64)
     key, coef = key[coef != 0], coef[coef != 0]
     fi, yx = np.divmod(key, (win_h + 1) * (win_w + 1))
-    window = len(c.features)
-    n = np.append(np.bincount(fi, minlength=window), 4)
-    taps = np.zeros((window + 1, n.max(), 3), dtype=np.int64)
+    n = np.bincount(fi, minlength=len(c.features))
+    taps = np.zeros((len(c.features), max(1, n.max()), 3), dtype=np.int64)
     taps[fi, np.arange(len(fi)) - np.searchsorted(fi, fi)] = \
         np.column_stack([*np.divmod(yx, win_w + 1), coef])
-    taps[window, :4] = [(0, 0, 1), (0, win_w, -1), (win_h, 0, -1), (win_h, win_w, 1)]
     (f0, *rest), *later = [[wk.feature_index for wk in st.weak] for st in c.stages]
     cut = feature == f0
     keep_sign = _sign_cut(c.stages[0], int((np.abs(k[cut]) * 255 * w[cut] * h[cut]).sum()))
-    reads = [(0, f0)]
+    reads = [(0, _terms(taps[f, :max(1, n[f])].tolist())) for f in [f0, *rest]]
     if keep_sign:
-        first = _gather(taps, n, [window, window, *rest], (0, 1))
+        strided = reads[:1]
     else:
-        first = None
-        reads += [(0, window), (1, window)] + [(0, f) for f in rest]
-    strided = tuple((plane, _terms(taps[f, :max(1, n[f])].tolist())) for plane, f in reads)
-    return _SizePlan(Rect(0, 0, win_w, win_h), keep_sign, strided,
-                     (first, *(_gather(taps, n, f) for f in later)))
+        window = (((0, 1), (win_h, -1)), ((0, 1), (win_w, -1))),
+        strided = [(0, window), (1, window)] + reads
+    return _SizePlan(Rect(0, 0, win_w, win_h), keep_sign, tuple(strided),
+                     (_gather(taps, n, rest) if keep_sign else None,
+                      *(_gather(taps, n, f) for f in later)))
 
 
 def _size_plan(c: Cascade, win_w: int, win_h: int) -> _SizePlan:
@@ -502,8 +502,8 @@ class _Band(NamedTuple):
     """A band's candidates, read through its size plan for ``_walk_batch``."""
     plan: _SizePlan
     base: np.ndarray  # flat offsets of the candidates' origins in a table plane
-    sums: np.ndarray  # int64, (2 + len(stage 0)) x candidates: stage 0's first
-                      # weak classifier, s1, s2, then its other weak classifiers
+    sums: np.ndarray  # int64 x candidates: without a cut, s1 and s2; then
+                      # stage 0's weak classifiers in weak order
 
 
 def _walk_band(plan: _SizePlan, tables: np.ndarray, ii32: np.ndarray,
@@ -515,10 +515,11 @@ def _walk_band(plan: _SizePlan, tables: np.ndarray, ii32: np.ndarray,
     ``ii32`` is ``ii`` modulo 2**32, as int32.  Both read ``plan.strided``
     through ``_grid_sum``.  With a sign cut, the cut feature is summed over
     ``ii32`` into int32, the windows whose sum has the vetoing sign are
-    dropped, and one gather of ``tables`` reads the survivors' s1, s2 and
-    stage 0's other features.  Without a cut, every window is a candidate,
-    and stage 0's first feature, s1, s2 and its other features are summed
-    over ``ii`` and ``sq`` into int64.
+    dropped, and one gather of ``ii`` reads the survivors' sums of stage
+    0's other features; their s1 and s2 wait for the batch, which reads
+    them only for the candidates that its vetoes keep.  Without a cut, every
+    window is a candidate, and s1, s2 and each of stage 0's features are
+    summed over ``ii`` and ``sq`` into int64.
     """
     cols = tables.shape[2]
     if plan.keep_sign:
@@ -528,7 +529,7 @@ def _walk_band(plan: _SizePlan, tables: np.ndarray, ii32: np.ndarray,
         iy, ix = np.divmod(alive, nx)
         base = (iy * stride + y0) * cols + ix * stride
         return _Band(plan, base, np.concatenate([cut[alive][None],
-                                                 _gather_sums(plan.gathers[0], base, tables)]))
+                                                 _gather_sums(plan.gathers[0], base, tables[0])]))
     base = (np.arange(y0, y0 + ny * stride, stride)[:, None] * cols
             + np.arange(0, nx * stride, stride)).reshape(-1)
     sums = np.empty((len(plan.strided), ny, nx), dtype=np.int64)
@@ -537,8 +538,24 @@ def _walk_band(plan: _SizePlan, tables: np.ndarray, ii32: np.ndarray,
     return _Band(plan, base, sums.reshape(len(sums), -1))
 
 
-def _walk_batch(stages: tuple[Stage, ...], bands: list[_Band],
-                tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _window_sums(tables: np.ndarray, base: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """s1 and s2, the int64 sums of each window's pixels and squared pixels,
+    as a 2 x n block, from the four ``corners`` offsets (4 x n: top-left,
+    top-right, bottom-left, bottom-right) past each flat origin ``base``,
+    one ``take`` per plane of ``tables``, the (2, rows, cols) block of
+    ``ii`` and ``sq``."""
+    idx = corners + base
+    out = np.empty((2, len(base)), dtype=np.int64)
+    for plane, s in zip(tables.reshape(2, -1), out):
+        t = plane.take(idx)
+        np.subtract(t[0], t[1], out=s)
+        s -= t[2]
+        s += t[3]
+    return out
+
+
+def _walk_batch(stages: tuple[Stage, ...], vetoes: list[tuple[int, int]],
+                bands: list[_Band], tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The walk through ``stages`` over a batch of bands of one scan, in scan order;
     their accepted windows, in that order (scale, then y, then x), as a
     ``(boxes, score)`` pair: int64 ``n`` x 4 rows of x, y, w, h, and the
@@ -547,15 +564,22 @@ def _walk_batch(stages: tuple[Stage, ...], bands: list[_Band],
     The walk has two parts.  ``_walk_band`` reads each band through its
     size plan: it keeps the band's candidates, all of its windows or the
     survivors of its sign cut, as flat table offsets, with the integer sums
-    of their window (s1), squared window (s2) and stage 0's features.
-    ``detect_multiscale`` collects the bands in scan order into batches of
-    at most ``_BAND_WINDOWS`` candidates (a band is never split), whatever
-    their sizes.  This batch part classifies a batch's candidates at once,
-    each carrying the index of its band: one ``_sigma_area`` with a
-    per-window area, then one loop over every stage, whose ``_votes`` and
-    threshold test drop the candidates that fail it, until none is left.
-    Stage 0 votes on the bands' sums; each later stage gathers its merged
-    corners once per band that still has candidates.
+    of stage 0's features and, without a cut, of their window (s1) and
+    squared window (s2).  ``detect_multiscale`` collects the bands in scan
+    order into batches of at most ``_BAND_WINDOWS`` candidates (a band is
+    never split), whatever their sizes.  This batch part classifies a
+    batch's candidates at once, each carrying the index of its band.  It
+    first drops every candidate whose sum for a weak classifier in
+    ``vetoes``, stage 0's (index, ``_veto_sign``) pairs, has the vetoing
+    sign: one compare per vetoing weak classifier, exact by ``_veto_sign``'s
+    argument, as sigma * area > 0.  The survivors then take their s1 and
+    s2, from the bands' strided reads when no band of the batch has a cut,
+    and otherwise from one ``_window_sums`` gather whose corner offsets
+    come from each candidate's band size, and one ``_sigma_area`` with a
+    per-window area.  One loop over every stage follows, whose ``_votes``
+    and threshold test drop the candidates that fail it, until none is
+    left.  Stage 0 votes on the bands' sums; each later stage gathers its
+    merged corners once per band that still has candidates.
     Strided and gathered reads give the same integers, and every window is
     scored on its own, so a window's result depends neither on how it was
     read nor on the batch it was in.  One ``np.divmod`` turns the accepted
@@ -564,23 +588,36 @@ def _walk_batch(stages: tuple[Stage, ...], bands: list[_Band],
     """
     band = np.repeat(np.arange(len(bands)), [len(b.base) for b in bands])
     base = np.concatenate([b.base for b in bands])
-    sums = np.concatenate([b.sums for b in bands], axis=1)
-    denom = _sigma_area(sums[1], sums[2],
-                        np.array([float(b.plan.win.area) for b in bands])[band])
-    raw = (sums[0], *sums[3:])
+    m = len(stages[0].weak)
+    strided = not any(b.plan.keep_sign for b in bands)  # every band read s1 and s2
+    sums = np.concatenate([b.sums if strided else b.sums[-m:] for b in bands], axis=1)
+    if vetoes:
+        keep = np.ones(len(base), dtype=bool)
+        for j, sign in vetoes:
+            keep &= sums[j - m] > 0 if sign > 0 else sums[j - m] < 0
+        keep = np.flatnonzero(keep)
+        band, base, sums = band.take(keep), base.take(keep), sums.take(keep, axis=1)
+    cols = tables.shape[2]
+    w, h = np.array([(b.plan.win.w, b.plan.win.h) for b in bands], dtype=np.int64).T
+    if strided:
+        s1, s2 = sums[:2]
+    else:
+        corners = np.stack([np.zeros_like(w), w, h * cols, h * cols + w])
+        s1, s2 = _window_sums(tables, base, corners.take(band, axis=1))
+    denom = _sigma_area(s1, s2, (w * h).astype(np.float64).take(band))
+    raw = sums[-m:]
     for si, st in enumerate(stages):
         if si:
             cuts = np.searchsorted(band, np.arange(len(bands) + 1)).tolist()
-            raw = np.concatenate([_gather_sums(b.plan.gathers[si], base[lo:hi], tables)
+            raw = np.concatenate([_gather_sums(b.plan.gathers[si], base[lo:hi], tables[0])
                                   for b, lo, hi in zip(bands, cuts, cuts[1:]) if hi > lo], axis=1)
         score = _votes(st, raw, denom)
         keep = score >= st.stage_threshold
         band, base, denom, score = band[keep], base[keep], denom[keep], score[keep]
         if not len(base):
             break
-    ys, xs = np.divmod(base, tables.shape[2])
-    sizes = np.array([(b.plan.win.w, b.plan.win.h) for b in bands], dtype=np.int64)
-    return np.column_stack([xs, ys, sizes[band]]), score
+    ys, xs = np.divmod(base, cols)
+    return np.column_stack([xs, ys, w[band], h[band]]), score
 
 
 def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> Windows:
@@ -599,11 +636,13 @@ def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> Windows:
     least one row), which the calling thread reads in turn from the top;
     ``ii32`` is the scan's one int32 view of the table for the sign cut.
     The bands' candidates are classified in batches across sizes, as
-    ``_walk_batch`` describes; neither the bands nor the batches can change
-    a result.
+    ``_walk_batch`` describes, after the vetoes of stage 0's weak
+    classifiers; neither the bands nor the batches can change a result.
     """
     ip = integral(img)
     ii32 = ip.ii.astype(np.uint32).view(np.int32)  # modulo 2**32, whatever the byte order
+    first = c.stages[0]
+    vetoes = [(j, sign) for j in range(len(first.weak)) if (sign := _veto_sign(first, j))]
     found: list[tuple[np.ndarray, np.ndarray]] = []
     bands: list[_Band] = []
     held = 0
@@ -616,12 +655,12 @@ def detect_multiscale(c: Cascade, img: GrayImage, p: ScanParams) -> Windows:
         for r0 in range(0, ny, rows):
             band = _walk_band(plan, ip.tables, ii32, r0 * stride, min(rows, ny - r0), nx, stride)
             if held and held + len(band.base) > _BAND_WINDOWS:
-                found.append(_walk_batch(c.stages, bands, ip.tables))
+                found.append(_walk_batch(c.stages, vetoes, bands, ip.tables))
                 bands, held = [], 0
             bands.append(band)
             held += len(band.base)
     if held:
-        found.append(_walk_batch(c.stages, bands, ip.tables))
+        found.append(_walk_batch(c.stages, vetoes, bands, ip.tables))
     if not found:
         return Windows(np.empty((0, 4), dtype=np.int64), np.empty(0))
     boxes, score = zip(*found)

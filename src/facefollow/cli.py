@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cascade import Cascade, import_legacy_xml, parse_cascade, serialize_cascade
+from .cascade import (Cascade, CascadeFormatError, import_legacy_xml, parse_cascade,
+                      serialize_cascade)
 from .dataset import parse_negative_manifest, parse_positive_manifest, validate_dataset
 from .gated import BODY_COLOR, FACE_COLOR, GateParams, detect_gated, detect_grouped
 from .imaging import annotated_ppm, decode_pnm
@@ -25,8 +26,12 @@ def _fail(msg: str) -> int:
 
 
 def _load_cascade(path: str) -> Cascade:
+    """The cascade document at ``path``; a document error names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_cascade(fh.read())
+        try:
+            return parse_cascade(fh.read())
+        except ValueError as e:  # a CascadeFormatError, or text that is not UTF-8
+            raise CascadeFormatError(f"{e} (in {path})") from e
 
 
 def _load_image(path: str):

@@ -181,24 +181,28 @@ class IntegralPair:
 
 
 def integral(img: GrayImage) -> IntegralPair:
-    """Build both integral tables in one cumulative sweep per axis.
+    """Build both integral tables in one row pass and one column pass per plane.
 
-    The pixels and their squares, taken in uint16 (255**2 fits), are
-    widened into the interiors of the two planes of one int64 block, whose
-    border row and column alone are zeroed; each plane is then summed in
-    place down the columns and then along the rows: the vectorized form of
-    s(x,y) = s(x,y-1) + i(x,y); ii(x,y) = ii(x-1,y) + s(x,y).
+    The pixels and their squares are interleaved in one (h, w, 2) int32
+    block, and one cumulative sum along its rows takes both at once: a row
+    prefix of squares is at most ``MAX_DIM`` * 255**2 = 8192 * 65025 < 2**31,
+    so int32 holds it exactly.  Each plane's row prefixes are then widened
+    into the interior of its plane of one int64 (2, h+1, w+1) block, whose
+    border row and column alone are zeroed, and summed in place down the
+    columns: the vectorized form of r(x,y) = r(x-1,y) + i(x,y);
+    ii(x,y) = ii(x,y-1) + r(x,y).
     """
     h, w = img.height, img.width
+    rows = np.empty((h, w, 2), dtype=np.int32)
+    rows[..., 0] = img.data
+    np.multiply(img.data, img.data, out=rows[..., 1], dtype=np.int32)
+    np.cumsum(rows, axis=1, out=rows)
     tables = np.empty((2, h + 1, w + 1), dtype=np.int64)
     tables[:, 0] = 0
     tables[:, 1:, 0] = 0
-    px, px2 = tables[:, 1:, 1:]
-    np.copyto(px, img.data)
-    np.copyto(px2, np.multiply(img.data, img.data, dtype=np.uint16))
-    for t in (px, px2):
+    for prefix, t in zip(rows.transpose(2, 0, 1), tables[:, 1:, 1:]):
+        np.copyto(t, prefix)
         np.cumsum(t, axis=0, out=t)
-        np.cumsum(t, axis=1, out=t)
     return IntegralPair(tables)
 
 

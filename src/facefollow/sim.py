@@ -196,6 +196,12 @@ class Trace:
         return "\n".join(out) + "\n"
 
 
+# a run's clock is float64 seconds and its frames carry int(t * 1000) ms:
+# within 2**53 ms (about 285,000 years) float64 still counts every
+# millisecond, and beyond float range the clock overflows
+MAX_RUN_MS = 2 ** 53
+
+
 @dataclass(frozen=True)
 class RunConfig:
     mode: str = "oracle"                   # "oracle" | "rendered"
@@ -227,6 +233,9 @@ class RunConfig:
                                         or self.face_cascade is None):
             raise ValueError("rendered mode requires body and face cascades")
         _check("an int of at least 1", self, "ticks")
+        if not self.ticks * self.tracker.loop_dt * 1000 < MAX_RUN_MS:
+            raise ValueError(f"tracker.loop_dt {self.tracker.loop_dt!r} over {self.ticks} ticks "
+                             f"runs past the clock horizon of 2**53 ms")
         if self.user_stop_tick is not None and not _is_int(self.user_stop_tick, 0):
             raise ValueError(f"user_stop_tick must be None or an int of at least 0, "
                              f"got {self.user_stop_tick!r}")

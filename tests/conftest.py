@@ -141,8 +141,8 @@ def batches(monkeypatch):
     seen = []
     walk = cascade._walk_batch
 
-    def record(stages, bands, tables):
-        out = walk(stages, bands, tables)
+    def record(stages, vetoes, bands, tables):
+        out = walk(stages, vetoes, bands, tables)
         seen.append(([(b.plan.win.w, b.plan.win.h, len(b.base), b.plan.keep_sign)
                       for b in bands], out))
         return out

@@ -21,7 +21,7 @@ from facefollow.cascade import (Cascade, CascadeFormatError, Detection, ScanPara
 from facefollow.haar import (FeatureKind, FeaturePart, HaarFeature, enumerate_base_features,
                              feature_value)
 from facefollow.imaging import MAX_DIM, GrayImage, Rect, _round_half_up, integral, rect_sum
-from facefollow.synthetic import (build_body_cascade, build_face_cascade,
+from facefollow.synthetic import (build_body_cascade, build_face_cascade, render_scene,
                                   synthetic_gate_params)
 
 from conftest import (MODEL_INTS, NOT_FINITE, NOT_INT, CallCounter, accept_all_cascade, corner_taps,
@@ -795,17 +795,17 @@ def model_taps(c: Cascade, w: int, h: int) -> list[list]:
 def gather_lists(g) -> list:
     """The tap lists of gather ``g``, its zero-tap padding dropped."""
     return [tuple(tuple(t) for t in row if t[2]) or ((0, 0, 0),)
-            for row in np.stack(g[1:], axis=-1).tolist()]
+            for row in np.stack(g, axis=-1).tolist()]
 
 
 def plan_taps(plan) -> list[list]:
     """Each stage's tap lists as ``plan`` reads them, in weak order: stage
-    0's first from its strided reads, its others from the strided reads
-    after the window's two or, with a cut, from the cut's gather after the
-    window's two, and every later stage's from its gather."""
+    0's from the strided reads after the window's two or, with a cut, its
+    first from the one strided read and its others from the cut's gather,
+    and every later stage's from its gather."""
     strided = [term_taps(terms) for _, terms in plan.strided]
-    rest = gather_lists(plan.gathers[0])[2:] if plan.keep_sign else strided[3:]
-    return [strided[:1] + rest] + [gather_lists(g) for g in plan.gathers[1:]]
+    first = strided[:1] + gather_lists(plan.gathers[0]) if plan.keep_sign else strided[2:]
+    return [first] + [gather_lists(g) for g in plan.gathers[1:]]
 
 
 class TestSizePlans:
@@ -990,13 +990,15 @@ PLAN_CASCADES = {
 PLAN_LADDERS = {"320x240": (320, 240, ScanParams()), "640x480": (640, 480, ScanParams()),
                 "640x480-1.05": (640, 480, ScanParams(scale_factor=1.05))}
 # plan_digest over every size of each ladder, as the compile that merged
-# each feature's corners in a Python dict gave them
+# each feature's corners in a Python dict gave them; the window's corners
+# are read as strided slices by plans without a cut, and gathered per
+# batch for the survivors of a cut, so no gather holds them
 PLAN_DIGESTS = {
-    "body": ("45934c55a241ce9e", "0c86f028dab86ecd", "bcef1611f6bed504"),
-    "face": ("cdcba587f90b28bf", "699446228ae636d4", "586c9619be072295"),
-    "upperbody_20x20": ("5cc4c44a70ee6071", "0b0f145d0463d667", "1f190338e5dea630"),
-    "face_24x24": ("e15918d9f5d47dae", "274b75d5032e9b74", "a92121d3dc503f99"),
-    "deep": ("d52635eaae0a1fb8", "86fc3de18101e2ee", "b1d3a0cc66ee1c1b"),
+    "body": ("bd3946c3edab1fd7", "6229c274325b7b16", "070a4b2a53babb6e"),
+    "face": ("fc5a81c40189ca17", "e12d84968829d974", "91acf22cafb065f7"),
+    "upperbody_20x20": ("e1fb64c00012a7a5", "69604fe3ff306ad3", "a22ab00e63a2ddce"),
+    "face_24x24": ("244af3e107200484", "3fb2053e64e9cf11", "be5a3e892428ff20"),
+    "deep": ("88859e4598009bea", "c0983abb467abb56", "4e3a81ecaf70c728"),
 }
 
 
@@ -1055,15 +1057,18 @@ class TestPlanDigests:
                            for r, _ in scaled_parts(f, scale, w, w)]
 
 
-def sign_cut_cascade(rng, kind: str) -> Cascade:
+def sign_cut_cascade(rng, kind: str, at: int = 0) -> Cascade:
     """Feature 0, the left half minus the right half of the 8x8 base,
-    drives stage 0's first weak classifier; two random stages follow."""
+    drives stage 0's weak classifier ``at`` (0 or 1) with the ``SIGN_CUTS``
+    values of ``kind``.  The other one adds 0.5 or -0.25 under a positive
+    threshold, so it never vetoes.  Two random stages follow."""
     threshold, left, right, stage_threshold, _ = SIGN_CUTS[kind]
     halves = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(Rect(0, 0, 4, 8), 1.0),
                                                 FeaturePart(Rect(4, 0, 4, 8), -1.0)))
     rest = random_cascade(rng, base_w=8, base_h=8, n_stages=2)
-    first = Stage((WeakClassifier(0, threshold, left, right),
-                   WeakClassifier(1, rng.uniform(-0.3, 0.3), 0.5, -0.25)), stage_threshold)
+    weak = (WeakClassifier(0, threshold, left, right),
+            WeakClassifier(1, rng.uniform(0.01, 0.3), 0.5, -0.25))
+    first = Stage(weak if at == 0 else weak[::-1], stage_threshold)
     return Cascade(8, 8, (halves,) + rest.features, (first,) + rest.stages)
 
 
@@ -1138,6 +1143,182 @@ class TestSignCut:
         got = {(d.box.x, d.box.y, d.box.w, d.box.h): d.score
                for d in detect_multiscale(c, img, p)}
         assert got == per_window_eval(c, img, p)[0]
+
+
+@pytest.fixture
+def sigma_windows(monkeypatch):
+    """Counts the windows whose sigma the scans compute: the candidates
+    that every veto kept."""
+    seen = [0]
+    sigma_area = cascade._sigma_area
+
+    def count(s1, s2, area):
+        seen[0] += len(area)
+        return sigma_area(s1, s2, area)
+
+    monkeypatch.setattr(cascade, "_sigma_area", count)
+    return seen
+
+
+def veto_survivors(c: Cascade, img: GrayImage, grids, vetoes) -> list[Rect]:
+    """The windows of ``grids`` whose sum for each (j, sign) of ``vetoes``,
+    stage 0's weak classifier j, has that sign, found window by window
+    from ``feature_value``."""
+    ip = integral(img)
+    weak = c.stages[0].weak
+    wins = [Rect(x, y, w, h) for w, h, stride, nx, ny in grids
+            for y in range(0, ny * stride, stride) for x in range(0, nx * stride, stride)]
+    return [r for r in wins
+            if all(sign * feature_value(ip, c.features[weak[j].feature_index], r,
+                                        r.w / c.base_w) > 0
+                   for j, sign in vetoes)]
+
+
+def veto_pair_cascade(features: tuple[HaarFeature, ...]) -> Cascade:
+    """Stage 0: a left-lower weak classifier on feature 0, which is its cut
+    wherever the int32 bound holds, and one on feature 1; either one's
+    lower leaf keeps the stage below its threshold, so both veto (+1).  A
+    stage on feature 1 follows."""
+    first = Stage((WeakClassifier(0, 0.05, -1.0, 1.0), WeakClassifier(1, 0.05, -1.0, 1.0)), 0.5)
+    later = Stage((WeakClassifier(1, 0.1, -1.0, 1.0),), 0.0)
+    base_w = max(p.rect.right for f in features for p in f.parts)
+    base_h = max(p.rect.bottom for f in features for p in f.parts)
+    return Cascade(base_w, base_h, features, (first, later))
+
+
+HALVES = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(Rect(0, 0, 4, 8), 1.0),
+                                            FeaturePart(Rect(4, 0, 4, 8), -1.0)))
+FLIPPED_HALVES = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(Rect(0, 0, 4, 8), -1.0),
+                                                    FeaturePart(Rect(4, 0, 4, 8), 1.0)))
+TOP_MINUS_BOTTOM = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(Rect(0, 0, 8, 4), 1.0),
+                                                      FeaturePart(Rect(0, 4, 8, 4), -1.0)))
+
+
+class TestVeto:
+    """A weak classifier of stage 0 whose sum's sign alone rejects a window
+    vetoes it: each batch drops the windows whose sum has the vetoing sign
+    before it reads their window sums.  The cut is the first weak
+    classifier's veto, read per band."""
+
+    @pytest.mark.parametrize("kind", SIGN_CUTS)
+    def test_which_weak_classifiers_veto(self, rng, kind):
+        """``SIGN_CUTS``'s cases and near misses at either index of stage
+        0: threshold 0 and -0.0, equal leaves and a reachable bound."""
+        want = SIGN_CUTS[kind][-1]
+        for at in (0, 1):
+            st = sign_cut_cascade(rng, kind, at).stages[0]
+            assert [cascade._veto_sign(st, j) for j in (0, 1)] == \
+                ([want, 0] if at == 0 else [0, want])
+            # the cut is the first veto where the int32 sum is exact
+            assert cascade._sign_cut(st, 2 ** 31 - 1) == cascade._veto_sign(st, 0)
+            assert cascade._sign_cut(st, 2 ** 31) == 0
+
+    def test_synthetic_cascades_veto_with_every_stage_0_weak_classifier(self):
+        assert [cascade._veto_sign(build_body_cascade().stages[0], j) for j in (0, 1)] == [1, 1]
+        assert [cascade._veto_sign(build_face_cascade().stages[0], j) for j in (0, 1)] == [1, -1]
+
+    @pytest.mark.parametrize("image", ["random", "flat-patches", "ramp", "flat"])
+    @pytest.mark.parametrize("kind", SIGN_CUTS)
+    def test_later_veto_matches_per_window_eval(self, rng, band_walks, sigma_windows, kind,
+                                                image):
+        """Stage 0's second weak classifier vetoes, and no plan has a cut:
+        the scan is eval_window's, and exactly the windows whose sum has
+        the kept sign reach sigma.  On "flat-patches" and "flat" some sums
+        are exactly 0, which neither sign keeps."""
+        p = ScanParams(scale_factor=1.25, step_divisor=4)
+        sign = SIGN_CUTS[kind][-1]
+        kept = windows = 0
+        for _ in range(3):
+            c = sign_cut_cascade(rng, kind, 1)
+            img = sign_cut_image(rng, image)
+            got = [(d.box, d.score) for d in detect_multiscale(c, img, p)]
+            want, grids = per_window_eval(c, img, p)
+            assert got == [(Rect(*k), sc) for k, sc in want.items()]
+            kept += len(veto_survivors(c, img, grids, [(1, sign)] if sign else []))
+            windows += sum(nx * ny for *_, nx, ny in grids)
+        assert {plan.keep_sign for plan in c._plans.values()} == {0}
+        assert sigma_windows[0] == kept
+        if sign and image in ("random", "flat-patches"):
+            assert 0 < kept < windows
+
+    @pytest.mark.parametrize("image, vetoed", [
+        ("random", TOP_MINUS_BOTTOM), ("flat-patches", TOP_MINUS_BOTTOM), ("ramp", FLIPPED_HALVES)])
+    def test_cut_then_veto_matches_per_window_eval(self, rng, sigma_windows, batches, image,
+                                                   vetoed):
+        """A cut on the halves feature and a veto on a second feature.  On
+        "ramp" every halves sum is positive, so the cut keeps every window,
+        and every flipped halves sum is negative, so the veto drops every
+        one: the batches hold candidates and no window reaches sigma.  The
+        last origins of the base size (stride 1) are flush with the
+        table's right and bottom edges."""
+        c = veto_pair_cascade((HALVES, vetoed))
+        img = sign_cut_image(rng, image)
+        p = ScanParams(scale_factor=1.25, step_divisor=8)
+        got = [(d.box, d.score) for d in detect_multiscale(c, img, p)]
+        want, grids = per_window_eval(c, img, p)
+        assert got == [(Rect(*k), sc) for k, sc in want.items()]
+        assert {plan.keep_sign for plan in c._plans.values()} == {1}
+        kept = veto_survivors(c, img, grids, [(0, 1), (1, 1)])
+        assert sigma_windows[0] == len(kept)
+        assert sum(n for bands, _ in batches for _, _, n, _ in bands) > len(kept)
+        assert (8, 8, 1, img.width - 7, img.height - 7) in grids
+        if image == "ramp":
+            assert not kept and not want
+        else:
+            assert want and any(r.right == img.width for r in kept)
+            assert any(r.bottom == img.height for r in kept)
+
+    @pytest.mark.parametrize("limit", [100, 10 ** 9], ids=["split", "whole-scan"])
+    def test_vetoes_in_batches_that_mix_cut_and_uncut_plans(self, rng, monkeypatch, batches,
+                                                            sigma_windows, limit):
+        """The 2**16-weight feature is cut at its base size and not at
+        twice it; both weak classifiers veto in every batch, in int64 for
+        the plan without a cut.  The black patch gives sums of 0."""
+        monkeypatch.setattr(cascade, "_BAND_WINDOWS", limit)
+        base_w, base_h, left, right = INT32_BOUND_SIDES["below"]
+        heavy = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(left, 2.0 ** 16),
+                                                   FeaturePart(right, 2.0 ** 16)))
+        edge = HaarFeature(FeatureKind.TWO_RECT, (FeaturePart(left, 1.0),
+                                                  FeaturePart(right, -1.0)))
+        c = veto_pair_cascade((heavy, edge))
+        assert (c.base_w, c.base_h) == (base_w, base_h)
+        p = ScanParams(scale_factor=2.0, max_size=2 * base_w, step_divisor=8)
+        data = random_image(rng, 48, 40).data.copy()
+        data[:20, :20] = 0
+        img = GrayImage(data)
+        got, grids = scan_in_batches(c, img, p)
+        assert len({r.w for r, _ in got}) == 2
+        assert [cascade._size_plan(c, w, h).keep_sign for w, h, *_ in sorted(grids)] == [1, 0]
+        assert any({keep for *_, keep in bands} == {0, 1} for bands, _ in batches)
+        assert sigma_windows[0] == len(veto_survivors(c, img, grids, [(0, 1), (1, 1)]))
+
+    @pytest.mark.parametrize("name", ["body", "face"])
+    def test_synthetic_cascade_on_a_rendered_person(self, sigma_windows, name):
+        c = {"body": build_body_cascade, "face": build_face_cascade}[name]()
+        img = render_scene(96, 72, Rect(40, 10, 16, 16), Rect(32, 5, 32, 48))
+        p = ScanParams(scale_factor=1.3, step_divisor=8)
+        got = [(d.box, d.score) for d in detect_multiscale(c, img, p)]
+        want, grids = per_window_eval(c, img, p)
+        assert got == [(Rect(*k), sc) for k, sc in want.items()] and want
+        vetoes = [(j, cascade._veto_sign(c.stages[0], j)) for j in (0, 1)]
+        assert sigma_windows[0] == len(veto_survivors(c, img, grids, vetoes)) > len(want)
+
+    def test_window_sums_at_the_table_edges(self, rng):
+        """The batch's corner gather of s1 and s2 at windows of several
+        sizes in one call: flush with the top-left, the right edge, the
+        bottom edge and the bottom-right corner of a 37x23 table."""
+        img = random_image(rng, 37, 23)
+        ip = integral(img)
+        cols = ip.tables.shape[2]
+        wins = [Rect(x, y, w, h) for w, h in ((5, 4), (12, 9), (37, 23), (1, 1))
+                for x, y in ((0, 0), (37 - w, 0), (0, 23 - h), (37 - w, 23 - h), (1, 2))
+                if x + w <= 37 and y + h <= 23]
+        w, h = np.array([(r.w, r.h) for r in wins]).T
+        base = np.array([r.y * cols + r.x for r in wins])
+        got = cascade._window_sums(ip.tables, base, np.stack([0 * w, w, h * cols, h * cols + w]))
+        assert got.dtype == np.int64
+        assert got.tolist() == [[rect_sum(ip, r) for r in wins],
+                                [rect_sum(ip, r, squared=True) for r in wins]]
 
 
 class TestWalkReads:
@@ -1419,23 +1600,22 @@ def tap_table(tap_lists):
 
 
 class TestGather:
-    """One ``take`` of every tap, from the plane of the table block that
-    each list names, then one product with the coefficient matrix, gives
-    each tap list's strided-slice sums."""
+    """One ``take`` of every tap from ``ii``, then one product with the
+    coefficient matrix, gives each tap list's strided-slice sums."""
 
     def check(self, rng, tap_lists, g):
         # origins up to (15, 18); taps reach 24 columns further, and as many
         # rows as the tallest list
-        reach = max(dy for taps in tap_lists for dy, _, _ in taps)
-        tables = integral(random_image(rng, 48, max(48, 16 + reach))).tables
+        reach = max([dy for taps in tap_lists for dy, _, _ in taps], default=0)
+        ii = integral(random_image(rng, 48, max(48, 16 + reach))).ii
         stride, ny, nx = 3, 6, 7
         alive = np.array(sorted(rng.sample(range(ny * nx), 20)))
-        base = alive // nx * (stride * tables.shape[2]) + alive % nx * stride
-        got = cascade._gather_sums(g, base, tables)
+        base = alive // nx * (stride * ii.shape[1]) + alive % nx * stride
+        got = cascade._gather_sums(g, base, ii)
         assert got.shape == (len(tap_lists), len(alive)) and got.dtype == np.int64
         for i, taps in enumerate(tap_lists):
             acc = np.empty((ny, nx), dtype=np.int64)
-            cascade._grid_sum(acc, tables[g.plane[i, 0]], cascade._terms(taps), stride)
+            cascade._grid_sum(acc, ii, cascade._terms(taps), stride)
             assert np.array_equal(got[i], acc.reshape(-1)[alive])
 
     def test_unequal_lists_and_one_whose_corners_all_cancel(self, rng):
@@ -1444,40 +1624,40 @@ class TestGather:
         assert ((0, 0, 0),) in tap_lists and len({len(t) for t in tap_lists}) > 1
         table, n, rows = tap_table(tap_lists)
         g = cascade._gather(table, n, rows)
-        # one row per list, padded with zero taps to the longest, all in ii
+        # one row per list, padded with zero taps to the longest
         assert g.coef.shape == g.dy.shape == g.dx.shape == \
             (len(tap_lists), max(map(len, tap_lists)))
-        for row, taps in zip(np.stack(g[1:], axis=-1).tolist(), tap_lists):
+        for row, taps in zip(np.stack(g, axis=-1).tolist(), tap_lists):
             assert row == [list(t) for t in taps] + [[0, 0, 0]] * (len(row) - len(taps))
-        assert g.plane.tolist() == [[0]] * len(tap_lists)
         self.check(rng, tap_lists, g)
         # the cancelled list alone: its empty row reads as one zero tap
         zero = tap_lists.index(((0, 0, 0),))
         assert n[zero] == 0
         alone = cascade._gather(table, n, [zero])
-        assert [a.tolist() for a in alone] == [[[0]]] * 4
+        assert [a.tolist() for a in alone] == [[[0]]] * 3
         self.check(rng, [((0, 0, 0),)], alone)
 
-    def test_lists_read_the_planes_they_name(self, rng):
-        """Lists past the named planes read ii."""
-        plan = cascade._size_plan(cancelling_cascade(rng), 15, 23)
-        tap_lists = sum(plan_taps(plan), [])
-        g = cascade._gather(*tap_table(tap_lists), (1, 0, 1))
-        assert g.plane[:, 0].tolist() == [1, 0, 1] + [0] * (len(tap_lists) - 3)
-        self.check(rng, tap_lists, g)
+    def test_no_lists_read_no_sums(self, rng):
+        """The gather of a cut whose stage 0 has no other weak classifier:
+        zero lists of one padding tap, which read an empty block."""
+        plan = cascade._size_plan(heavy_cascade("below"), 16, 8)
+        assert plan.keep_sign == 1 and [a.shape for a in plan.gathers[0]] == [(0, 1)] * 3
+        assert [a.shape for a in cascade._gather(*tap_table([((0, 0, 1),)])[:2], [])] == \
+            [(0, 1)] * 3
+        self.check(rng, [], plan.gathers[0])
 
     @pytest.mark.parametrize("size", ["base+3", "off-aspect"])
     @pytest.mark.parametrize("build, cut", [
         (build_body_cascade, True), (build_face_cascade, True),
         (lambda: import_legacy_xml(fixture_text("face_24x24.xml")), False)],
         ids=["body", "face", "face_24x24"])
-    def test_cut_gather_reads_the_window_first(self, rng, build, cut, size):
-        """The survivors' one gather of the table block: the window's sum in
-        ii (s1) and in sq (s2), then stage 0's weak classifiers after the
-        cut one, in ii.  The imported fixture has no cut, so its strided
-        reads take the window after the first weak classifier.  At the
-        off-aspect size a base window scaled by ``w / base_w`` is shorter
-        than the window."""
+    def test_cut_gather_reads_stage_0_after_the_cut_feature(self, rng, build, cut, size):
+        """The survivors' one gather of ``ii`` reads stage 0's weak
+        classifiers after the cut one, and nothing else: no window row.
+        The imported fixture has no cut, so its strided reads take the
+        window in ii (s1) and in sq (s2) before every weak classifier of
+        stage 0.  At the off-aspect size a base window scaled by
+        ``w / base_w`` is shorter than the window."""
         c = build()
         w = c.base_w + 3
         h = c.base_h + 3 if size == "base+3" else 2 * c.base_h + 4
@@ -1486,22 +1666,21 @@ class TestGather:
         assert bool(plan.keep_sign) == cut
         if not cut:
             assert plan.gathers[0] is None
-            assert [(plane, term_taps(terms)) for plane, terms in plan.strided[1:3]] == \
-                [(0, window_taps), (1, window_taps)]
+            assert [(plane, term_taps(terms)) for plane, terms in plan.strided] == \
+                [(0, window_taps), (1, window_taps)] + [(0, t) for t in model_taps(c, w, h)[0]]
             return
-        tap_lists = [window_taps] * 2 + model_taps(c, w, h)[0][1:]
+        tap_lists = model_taps(c, w, h)[0][1:]
         first = plan.gathers[0]
-        assert all(map(np.array_equal, first, cascade._gather(*tap_table(tap_lists), (0, 1))))
-        assert first.plane[:, 0].tolist() == [0, 1] + [0] * (len(tap_lists) - 2)
-        assert np.stack(first[1:], axis=-1)[:2, :4].tolist() == \
-            [[list(t) for t in window_taps]] * 2
+        assert all(map(np.array_equal, first, cascade._gather(*tap_table(tap_lists))))
+        assert len(first.dy) == len(c.stages[0].weak) - 1 and window_taps not in tap_lists
+        assert first.dy.shape[1] == max(map(len, tap_lists))
         self.check(rng, tap_lists, first)
 
     def test_only_a_cut_plan_gathers_stage_0(self, rng):
         """Stage 0 is gathered only by a cut's survivors: a plan without a
         cut, such as every 320x240 size of the imported fixtures, has no
-        stage 0 gather, and a cut's gather reads the window twice and stage
-        0's weak classifiers after the cut one; every later stage has one."""
+        stage 0 gather, and a cut's gather reads stage 0's weak classifiers
+        after the cut one; every later stage has one."""
         plans = [(c, cascade._size_plan(c, w, w))
                  for kind in ("left-lower", "reachable") for w in (8, 10, 13)
                  for c in [sign_cut_cascade(rng, kind)]]
@@ -1513,7 +1692,7 @@ class TestGather:
         for c, plan in plans:
             assert (plan.gathers[0] is None) == (plan.keep_sign == 0)
             if plan.keep_sign:
-                assert len(plan.gathers[0].dy) == len(c.stages[0].weak) + 1
+                assert len(plan.gathers[0].dy) == len(c.stages[0].weak) - 1
             assert len(plan.gathers) == len(c.stages)
             assert all(g is not None for g in plan.gathers[1:])
 
@@ -1578,18 +1757,18 @@ class TestTerms:
             for w, h in cascade._scan_sizes(c, 640, 480, ScanParams()):
                 lists += [corner_taps(scaled_parts(f, w / c.base_w, w, h))
                           for f in c.features]
-                # a cut plan reads its cut feature, a plan without one also
-                # the window, in ii and in sq, and stage 0's other features
+                # a cut plan reads its cut feature, a plan without one the
+                # window, in ii and in sq, then every feature of stage 0
                 plan = cascade._size_plan(c, w, h)
                 kinds.add(plan.keep_sign)
                 taps0 = model_taps(c, w, h)[0]
                 window = corner_taps([(plan.win, 1)])
-                reads = taps0[:1] if plan.keep_sign else taps0[:1] + [window] * 2 + taps0[1:]
-                planes = [0] if plan.keep_sign else [0, 0, 1] + [0] * (len(taps0) - 1)
+                reads = taps0[:1] if plan.keep_sign else [window] * 2 + taps0
+                planes = [0] if plan.keep_sign else [0, 1] + [0] * len(taps0)
                 assert [plane for plane, _ in plan.strided] == planes
                 assert [term_taps(terms) for _, terms in plan.strided] == reads
                 if not plan.keep_sign:
-                    assert plan.strided[1][1] == (
+                    assert plan.strided[0][1] == plan.strided[1][1] == (
                         (((0, 1), (h, -1)), ((0, 1), (w, -1))),)
         terms = [cascade._terms(taps) for taps in lists]
         assert [term_taps(t) for t in terms] == lists

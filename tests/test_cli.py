@@ -99,6 +99,22 @@ class TestDetect:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: $: ")
 
+    @pytest.mark.parametrize("flag", ["--body-cascade", "--face-cascade"])
+    @pytest.mark.parametrize("text, message", [
+        ('{"name": "x"}', "$: missing key(s) ['base_h', 'base_w', 'features', 'stages']"),
+        (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["missing-keys", "not-utf-8"])
+    def test_bad_cascade_names_its_file(self, tmp_path, cascades, scene_image, capsys, flag,
+                                        text, message):
+        paths = dict(zip(("--body-cascade", "--face-cascade"), cascades))
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+        paths[flag] = str(bad)
+        code = main(["detect", *(a for kv in paths.items() for a in kv),
+                     "--image", scene_image[0]])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message} (in {bad})\n"
+
     def test_deeply_nested_cascade_exits_1(self, tmp_path, scene_image, capsys):
         img_path, _ = scene_image
         deep = tmp_path / "deep.json"
@@ -212,6 +228,7 @@ class TestTrackSim:
         pytest.param("[" * 1000, "$", id="nested-1000-deep"),
         ({"tracker": {"fwd_speed": -1.0}}, "$.tracker"),
         ({"camera": {"img_w": 10000}}, "$.camera"),
+        ({"ticks": 4, "tracker": {"loop_dt": 1e308}}, "$"),
     ])
     def test_bad_value_exits_1_naming_path(self, tmp_path, capsys, over, path):
         """``over`` is merged into a valid document, or is the raw text."""

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from facefollow.imaging import (GrayImage, IntegralPair, PnmParseError, Rect, _is_finite,
+from facefollow.imaging import (MAX_DIM, GrayImage, IntegralPair, PnmParseError, Rect, _is_finite,
                                 _is_int, _round_half_up, annotated_ppm, decode_pnm, draw_box,
                                 encode_pgm, encode_ppm, integral, rect_sum, to_rgb)
 
@@ -196,6 +196,20 @@ class TestIntegral:
             assert not ip.tables[:, 0, :].any() and not ip.tables[:, :, 0].any()
             assert np.array_equal(ip.ii, brute_integral(img))
             assert np.array_equal(ip.sq, brute_integral(img, squared=True))
+
+    def test_rows_as_wide_as_max_dim_stay_exact(self):
+        """The row pass sums in int32: a row of ``MAX_DIM`` pixels of 255
+        has squares summing to 8192 * 255**2 < 2**31, while the column
+        pass, in int64, passes 2**31 by the fifth such row."""
+        data = np.full((5, MAX_DIM), 255, dtype=np.uint8)
+        data[1] = np.random.default_rng(5).integers(0, 256, MAX_DIM)
+        ip = integral(GrayImage(data))
+        px = data.astype(np.int64)
+        for table, v in ((ip.ii, px), (ip.sq, px * px)):
+            want = np.zeros((6, MAX_DIM + 1), dtype=np.int64)
+            want[1:, 1:] = v.cumsum(axis=1).cumsum(axis=0)
+            assert np.array_equal(table, want)
+        assert ip.sq[1, -1] == MAX_DIM * 255 ** 2 < 2 ** 31 < ip.sq[-1, -1]
 
     def test_monotone_rows_and_columns(self, rng):
         for _ in range(10):

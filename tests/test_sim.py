@@ -387,6 +387,27 @@ class TestClosedLoopOracle:
         fourth = decode_frame(data[3 * FRAME_LEN:4 * FRAME_LEN])
         assert fourth.time_boot_ms == 6_000_000_000 % 2**32 == 1_705_032_704
 
+    @pytest.mark.parametrize("ticks, loop_dt", [(4, 1e308), (1, 2 ** 53 / 1000),
+                                                (2, 2 ** 53 / 2000)])
+    def test_a_run_past_the_clock_horizon_is_refused(self, ticks, loop_dt):
+        """Four ticks of 1e308 s overflowed ``int(t * 1000)`` on the
+        second tick; runs that reach 2**53 ms exactly are refused too."""
+        doc = json.dumps({"ticks": ticks, "tracker": {"loop_dt": loop_dt}})
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"$: tracker.loop_dt {loop_dt!r} over {ticks} ticks runs past the clock "
+                f"horizon of 2**53 ms") + "$"):
+            load_run_config(doc)
+
+    def test_a_run_just_inside_the_clock_horizon_runs(self, tmp_path):
+        loop_dt = math.nextafter(2 ** 53 / 2000, 0)
+        cfg = load_run_config(json.dumps({"ticks": 2, "tracker": {"loop_dt": loop_dt}}))
+        path = tmp_path / "frames.bin"
+        with FileSink(str(path)) as sink:
+            trace = run_closed_loop(cfg, sink=sink)
+        data = path.read_bytes()
+        assert len(trace.rows) == 2 and len(data) == 2 * FRAME_LEN
+        assert decode_frame(data[FRAME_LEN:]).time_boot_ms == int(loop_dt * 1000) % 2 ** 32
+
     def test_error_descent_without_advance(self, rng):
         """Static target, width already in band: max |e| never grows and the
         centroid reaches and keeps the dead zone."""
