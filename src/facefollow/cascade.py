@@ -51,19 +51,10 @@ from xml.parsers.expat import ErrorString
 
 import numpy as np
 
+from ._rules import (CascadeError, CascadeFormatError, _array, _build, _check, _int,
+                     _is_finite, _is_int, _load_json, _obj, _real, _round_half_up, _str)
 from .haar import FeatureKind, FeaturePart, HaarFeature, _scaled_parts, feature_value
-from .imaging import (MAX_DIM, GrayImage, IntegralPair, Rect, _check, _is_finite, _is_int,
-                      _round_half_up, integral, rect_sum)
-
-
-class CascadeError(ValueError):
-    pass
-
-
-class CascadeFormatError(CascadeError):
-    """Syntax or semantic problem in a cascade document; message carries the path.
-
-    The strict document checks raise it for run configs too."""
+from .imaging import MAX_DIM, GrayImage, IntegralPair, Rect, integral, rect_sum
 
 
 class UnsupportedCascadeError(CascadeError):
@@ -207,10 +198,7 @@ class ScanParams:
         _grouping_rules(self.min_neighbors, self.eps)
         # no min_size <= max_size rule: gated scans raise min_size per body,
         # and a face ladder emptied that way finds nothing
-        for k in ("min_size", "max_size"):
-            v = getattr(self, k)
-            if v is not None and not _is_int(v, 1):
-                raise ValueError(f"{k} must be None or an int of at least 1, got {v!r}")
+        _check("None or an int of at least 1", self, "min_size", "max_size")
 
 
 def _grouping_rules(min_neighbors, eps) -> None:
@@ -737,77 +725,6 @@ def group_detections(dets: Sequence[Detection], min_neighbors: int = 3,
         out.append(Detection(Rect(bx, by, br - bx, bb - by),
                              score[members].max().item(), neighbors=k))
     return out
-
-
-# --- strict document checks ---------------------------------------------------
-# Shared by the cascade parsers and the run-config loader; ``path`` is the key
-# path of ``v``, e.g. "$.stages[0].weak[1].feature", and starts every message.
-
-def _obj(v, path: str, required=(), optional=()) -> dict:
-    if not isinstance(v, dict):
-        raise CascadeFormatError(f"{path}: expected object, got {v!r}")
-    unknown = set(v) - set(required) - set(optional)
-    if unknown:
-        raise CascadeFormatError(f"{path}: unknown key(s) {sorted(unknown)}")
-    missing = set(required) - set(v)
-    if missing:
-        raise CascadeFormatError(f"{path}: missing key(s) {sorted(missing)}")
-    return v
-
-
-def _array(v, path: str, min_len: int = 0, max_len: int | None = None) -> list:
-    if (isinstance(v, list) and min_len <= len(v)
-            and (max_len is None or len(v) <= max_len)):
-        return v
-    size = (f"{min_len} or more" if max_len is None else str(min_len)
-            if min_len == max_len else f"{min_len}..{max_len}")
-    raise CascadeFormatError(f"{path}: expected array of {size} items")
-
-
-def _int(v, path: str, minimum: int) -> int:
-    if not _is_int(v, minimum):
-        raise CascadeFormatError(f"{path}: expected an int of at least {minimum}, got {v!r}")
-    return v
-
-
-def _real(v, path: str) -> float:
-    # json.loads accepts NaN and +-Infinity literals; they end here
-    if not _is_finite(v):
-        raise CascadeFormatError(f"{path}: expected finite number, got {v!r}")
-    return float(v)
-
-
-def _bool(v, path: str) -> bool:
-    if not isinstance(v, bool):
-        raise CascadeFormatError(f"{path}: expected true or false, got {v!r}")
-    return v
-
-
-def _str(v, path: str) -> str:
-    if not isinstance(v, str):
-        raise CascadeFormatError(f"{path}: expected string, got {v!r}")
-    return v
-
-
-def _build(path: str, cls, /, *args, **kw):
-    """``cls(*args, **kw)``; the ValueError of a rule the model checks itself,
-    or the OSError of a file it reads, is re-raised at the document path
-    ``path`` of the object built."""
-    try:
-        return cls(*args, **kw)
-    except (OSError, ValueError) as e:
-        raise CascadeFormatError(f"{path}: {e}") from e
-
-
-def _load_json(text: str):
-    """``json.loads`` whose errors are CascadeFormatErrors at path ``$``."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise CascadeFormatError(
-            f"$: syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    except (ValueError, RecursionError) as e:  # over the interpreter's digit or depth limit
-        raise CascadeFormatError(f"$: {e}") from e
 
 
 # --- canonical JSON form ----------------------------------------------------

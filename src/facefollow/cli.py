@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cascade import (Cascade, CascadeFormatError, import_legacy_xml, parse_cascade,
-                      serialize_cascade)
+from .cascade import Cascade, import_legacy_xml, parse_cascade, serialize_cascade
 from .dataset import parse_negative_manifest, parse_positive_manifest, validate_dataset
 from .gated import BODY_COLOR, FACE_COLOR, GateParams, detect_gated, detect_grouped
 from .imaging import annotated_ppm, decode_pnm
@@ -25,24 +24,24 @@ def _fail(msg: str) -> int:
     return 1
 
 
-def _load_cascade(path: str) -> Cascade:
-    """The cascade document at ``path``; a document error names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
+def _read(path: str, parse, binary: bool = False):
+    """``parse`` of the file at ``path``, read as bytes or as UTF-8 text; its
+    ValueError (a parse error, or text that is not UTF-8) names the file."""
+    with open(path, "rb" if binary else "r", encoding=None if binary else "utf-8") as fh:
         try:
-            return parse_cascade(fh.read())
-        except ValueError as e:  # a CascadeFormatError, or text that is not UTF-8
-            raise CascadeFormatError(f"{e} (in {path})") from e
+            return parse(fh.read())
+        except ValueError as e:
+            raise ValueError(f"{e} (in {path})") from e
 
 
-def _load_image(path: str):
-    with open(path, "rb") as fh:
-        return decode_pnm(fh.read())
+def _load_cascade(path: str) -> Cascade:
+    return _read(path, parse_cascade)
 
 
 def cmd_detect(args) -> int:
     body_c = _load_cascade(args.body_cascade)
     face_c = _load_cascade(args.face_cascade) if args.face_cascade else None
-    img = _load_image(args.image)
+    img = _read(args.image, decode_pnm, binary=True)
     gate = GateParams()
     rows: list[tuple] = []
     if face_c is not None:
@@ -70,8 +69,7 @@ def cmd_detect(args) -> int:
 
 def cmd_track_sim(args) -> int:
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = load_run_config(fh.read(), cascade_loader=_load_cascade)
+        cfg = _read(args.config, lambda text: load_run_config(text, cascade_loader=_load_cascade))
     except (OSError, ValueError) as e:
         return _fail(f"config: {e}")
     trace = run_closed_loop(cfg, frames_dir=args.frames_dir)
@@ -94,8 +92,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_import_cascade(args) -> int:
-    with open(args.xml, "r", encoding="utf-8") as fh:
-        cascade = import_legacy_xml(fh.read())
+    cascade = _read(args.xml, import_legacy_xml)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serialize_cascade(cascade))
     print(f"imported {len(cascade.stages)} stage(s), "
@@ -104,11 +101,9 @@ def cmd_import_cascade(args) -> int:
 
 
 def cmd_validate_dataset(args) -> int:
-    with open(args.pos, "r", encoding="utf-8") as fh:
-        pos = parse_positive_manifest(fh.read())
-    with open(args.neg, "r", encoding="utf-8") as fh:
-        neg = parse_negative_manifest(fh.read())
-    report = validate_dataset(pos, neg, args.width, args.height, args.root)
+    report = validate_dataset(_read(args.pos, parse_positive_manifest),
+                              _read(args.neg, parse_negative_manifest),
+                              args.width, args.height, args.root)
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1

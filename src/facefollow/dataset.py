@@ -11,7 +11,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .imaging import PnmParseError, Rect, _check, decode_pnm
+from ._rules import _check
+from .imaging import PnmParseError, Rect, decode_pnm
 
 
 class ManifestError(ValueError):

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from ._rules import _is_finite, _round_half_up
 from .cascade import Cascade, Detection, ScanParams, detect_multiscale, group_detections
-from .imaging import GrayImage, Rect, _is_finite, _round_half_up
+from .imaging import GrayImage, Rect
 
 # RGB colours of body and face boxes on annotated frames
 BODY_COLOR = (40, 220, 40)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import IntegralPair, Rect, _check, rect_sum
+from ._rules import _check
+from .imaging import IntegralPair, Rect, rect_sum
 
 
 class FeatureKind(enum.Enum):
@@ -58,7 +59,7 @@ class FeatureEvalError(ValueError):
 def _scaled_parts(parts: np.ndarray, scale: float, win_w: int, win_h: int) -> np.ndarray:
     """int64 x, y, w, h of the rows (feature, part, x, y, w, h, ...) of a part
     table scaled to a win_w x win_h window: ``np.floor(v * scale + 0.5)``,
-    ``imaging._round_half_up`` bit for bit, extents floor 1 px, and a part
+    ``_rules._round_half_up`` bit for bit, extents floor 1 px, and a part
     that rounding pushes past the far edge clipped to it (in float64, so any
     finite scale > 0 converts exactly).  A part whose origin lies outside
     the window raises FeatureEvalError naming its feature, unless negative,

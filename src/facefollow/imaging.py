@@ -7,59 +7,17 @@ companion computer.
 
 from __future__ import annotations
 
-import math
-import numbers
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import _is_int
+
 MAX_DIM = 8192  # guards the 64-bit accumulators (255 * 8192^2 fits easily)
 
 # BT.601 luma weights, fixed-point so the PPM->gray mapping is exact.
 _LUMA_R, _LUMA_G, _LUMA_B = 299, 587, 114
-
-
-def _round_half_up(v: float) -> int:
-    """The rounding rule for scan and scene geometry: halves round toward
-    +infinity, on negative values too (-2.5 -> -2, -0.6 -> -1)."""
-    return math.floor(v + 0.5)
-
-
-# The settings rules live here because this module imports no other
-# facefollow module, so every settings object can import them.
-
-def _is_int(v, minimum: int) -> bool:
-    """Every int rule: an int or numpy integer, not a bool, of at least ``minimum``."""
-    return ((type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool))
-            and v >= minimum)
-
-
-def _is_finite(v) -> bool:
-    """The rule of every finite setting: a real number that is not a bool (an
-    int, a float or a numpy number) and not NaN, +-inf or an int beyond float range."""
-    try:  # a float skips the slow abstract-class test
-        return ((type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool))
-                and math.isfinite(v))
-    except OverflowError:  # an int beyond float range (abs(v) <= max passes np.float32 inf)
-        return False
-
-
-# keyed by the wording of each rule's message; each takes numbers only
-_RULES = {"finite": _is_finite,
-          "finite and positive": lambda v: _is_finite(v) and v > 0,
-          "finite and non-negative": lambda v: _is_finite(v) and v >= 0,
-          "an int of at least 0": lambda v: _is_int(v, 0),
-          "an int of at least 1": lambda v: _is_int(v, 1)}
-
-
-def _check(rule: str, obj, *names: str) -> None:
-    """Raise ValueError "{name} must be {rule}, got {value!r}" for the first field
-    ``names`` of ``obj`` (or key of a dict ``obj``) that breaks ``rule``."""
-    for k in names or obj:
-        v = obj[k] if isinstance(obj, dict) else getattr(obj, k)
-        if not _RULES[rule](v):
-            raise ValueError(f"{k} must be {rule}, got {v!r}")
 
 
 class PnmParseError(ValueError):

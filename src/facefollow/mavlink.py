@@ -12,7 +12,7 @@ import socket
 import struct
 from dataclasses import dataclass
 
-from .imaging import _check, _is_int
+from ._rules import _check, _is_int, _within
 
 MAGIC_V1 = 0xFE
 MSG_ID = 84                      # SET_POSITION_TARGET_LOCAL_NED
@@ -88,14 +88,6 @@ class VelocityTargetMessage:
     yaw_rate: float = 0.0
 
 
-def _field(name: str, v: int, top: int) -> int:
-    """``v`` if it is an int that fits its unsigned frame field, whose largest
-    value is ``top``."""
-    if not (_is_int(v, 0) and v <= top):
-        raise ValueError(f"{name} must lie in 0..{top}, got {v!r}")
-    return v
-
-
 def build_velocity_message(vx: float, vy: float, vz: float, *,
                            target_system: int = 1, target_component: int = 1,
                            time_boot_ms: int = 0) -> VelocityTargetMessage:
@@ -103,9 +95,9 @@ def build_velocity_message(vx: float, vy: float, vz: float, *,
     A value that does not fit its frame field raises ValueError."""
     _check("finite", {"vx": vx, "vy": vy, "vz": vz})
     return VelocityTargetMessage(
-        time_boot_ms=_field("time_boot_ms", time_boot_ms, 0xFFFFFFFF),
-        target_system=_field("target_system", target_system, 0xFF),
-        target_component=_field("target_component", target_component, 0xFF),
+        time_boot_ms=_within("time_boot_ms", time_boot_ms, 0, 0xFFFFFFFF),
+        target_system=_within("target_system", target_system, 0, 0xFF),
+        target_component=_within("target_component", target_component, 0, 0xFF),
         vx=vx, vy=vy, vz=vz)
 
 
@@ -119,8 +111,8 @@ def encode_frame(m: VelocityTargetMessage, seq: int = 0, *,
                  sysid: int = 255, compid: int = 0) -> bytes:
     """61-octet v1 frame: 6-byte header, 53-byte payload, 2-byte checksum.
     A ``seq``, ``sysid`` or ``compid`` outside 0..255 raises ValueError."""
-    body = bytes((PAYLOAD_LEN, _field("seq", seq, 0xFF), _field("sysid", sysid, 0xFF),
-                  _field("compid", compid, 0xFF), MSG_ID))
+    body = bytes((PAYLOAD_LEN, _within("seq", seq, 0, 0xFF), _within("sysid", sysid, 0, 0xFF),
+                  _within("compid", compid, 0, 0xFF), MSG_ID))
     body += _PAYLOAD_FMT.pack(*(getattr(m, name) for name in _PAYLOAD_FIELDS))
     return bytes((MAGIC_V1,)) + body + struct.pack("<H", _checksum(body))
 
@@ -149,9 +141,9 @@ class CommandSink:
     def __init__(self, initial_seq: int = 0, sysid: int = 255, compid: int = 0):
         """A value outside 0..255 raises ValueError, before a subclass opens
         its destination."""
-        self._seq = _field("initial_seq", initial_seq, 0xFF)
-        self._sysid = _field("sysid", sysid, 0xFF)
-        self._compid = _field("compid", compid, 0xFF)
+        self._seq = _within("initial_seq", initial_seq, 0, 0xFF)
+        self._sysid = _within("sysid", sysid, 0, 0xFF)
+        self._compid = _within("compid", compid, 0, 0xFF)
 
     @property
     def next_seq(self) -> int:

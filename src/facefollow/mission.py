@@ -11,7 +11,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-from .imaging import _check, _is_finite
+from ._rules import _check, _is_finite
 from .tracker import VelocityCommand
 
 

@@ -14,11 +14,12 @@ import os
 import typing
 from dataclasses import dataclass, field, replace
 
-from .cascade import (Cascade, Detection, _array, _bool, _build, _int, _load_json,
-                      _obj, _real, _str)
+from ._rules import (_array, _bool, _build, _check, _int, _load_json, _obj, _real,
+                     _round_half_up, _str, _within)
+from .cascade import Cascade, Detection
 from .gated import (BODY_COLOR, FACE_COLOR, GatedDetection, GateParams, detect_gated,
                     select_target)
-from .imaging import MAX_DIM, Rect, _check, _is_int, _round_half_up, annotated_ppm
+from .imaging import MAX_DIM, Rect, annotated_ppm
 from .mavlink import CommandSink, build_velocity_message, open_sink
 from .mission import (MissionConfig, MissionPhase, MissionState, Ned,
                       VehicleStatus, step_mission)
@@ -37,9 +38,7 @@ class CameraModel:
 
     def __post_init__(self):
         for k in ("img_w", "img_h"):
-            v = getattr(self, k)
-            if not (_is_int(v, 1) and v <= MAX_DIM):
-                raise ValueError(f"{k} must lie in 1..{MAX_DIM}, got {v!r}")
+            _within(k, getattr(self, k), 1, MAX_DIM)
         _check("finite and positive", self, "focal")
 
 
@@ -236,9 +235,7 @@ class RunConfig:
         if not self.ticks * self.tracker.loop_dt * 1000 < MAX_RUN_MS:
             raise ValueError(f"tracker.loop_dt {self.tracker.loop_dt!r} over {self.ticks} ticks "
                              f"runs past the clock horizon of 2**53 ms")
-        if self.user_stop_tick is not None and not _is_int(self.user_stop_tick, 0):
-            raise ValueError(f"user_stop_tick must be None or an int of at least 0, "
-                             f"got {self.user_stop_tick!r}")
+        _check("None or an int of at least 0", self, "user_stop_tick")
         _check("finite", self, "drone_yaw", "takeoff_alt")
         _check("finite and positive", self, "face_w", "body_w", "body_h")
         _check("finite and non-negative", self, "battery_start", "battery_drain")
@@ -259,9 +256,9 @@ def run_closed_loop(cfg: RunConfig, sink: CommandSink | None = None,
     """
     cam = cfg.camera
     dt = cfg.tracker.loop_dt
+    gate = cfg.gate or synthetic_gate_params(cam.img_w)
     own_sink = sink is None
     sink = sink or open_sink(cfg.sink_dest)
-    gate = cfg.gate or synthetic_gate_params(cam.img_w)
 
     state = SimState(0.0, cfg.drone_pos, cfg.drone_yaw, cfg.target_pos,
                      cfg.path, 0, cfg.face_w, cfg.body_w, cfg.body_h)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._rules import _round_half_up
 from .cascade import Cascade, ScanParams, Stage, WeakClassifier
 from .gated import GateParams
 from .haar import FeatureKind, FeaturePart, HaarFeature
-from .imaging import GrayImage, Rect, _round_half_up
+from .imaging import GrayImage, Rect
 
 BG_LUMA = 200
 BODY_LUMA = 80
@@ -124,10 +125,10 @@ def build_body_cascade() -> Cascade:
 
 def synthetic_gate_params(img_w: int = 320) -> GateParams:
     """Scan settings matched to the synthetic scene geometry; the body window
-    cap of 120 px at a 320 px width grows with ``img_w``."""
+    cap of 120 px at a 320 px width grows with ``img_w``, and is at least 1 px."""
     return GateParams(
         body_scan=ScanParams(scale_factor=1.08, min_size=24,
-                             max_size=_round_half_up(120 * img_w / 320),
+                             max_size=max(1, _round_half_up(120 * img_w / 320)),
                              step_divisor=12, min_neighbors=1, eps=0.25),
         face_scan=ScanParams(scale_factor=1.08, min_size=None, max_size=None,
                              step_divisor=24, min_neighbors=0, eps=0.3),

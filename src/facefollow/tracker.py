@@ -11,8 +11,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from ._rules import _check
 from .cascade import Detection
-from .imaging import _check
 
 
 class HorizZone(enum.Enum):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from facefollow import cascade
+from facefollow._rules import _round_half_up
 from facefollow.cascade import Cascade, Stage, WeakClassifier
 from facefollow.haar import FeatureKind, FeaturePart, HaarFeature
-from facefollow.imaging import GrayImage, Rect, _round_half_up
+from facefollow.imaging import GrayImage, Rect
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 

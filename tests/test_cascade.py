@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from facefollow import cascade, haar
+from facefollow._rules import _round_half_up
 from facefollow.cascade import (Cascade, CascadeFormatError, Detection, ScanParams,
                                 Stage, UnsupportedCascadeError, WeakClassifier, Windows,
                                 detect_multiscale, eval_window, group_detections,
                                 import_legacy_xml, parse_cascade, serialize_cascade)
 from facefollow.haar import (FeatureKind, FeaturePart, HaarFeature, enumerate_base_features,
                              feature_value)
-from facefollow.imaging import MAX_DIM, GrayImage, Rect, _round_half_up, integral, rect_sum
+from facefollow.imaging import MAX_DIM, GrayImage, Rect, integral, rect_sum
 from facefollow.synthetic import (build_body_cascade, build_face_cascade, render_scene,
                                   synthetic_gate_params)
 

@@ -99,22 +99,6 @@ class TestDetect:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: $: ")
 
-    @pytest.mark.parametrize("flag", ["--body-cascade", "--face-cascade"])
-    @pytest.mark.parametrize("text, message", [
-        ('{"name": "x"}', "$: missing key(s) ['base_h', 'base_w', 'features', 'stages']"),
-        (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-    ], ids=["missing-keys", "not-utf-8"])
-    def test_bad_cascade_names_its_file(self, tmp_path, cascades, scene_image, capsys, flag,
-                                        text, message):
-        paths = dict(zip(("--body-cascade", "--face-cascade"), cascades))
-        bad = tmp_path / "bad.json"
-        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
-        paths[flag] = str(bad)
-        code = main(["detect", *(a for kv in paths.items() for a in kv),
-                     "--image", scene_image[0]])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {message} (in {bad})\n"
-
     def test_deeply_nested_cascade_exits_1(self, tmp_path, scene_image, capsys):
         img_path, _ = scene_image
         deep = tmp_path / "deep.json"
@@ -375,6 +359,54 @@ class TestValidateDataset:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: train_w must be an int of at least 1, got {w}\n")
+
+
+MISSING_KEYS = "$: missing key(s) ['base_h', 'base_w', 'features', 'stages']"
+NOT_UTF_8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+@pytest.mark.parametrize("flag, name, text, message", [
+    ("--body-cascade", "bad.json", '{"name": "x"}', f"{MISSING_KEYS} (in bad.json)"),
+    ("--body-cascade", "bad.json", b"\xff", f"{NOT_UTF_8} (in bad.json)"),
+    ("--face-cascade", "bad.json", '{"name": "x"}', f"{MISSING_KEYS} (in bad.json)"),
+    ("--face-cascade", "bad.json", b"\xff", f"{NOT_UTF_8} (in bad.json)"),
+    ("--image", "bad.pgm", b"P5 1 1 300\n\0\0",
+     "maxval 300 not in 1..255 (byte offset 6) (in bad.pgm)"),
+    ("--xml", "bad.xml", "<opencv_storage><cascade>",
+     "$: syntax error at line 1, column 26: no element found (in bad.xml)"),
+    ("--config", "run.json", '{"ticks": 3,',
+     "config: $: syntax error at line 1, column 13: "
+     "Expecting property name enclosed in double quotes (in run.json)"),
+    ("--config", "run.json",
+     '{"mode": "rendered", "cascades": {"body": "bad.json", "face": "bad.json"}}',
+     f"config: $.cascades.body: {MISSING_KEYS} (in bad.json) (in run.json)"),
+    ("--pos", "pos.dat", "a.pgm x", "line 1: object count 'x' not an integer (in pos.dat)"),
+    ("--neg", "bg.txt", b"\xff", f"{NOT_UTF_8} (in bg.txt)"),
+], ids=["body-cascade-missing-keys", "body-cascade-not-utf-8", "face-cascade-missing-keys",
+        "face-cascade-not-utf-8", "image-maxval", "xml-syntax", "config-syntax",
+        "config-names-a-bad-cascade", "pos-count", "neg-not-utf-8"])
+def test_bad_input_file_is_named(tmp_path, monkeypatch, cascades, scene_image, capsys, flag,
+                                 name, text, message):
+    """One bad file behind one file flag of an otherwise valid run: one error
+    line that names the file, and a file read through another names both,
+    the inner one first."""
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text('{"name": "x"}')  # the cascade a bad config names
+    Path("empty.txt").write_text("")
+    Path("ok.json").write_text(json.dumps(sim_doc(ticks=3)))
+    Path(name).write_bytes(text if isinstance(text, bytes) else text.encode())
+    runs = {
+        "detect": {"--body-cascade": cascades[0], "--face-cascade": cascades[1],
+                   "--image": scene_image[0]},
+        "track-sim": {"--config": "ok.json", "--trace": "t.csv"},
+        "import-cascade": {"--xml": fixture_path("upperbody_20x20.xml"), "--out": "o.json"},
+        "validate-dataset": {"--pos": "empty.txt", "--neg": "empty.txt", "--root": ".",
+                             "-w": "20", "-h": "20"},
+    }
+    command, args = next((c, a) for c, a in runs.items() if flag in a)
+    args[flag] = name
+    assert main([command, *(x for kv in args.items() for x in kv)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["detect", "track-sim", "import-cascade"])

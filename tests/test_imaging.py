@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from facefollow.imaging import (MAX_DIM, GrayImage, IntegralPair, PnmParseError, Rect, _is_finite,
-                                _is_int, _round_half_up, annotated_ppm, decode_pnm, draw_box,
-                                encode_pgm, encode_ppm, integral, rect_sum, to_rgb)
+from facefollow._rules import _is_finite, _is_int, _round_half_up
+from facefollow.imaging import (MAX_DIM, GrayImage, IntegralPair, PnmParseError, Rect,
+                                annotated_ppm, decode_pnm, draw_box, encode_pgm, encode_ppm,
+                                integral, rect_sum, to_rgb)
 
 from conftest import MODEL_INTS, NOT_FINITE, random_image
 

@@ -436,6 +436,20 @@ class TestClosedLoopRendered:
         trace = run_closed_loop(cfg)
         assert sum(r.detected for r in trace.rows) >= 10
 
+    def test_one_pixel_camera_sees_nothing_and_closes_its_sink(self, tmp_path):
+        """The body window cap of a 1 px wide frame is 1 px, not 0, so every
+        tick runs and hovers; the sink the run opened is closed (an unclosed
+        file fails the test as a ResourceWarning)."""
+        sink = tmp_path / "sink.bin"
+        cfg = RunConfig(mode="rendered", ticks=4, camera=CameraModel(1, 1),
+                        body_cascade=build_body_cascade(), face_cascade=build_face_cascade(),
+                        sink_dest=str(sink))
+        trace = run_closed_loop(cfg)
+        assert synthetic_gate_params(1).body_scan.max_size == 1
+        assert [r.detected for r in trace.rows] == [False] * 4
+        assert [r.mission for r in trace.rows] == [MissionPhase.HOVER] * 4
+        assert sink.stat().st_size == 4 * FRAME_LEN
+
     def test_frame_dumps(self, tmp_path):
         cfg = offset_config(0.0, 0.0, standoff=4.0, ticks=3, mode="rendered",
                             body_cascade=build_body_cascade(),
